@@ -170,22 +170,9 @@ class ExtendedKrylovTSylv:
         self.built_dim = self.ell + Qn.shape[1]
         return True
 
-    @property
-    def tau(self):
-        if self._staged is None:
-            return np.zeros((0, self.ell))
-        return self._staged[4]
-
-    @property
-    def staged_w(self):
-        return None if self._staged is None else self._staged[2]
-
     def solve_reduced(self):
         """Solve T Y + Y^T K = -G1 G2^T on the active space."""
         return solve_tsylv_dense(self.T, self.U.T, -self.G1 @ self.G2.T)
-
-    def projected_residual(self, Y):
-        return float(np.linalg.norm(self.T @ Y + Y.T @ self.U.T + self.G1 @ self.G2.T))
 
     def residual_norm(self, Y):
         """Frobenius norm of the lifted residual of X = V Y W^T, from

@@ -1,48 +1,61 @@
 """Direct dense solver for the T-Sylvester equation  D X + X^T A = E.
 
-Method: generalized real Schur (QZ) reduction of the pair (D, A^T),
+Method: the block sweep of De Teran & Dopico, "Consistency and efficient
+solution of the Sylvester equation for *-congruence" (ELA 22, 2011), kept
+in real arithmetic.  The generalized real Schur (QZ) reduction of the pair
+(D, A^T),
 
     D = Q R Z^T,   A^T = Q L Z^T,
 
 with R quasi upper triangular (1x1 / 2x2 diagonal blocks) and L upper
-triangular.  Substituting Y = Z^T X Q turns the equation into
+triangular, turns the equation via Y = Z^T X Q into
 
-    R Y + Y^T L^T = Q^T E Q,
+    R Y + Y^T L^T = F,   F = Q^T E Q.
 
-which couples the (I, J) and (J, I) blocks of Y pairwise and is solved by
-back-substitution over block pairs in decreasing index order.  Each pair
-yields a small linear system (at most 8 unknowns) assembled with Kronecker
-identities; everything stays in real arithmetic.
+The solve sweeps the diagonal blocks from the last to the first.  With I
+the current block and J the later ones, Y[J, J] is already known, and
+block column I and block row I of Y satisfy, without involving Y[I, I],
 
-The solver re-evaluates the residual of the returned X and tracks the
-smallest reciprocal condition number seen among the small systems; a value
-below ``rcond_limit`` raises :class:`SingularOperatorError`.
+    R_JJ Y_JI + Y_IJ^T L_II^T = F_JI - Y_JJ^T L_IJ^T,
+    L_JJ Y_JI + Y_IJ^T R_II^T = (F_IJ - R_IJ Y_JJ)^T.
+
+That is a generalized Sylvester equation on the trailing pencil
+(R_JJ, L_JJ), which is already in generalized Schur form; one LAPACK
+``dtgsyl`` call solves it.  For a 2x2 block the right-hand pencil
+(L_II^T, R_II^T) is first put in Schur form by a 2x2 QZ.  The diagonal
+block then follows from R_II Y_II + Y_II^T L_II^T = G, a division or a
+4x4 system.  Both small transformations are computed once per
+factorization, so a solve is one LAPACK call per diagonal block.
+
+The operator is singular when two eigenvalues of the pencil multiply to 1
+(or one equals -1).  The factorization computes, for every pair of
+diagonal blocks, the reciprocal condition number of the small system that
+couples the pair in a block-by-block back-substitution, stacked by block
+sizes and batched through one SVD per chunk.  ``solve`` raises
+:class:`SingularOperatorError` when the smallest lies below
+``rcond_limit``, or when ``dtgsyl`` reports a singular system, and can
+re-evaluate the residual of the returned X.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dtgsyl
 
+from .dense_core import commutation_matrix
 from .errors import SingularOperatorError
 
 __all__ = ["TSylvInfo", "TSylvSolver", "solve_tsylv_dense", "solve_tsylv_shifted"]
+
+# pair systems per batched SVD; bounds the scratch memory of the rcond check
+_CHUNK = 1024
 
 
 @dataclass
 class TSylvInfo:
     relative_residual: float
     rcond_estimate: float
-
-
-def _small_commutation(m, n):
-    # K @ vec(M) = vec(M.T) for m-by-n M, column-major vec
-    idx = np.arange(m * n)
-    i = idx % m
-    j = idx // m
-    K = np.zeros((m * n, m * n))
-    K[j + i * n, idx] = 1.0
-    return K
 
 
 def _quasi_blocks(R):
@@ -60,6 +73,63 @@ def _quasi_blocks(R):
     return blocks
 
 
+def _kron(X, Y):
+    # Kronecker product over the last two axes, broadcast over the leading ones
+    P = X[..., :, None, :, None] * Y[..., None, :, None, :]
+    s = P.shape
+    return P.reshape(s[:-4] + (s[-4] * s[-3], s[-2] * s[-1]))
+
+
+def _diag_systems(R, L):
+    """Matrices of Y -> R Y + Y^T L^T on column-major vec(Y), stacked over leading axes."""
+    a = R.shape[-1]
+    I = np.eye(a)
+    return _kron(I, R) + _kron(L, I) @ commutation_matrix(a)
+
+
+def _pair_systems(Rii, Lii, Rjj, Ljj):
+    """Stacked matrices of (Yij, Yji) -> (Rii Yij + Yji^T Ljj^T, Rjj Yji + Yij^T Lii^T)."""
+    a, b = Rii.shape[-1], Rjj.shape[-1]
+    Ia, Ib = np.eye(a), np.eye(b)
+    # transposing a row or a column leaves its vec unchanged
+    K = commutation_matrix(a) if a == b else np.eye(a * b)
+    return np.block([[_kron(Ib, Rii), _kron(Ljj, Ia) @ K],
+                     [_kron(Lii, Ib) @ K, _kron(Ia, Rjj)]])
+
+
+def _svd_rcond(M):
+    sv = np.linalg.svd(M, compute_uv=False)
+    return sv[:, -1] / (sv[:, 0] + 1e-300)
+
+
+def _min_pair_rcond(R, L, blocks):
+    """Smallest reciprocal condition number over the diagonal blocks and all
+    pairs of them: closed forms for scalar blocks, SVDs otherwise."""
+    starts = np.array([s for s, _ in blocks])
+    sizes = np.array([e - s for s, e in blocks])
+    st = {a: starts[sizes == a] for a in (1, 2)}
+    idx = {a: st[a][:, None] + np.arange(a) for a in (1, 2)}
+    rd = {a: R[idx[a][:, :, None], idx[a][:, None, :]] for a in (1, 2)}
+    ld = {a: L[idx[a][:, :, None], idx[a][:, None, :]] for a in (1, 2)}
+    found = [1.0]
+    r, l = rd[1][:, 0, 0], ld[1][:, 0, 0]
+    found.append(np.abs(r + l) / (np.abs(r) + np.abs(l) + 1e-300))
+    found.append(_svd_rcond(_diag_systems(rd[2], ld[2])))
+    for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        p, q = np.nonzero(st[a][:, None] < st[b][None, :])
+        for c in range(0, p.size, _CHUNK):
+            pc, qc = p[c:c + _CHUNK], q[c:c + _CHUNK]
+            if a == b == 1:
+                r1, r2 = rd[1][pc, 0, 0], rd[1][qc, 0, 0]
+                l1, l2 = ld[1][pc, 0, 0], ld[1][qc, 0, 0]
+                found.append(np.abs(r1 * r2 - l1 * l2)
+                             / (r1 * r1 + r2 * r2 + l1 * l1 + l2 * l2 + 1e-300))
+            else:
+                found.append(_svd_rcond(_pair_systems(
+                    rd[a][pc], ld[a][pc], rd[b][qc], ld[b][qc])))
+    return float(min(np.min(f, initial=1.0) for f in found))
+
+
 class TSylvSolver:
     """Factor the operator X -> D X + X^T A once, then solve many right-hand sides."""
 
@@ -74,80 +144,34 @@ class TSylvSolver:
         self.D = D
         self.A = A
         self.rcond_limit = rcond_limit
-        if self.n:
-            R, L, Q, Z = scipy.linalg.qz(D, A.T, output="real")
-            self.R, self.L, self.Q, self.Z = R, L, Q, Z
-            self.blocks = _quasi_blocks(R)
-        else:
-            self.blocks = []
-
-    def _solve_pair(self, i0, i1, j0, j1, Fij, Fji):
-        R, L = self.R, self.L
-        a = i1 - i0
-        b = j1 - j0
-        Rii = R[i0:i1, i0:i1]
-        Ljj = L[j0:j1, j0:j1]
-        if i0 == j0:
-            if a == 1:
-                # scalar diagonal pair
-                den = Rii[0, 0] + Ljj[0, 0]
-                scale = abs(Rii[0, 0]) + abs(Ljj[0, 0]) + 1e-300
-                rcond = abs(den) / scale
-                if rcond < self.rcond_limit:
-                    raise SingularOperatorError(
-                        "T-Sylvester operator is singular to working precision",
-                        rcond=rcond)
-                return Fij / den, None, rcond
-            M = np.kron(np.eye(a), Rii) + np.kron(Ljj, np.eye(a)) @ _small_commutation(a, a)
-            f = Fij.flatten(order="F")
-            rcond = self._checked_rcond(M)
-            y = scipy.linalg.solve(M, f)
-            return y.reshape((a, a), order="F"), None, rcond
-        Rjj = R[j0:j1, j0:j1]
-        Lii = L[i0:i1, i0:i1]
-        if a == 1 and b == 1:
-            # 2x2 coupled system in closed form
-            r1, r2 = Rii[0, 0], Rjj[0, 0]
-            l1, l2 = Lii[0, 0], Ljj[0, 0]
-            det = r1 * r2 - l1 * l2
-            scale = r1 * r1 + r2 * r2 + l1 * l1 + l2 * l2 + 1e-300
-            rcond = abs(det) / scale
-            if rcond < self.rcond_limit:
-                raise SingularOperatorError(
-                    "T-Sylvester operator is singular to working precision",
-                    rcond=rcond)
-            f1 = Fij[0, 0]
-            f2 = Fji[0, 0]
-            return (np.array([[(f1 * r2 - l2 * f2) / det]]),
-                    np.array([[(r1 * f2 - l1 * f1) / det]]), rcond)
-        # general coupled pair, at most 8 unknowns
-        M = np.block([
-            [np.kron(np.eye(b), Rii),
-             np.kron(Ljj, np.eye(a)) @ _small_commutation(b, a)],
-            [np.kron(Lii, np.eye(b)) @ _small_commutation(a, b),
-             np.kron(np.eye(a), Rjj)],
-        ])
-        f = np.concatenate([Fij.flatten(order="F"), Fji.flatten(order="F")])
-        rcond = self._checked_rcond(M)
-        y = scipy.linalg.solve(M, f)
-        return (y[:a * b].reshape((a, b), order="F"),
-                y[a * b:].reshape((b, a), order="F"), rcond)
-
-    def _checked_rcond(self, M):
-        sv = scipy.linalg.svdvals(M)
-        rcond = float(sv[-1] / (sv[0] + 1e-300))
-        if rcond < self.rcond_limit:
-            raise SingularOperatorError(
-                "T-Sylvester operator is singular to working precision",
-                rcond=rcond)
-        return rcond
+        self.blocks = []
+        self.rcond = 1.0
+        if not self.n:
+            return
+        R, L, Q, Z = scipy.linalg.qz(D, A.T, output="real")
+        self.R, self.L, self.Q, self.Z = R, L, Q, Z
+        self.blocks = _quasi_blocks(R)
+        self.rcond = _min_pair_rcond(R, L, self.blocks)
+        # per block: the right-hand pencil of its dtgsyl step in Schur form,
+        # (B, E) with L_II^T = Qb B Zb^T, R_II^T = Qb E Zb^T, and the LU
+        # factors of its diagonal system
+        self._steps = []
+        for s, e in self.blocks:
+            Rii, Lii = R[s:e, s:e], L[s:e, s:e]
+            if e - s == 1:
+                one = np.ones((1, 1))
+                self._steps.append((Lii, Rii, one, one, None))
+            else:
+                B, E, Qb, Zb = scipy.linalg.qz(Lii.T, Rii.T, output="real")
+                lu = scipy.linalg.lu_factor(_diag_systems(Rii, Lii))
+                self._steps.append((B, E, Qb, Zb, lu))
 
     def solve(self, E, return_info=False):
         """Solve D X + X^T A = E.
 
         With return_info=True also returns :class:`TSylvInfo` carrying the
         re-evaluated relative residual and the smallest reciprocal condition
-        estimate among the back-substitution systems.
+        number among the diagonal-block pair systems.
         """
         E = np.asarray(E, dtype=float)
         if E.shape != (self.n, self.n):
@@ -156,36 +180,38 @@ class TSylvSolver:
         if n == 0:
             X = np.zeros((0, 0))
             return (X, TSylvInfo(0.0, 1.0)) if return_info else X
+        if self.rcond < self.rcond_limit:
+            raise SingularOperatorError(
+                "T-Sylvester operator is singular to working precision",
+                rcond=self.rcond)
         R, L = self.R, self.L
         F = self.Q.T @ E @ self.Q
         Y = np.zeros((n, n))
-        min_rcond = 1.0
-        blocks = self.blocks
-        for bi in range(len(blocks) - 1, -1, -1):
-            i0, i1 = blocks[bi]
-            for bj in range(len(blocks) - 1, bi - 1, -1):
-                j0, j1 = blocks[bj]
-                Fij = (F[i0:i1, j0:j1]
-                       - R[i0:i1, i1:] @ Y[i1:, j0:j1]
-                       - (L[j0:j1, j1:] @ Y[j1:, i0:i1]).T)
-                if bj == bi:
-                    Yij, _, rcond = self._solve_pair(i0, i1, j0, j1, Fij, None)
-                    Y[i0:i1, i0:i1] = Yij
-                else:
-                    Fji = (F[j0:j1, i0:i1]
-                           - R[j0:j1, j1:] @ Y[j1:, i0:i1]
-                           - (L[i0:i1, i1:] @ Y[i1:, j0:j1]).T)
-                    Yij, Yji, rcond = self._solve_pair(i0, i1, j0, j1, Fij, Fji)
-                    Y[i0:i1, j0:j1] = Yij
-                    Y[j0:j1, i0:i1] = Yji
-                min_rcond = min(min_rcond, rcond)
+        for (s, e), (B, Eb, Qb, Zb, lu) in zip(self.blocks[::-1], self._steps[::-1]):
+            I, J = slice(s, e), slice(e, n)
+            if e < n:
+                YJJ = Y[J, J]
+                C1 = (F[J, I] - YJJ.T @ L[I, J].T) @ Zb
+                C2 = (F[I, J] - R[I, J] @ YJJ).T @ Zb
+                P, W, scale, _, info = dtgsyl(R[J, J], B, C1, L[J, J], Eb, C2)
+                if info != 0:
+                    raise SingularOperatorError(
+                        "T-Sylvester operator is singular to working precision "
+                        "(dtgsyl info %d)" % info, rcond=self.rcond)
+                Y[J, I] = P @ Zb.T / scale
+                Y[I, J] = -(Qb @ W.T) / scale
+            G = F[I, I] - R[I, J] @ Y[J, I] - (L[I, J] @ Y[J, I]).T
+            if lu is None:
+                Y[I, I] = G / (R[s, s] + L[s, s])
+            else:
+                Y[I, I] = scipy.linalg.lu_solve(lu, G.ravel(order="F")).reshape(2, 2, order="F")
         X = self.Z @ Y @ self.Q.T
         if not return_info:
             return X
         en = np.linalg.norm(E)
         res = np.linalg.norm(self.D @ X + X.T @ self.A - E)
         rel = res / en if en > 0 else res
-        return X, TSylvInfo(rel, min_rcond)
+        return X, TSylvInfo(rel, self.rcond)
 
 
 def solve_tsylv_dense(D, A, E, return_info=False, rcond_limit=1e-14):

@@ -1,10 +1,14 @@
-"""QZ-based solver for D X + X^T A = E against the brute-force oracle."""
+"""QZ-based solver for D X + X^T A = E against the brute-force oracle
+and against a block-pair back-substitution on the same QZ factors."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import triccati as tr
 from triccati.dense_core import tsylv_oracle_solve
+from triccati.reports import Status
+from triccati.riccati_dense import TRiccatiProblem, solve_fixed_point
 from triccati.tsylv_dense import TSylvSolver, solve_tsylv_dense, solve_tsylv_shifted
 
 
@@ -12,6 +16,120 @@ def admissible(n, rng):
     D = np.diag(2.0 + rng.random(n)) - 0.5 * rng.random((n, n)) / n
     A = -0.5 * rng.random((n, n)) / n
     return D, A
+
+
+def rotation_structured(n, rng):
+    # D built from scaled rotations: about n/2 complex pairs, so 2x2 QZ blocks
+    th = rng.uniform(0.2, 1.2)
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    m = n - n % 2
+    D = np.zeros((n, n))
+    D[:m, :m] = np.kron(np.diag(2.0 + rng.random(m // 2)), rot)
+    if n > m:
+        D[-1, -1] = 2.5
+    D += 0.1 * rng.standard_normal((n, n))
+    return D, 0.3 * rng.standard_normal((n, n))
+
+
+def _small_commutation(m, n):
+    # K @ vec(M) = vec(M.T) for m-by-n M, column-major vec
+    idx = np.arange(m * n)
+    i = idx % m
+    j = idx // m
+    K = np.zeros((m * n, m * n))
+    K[j + i * n, idx] = 1.0
+    return K
+
+
+def _rcond(M):
+    sv = scipy.linalg.svdvals(M)
+    return float(sv[-1] / (sv[0] + 1e-300))
+
+
+def _solve_pair(R, L, i0, i1, j0, j1, Fij, Fji):
+    # the small system coupling blocks I and J (I == J: the diagonal block)
+    a = i1 - i0
+    b = j1 - j0
+    Rii = R[i0:i1, i0:i1]
+    Ljj = L[j0:j1, j0:j1]
+    if i0 == j0:
+        if a == 1:
+            den = Rii[0, 0] + Ljj[0, 0]
+            rcond = abs(den) / (abs(Rii[0, 0]) + abs(Ljj[0, 0]) + 1e-300)
+            return Fij / den, None, rcond
+        M = np.kron(np.eye(a), Rii) + np.kron(Ljj, np.eye(a)) @ _small_commutation(a, a)
+        y = scipy.linalg.solve(M, Fij.flatten(order="F"))
+        return y.reshape((a, a), order="F"), None, _rcond(M)
+    Rjj = R[j0:j1, j0:j1]
+    Lii = L[i0:i1, i0:i1]
+    if a == 1 and b == 1:
+        r1, r2 = Rii[0, 0], Rjj[0, 0]
+        l1, l2 = Lii[0, 0], Ljj[0, 0]
+        det = r1 * r2 - l1 * l2
+        rcond = abs(det) / (r1 * r1 + r2 * r2 + l1 * l1 + l2 * l2 + 1e-300)
+        f1 = Fij[0, 0]
+        f2 = Fji[0, 0]
+        return (np.array([[(f1 * r2 - l2 * f2) / det]]),
+                np.array([[(r1 * f2 - l1 * f1) / det]]), rcond)
+    M = np.block([
+        [np.kron(np.eye(b), Rii),
+         np.kron(Ljj, np.eye(a)) @ _small_commutation(b, a)],
+        [np.kron(Lii, np.eye(b)) @ _small_commutation(a, b),
+         np.kron(np.eye(a), Rjj)],
+    ])
+    f = np.concatenate([Fij.flatten(order="F"), Fji.flatten(order="F")])
+    y = scipy.linalg.solve(M, f)
+    return (y[:a * b].reshape((a, b), order="F"),
+            y[a * b:].reshape((b, a), order="F"), _rcond(M))
+
+
+def pair_loop_reference(solver, E):
+    """Back-substitution over all diagonal-block pairs of the solver's QZ
+    form, in decreasing index order, one small system per pair.
+
+    Returns X and the smallest reciprocal condition number of those systems.
+    """
+    R, L, Q, Z, blocks = solver.R, solver.L, solver.Q, solver.Z, solver.blocks
+    n = solver.n
+    F = Q.T @ E @ Q
+    Y = np.zeros((n, n))
+    min_rcond = 1.0
+    for bi in range(len(blocks) - 1, -1, -1):
+        i0, i1 = blocks[bi]
+        for bj in range(len(blocks) - 1, bi - 1, -1):
+            j0, j1 = blocks[bj]
+            Fij = (F[i0:i1, j0:j1]
+                   - R[i0:i1, i1:] @ Y[i1:, j0:j1]
+                   - (L[j0:j1, j1:] @ Y[j1:, i0:i1]).T)
+            if bj == bi:
+                Yij, _, rcond = _solve_pair(R, L, i0, i1, j0, j1, Fij, None)
+                Y[i0:i1, i0:i1] = Yij
+            else:
+                Fji = (F[j0:j1, i0:i1]
+                       - R[j0:j1, j1:] @ Y[j1:, i0:i1]
+                       - (L[i0:i1, i1:] @ Y[i1:, j0:j1]).T)
+                Yij, Yji, rcond = _solve_pair(R, L, i0, i1, j0, j1, Fij, Fji)
+                Y[i0:i1, j0:j1] = Yij
+                Y[j0:j1, i0:i1] = Yji
+            min_rcond = min(min_rcond, rcond)
+    return Z @ Y @ Q.T, min_rcond
+
+
+def singular_pair_pencil(lam7=0.5):
+    """n = 10, triangular D and A^T with one 2x2 block: the pencil
+    eigenvalues are 2.5, 2, 3, 3.5, 3 exp(+-0.6i), 4, lam7, 1.5, 2.75.
+    With lam7 = 0.5 exactly one pair, the eigenvalues 2 and 0.5 (i != j),
+    multiplies to 1; no eigenvalue is -1."""
+    rng = np.random.default_rng(3)
+    n = 10
+    D = np.triu(rng.standard_normal((n, n)), 1)
+    At = np.triu(rng.standard_normal((n, n)), 1)
+    np.fill_diagonal(D, [2.5, 2.0, 3.0, 3.5, 0.0, 0.0, 4.0, lam7, 1.5, 2.75])
+    np.fill_diagonal(At, 1.0)
+    th = 0.6
+    D[4:6, 4:6] = 3.0 * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    At[4, 5] = 0.0
+    return D, At.T
 
 
 class TestAgainstOracle:
@@ -93,6 +211,62 @@ class TestSingularity:
         # D = I, A = -I makes every diagonal pair sum to zero
         with pytest.raises(tr.SingularOperatorError):
             solve_tsylv_dense(np.eye(2), -np.eye(2), np.ones((2, 2)))
+
+
+class TestAgainstPairLoop:
+    # the sweep and the pair loop share the QZ factors; only the
+    # back-substitution differs, so both agree to near working precision
+    @pytest.mark.parametrize("make", [
+        lambda n, rng: (rng.standard_normal((n, n)), rng.standard_normal((n, n))),
+        rotation_structured,
+    ], ids=["general", "rotation"])
+    def test_solution_and_rcond_match(self, make):
+        rng = np.random.default_rng(18)
+        two_by_two = 0
+        for trial in range(12):
+            n = int(rng.integers(2, 61))
+            D, A = make(n, rng)
+            E = rng.standard_normal((n, n))
+            solver = TSylvSolver(D, A)
+            two_by_two += sum(e - s == 2 for s, e in solver.blocks)
+            X, info = solver.solve(E, return_info=True)
+            X_ref, rcond_ref = pair_loop_reference(solver, E)
+            assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref), \
+                f"trial {trial} n={n}"
+            assert abs(info.rcond_estimate - rcond_ref) <= 1e-10 * rcond_ref, \
+                f"trial {trial} n={n}"
+        assert two_by_two >= 50
+
+
+class TestOffDiagonalSingularPair:
+    def test_nonsingular_neighbour_solves(self):
+        D, A = singular_pair_pencil(lam7=0.6)
+        E = np.ones((10, 10))
+        X, info = TSylvSolver(D, A).solve(E, return_info=True)
+        assert info.relative_residual <= 1e-12
+
+    def test_solve_raises(self):
+        D, A = singular_pair_pencil()
+        solver = TSylvSolver(D, A)  # the check belongs to solve, not to the factorization
+        assert sum(e - s == 2 for s, e in solver.blocks) == 1
+        with pytest.raises(tr.SingularOperatorError) as exc:
+            solver.solve(np.ones((10, 10)))
+        assert exc.value.rcond < 1e-14
+        assert "dtgsyl" not in str(exc.value)  # caught by the rcond check
+
+    def test_lapack_reports_singular_system(self):
+        # with the rcond check switched off the dtgsyl step meets the pair
+        D, A = singular_pair_pencil()
+        solver = TSylvSolver(D, A, rcond_limit=0.0)
+        with pytest.raises(tr.SingularOperatorError, match="dtgsyl info"):
+            solver.solve(np.ones((10, 10)))
+
+    def test_fixed_point_reports_failed_inner_solve(self):
+        D, A = singular_pair_pencil()
+        prob = TRiccatiProblem(A=A, B=np.zeros((10, 10)), C=-np.ones((10, 10)), D=D)
+        X, report = solve_fixed_point(prob, max_iter=5)
+        assert report.status == Status.INNER_SOLVE_FAILED
+        assert len(report.iterations) == 1
 
 
 class TestShiftedInterface:

@@ -51,7 +51,7 @@ from .lowrank import (
     smw_solve,
     zero_pair,
 )
-from .krylov import ExtendedKrylovTSylv, InnerReport, residual_norm, solve_tsylv_krylov
+from .krylov import ExtendedKrylovTSylv, InnerReport, solve_tsylv_krylov
 from .newton_lowrank import (
     InexactNewtonConfig,
     compute_theta,
@@ -61,7 +61,6 @@ from .newton_lowrank import (
 )
 from .generators import (
     generate_admissible_dense,
-    generate_ex1,
     generate_ex1_dense,
     generate_ex1_lowrank,
     generate_ex2_dense,

@@ -68,8 +68,6 @@ def _finish(run, args, tag):
         print(path)
     else:
         print(emit_report(run, fmt=args.format))
-    if run.error:
-        print("solver error: %s" % run.error, file=sys.stderr)
     return 0 if run.status == Status.CONVERGED else 2
 
 
@@ -172,7 +170,6 @@ def build_parser():
 
     l = sub.add_parser("solve-lowrank", help="factored inexact Newton")
     _add_problem_args(l, lowrank=True)
-    l.add_argument("--line-search", choices=("inexact",), default="inexact")
     l.add_argument("--tol", type=float, default=1e-6)
     l.add_argument("--max-outer", type=int, default=30)
     l.add_argument("--max-inner", type=int, default=50)

@@ -21,11 +21,7 @@ class ConvergenceError(TRiccatiError):
 
 
 class InnerSolveError(TRiccatiError):
-    """An inner (projected) solve failed; carries the residual history."""
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = list(history) if history is not None else []
+    """An inner (projected) solve failed."""
 
 
 class BasisBreakdownError(InnerSolveError):

@@ -35,7 +35,6 @@ from .lowrank import LowRankTRiccatiProblem
 from .riccati_dense import TRiccatiProblem
 
 __all__ = [
-    "generate_ex1",
     "generate_ex1_dense",
     "generate_ex1_lowrank",
     "generate_ex2_dense",
@@ -162,17 +161,6 @@ def generate_ex2_lowrank(n, p=1, q=1, seed=0, sign_consistency=True):
     meta = {"family": "Ex2LowRank", "n": n, "p": p, "q": q, "seed": seed,
             "sign_consistency": sign_consistency}
     return prob, meta
-
-
-def generate_ex1(n, gamma=1e4, mode="dense", p=1, q=5, seed=0,
-                 sign_consistency=True):
-    """Mode dispatcher for the convection-diffusion family."""
-    if mode == "dense":
-        return generate_ex1_dense(n, gamma=gamma, seed=seed)
-    if mode == "lowrank":
-        return generate_ex1_lowrank(n, p=p, q=q, gamma=gamma, seed=seed,
-                                    sign_consistency=sign_consistency)
-    raise ValueError("mode must be 'dense' or 'lowrank', got %r" % (mode,))
 
 
 def generate_admissible_dense(n, seed=0):

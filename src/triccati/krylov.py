@@ -13,10 +13,10 @@ the equation to
 
     T Y + Y^T K = -G1 @ G2.T,   T = W^T Dhat V,  K = V^T Ahat W = U^T,
 
-where Ahat^T V = W U is maintained exactly by construction.  The lifted
-residual of X_m = V Y W^T then equals  Wnext (tau Y) W^T  with Wnext the
-newest W block and tau = Wnext^T Dhat V, so its norm is available from
-small matrices only; ``residual_norm`` evaluates exactly that.
+where Ahat^T V = W U is maintained exactly by construction.  The norm of
+the lifted residual of X_m = V Y W^T then needs tall-skinny products only:
+``ExtendedKrylovTSylv.residual_norm`` evaluates it through ||F Y|| with
+F = Dhat V - W T (its docstring says why no shortcut is taken).
 
 Orthogonalization is block classical Gram-Schmidt with one
 re-orthogonalization pass.  Candidate columns that have numerically
@@ -25,7 +25,8 @@ survives (on either side) the space is treated as invariant, the lifted
 residual is then evaluated honestly from its factored form, and the
 caller decides whether that is convergence or stagnation.  Only a
 degenerate seed -- the image of the very first block collapsing, i.e. an
-effectively singular coefficient -- raises BasisBreakdownError.
+effectively singular coefficient -- raises BasisBreakdownError, which
+``solve_tsylv_krylov`` returns as a failed InnerReport like any other.
 """
 
 import numpy as np
@@ -33,16 +34,18 @@ import scipy.linalg
 
 from dataclasses import dataclass, field
 
-from .errors import BasisBreakdownError, InnerSolveError, SingularOperatorError
+from .errors import BasisBreakdownError, TRiccatiError
 from .lowrank import LowRankPair, lr_frobenius_norm, zero_pair
 from .tsylv_dense import solve_tsylv_dense
 
 __all__ = [
     "InnerReport",
     "ExtendedKrylovTSylv",
-    "residual_norm",
     "solve_tsylv_krylov",
 ]
+
+# a new block whose sigma_min/sigma_max falls to this is numerically dependent
+_BREAKDOWN_TOL = 1e-12
 
 
 @dataclass
@@ -72,10 +75,9 @@ def _cgs_against(Q, C):
 class ExtendedKrylovTSylv:
     """Joint (V, W) extended Krylov bases for one shifted equation."""
 
-    def __init__(self, dhat, ahat, H, rhs1, rhs2, breakdown_tol=1e-12):
+    def __init__(self, dhat, ahat, H, rhs1, rhs2):
         self.dhat = dhat
         self.ahat = ahat
-        self.breakdown_tol = breakdown_tol
         self.n = H.shape[0]
         self._rhs1 = rhs1
         self._rhs2 = rhs2
@@ -111,7 +113,7 @@ class ExtendedKrylovTSylv:
         d = np.abs(np.diag(R))
         if d.size == 0 or d[0] <= 1e-14 * max(1.0, np.linalg.norm(C)):
             return np.zeros((self.n, 0)), 0
-        k = int(np.sum(d > self.breakdown_tol * d[0]))
+        k = int(np.sum(d > _BREAKDOWN_TOL * d[0]))
         return Q[:, :k], k
 
     def _block_qr(self, C, Q_prev, what):
@@ -125,7 +127,7 @@ class ExtendedKrylovTSylv:
         if smax <= 1e-14 * orig_scale:
             raise BasisBreakdownError(
                 "%s: block vanished after orthogonalization" % what)
-        if smin <= self.breakdown_tol * smax:
+        if smin <= _BREAKDOWN_TOL * smax:
             raise BasisBreakdownError(
                 "%s: new block is rank deficient "
                 "(sigma_min/sigma_max = %.2e)" % (what, smin / smax))
@@ -226,21 +228,17 @@ class ExtendedKrylovTSylv:
                            self.W @ (Vt[:keep].T * root))
 
 
-def residual_norm(engine, Y):
-    """Norm of the true lifted residual, evaluated from small matrices."""
-    return engine.residual_norm(Y)
-
-
 def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, trunc_tol=1e-12,
-                       monitor=None, breakdown_tol=1e-12):
+                       monitor=None):
     """Solve the Newton-step equation at iterate X by extended Krylov projection.
 
     Stops as soon as the lifted-residual norm drops to tol_abs (absolute).
     Returns (solution_pair_or_None, InnerReport); the pair is None when
-    the tolerance was not reached before m_max expansions or saturation.
-    A degenerate seed raises BasisBreakdownError, a singular reduced
-    equation SingularOperatorError; either carries the residual history
-    collected so far.
+    the tolerance was not reached before m_max expansions or saturation,
+    or when a numerical failure (singular shifted coefficient, degenerate
+    seed, singular reduced equation) stopped the solve.  The report's
+    message then names the error class; its residuals are those collected
+    before the failure.
     """
     alpha = X.P1.T @ prob.B1
     beta = X.P1.T @ prob.B2
@@ -250,34 +248,32 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, trunc_tol=1e-12,
     if rhs_norm == 0.0:
         return zero_pair(prob.n), InnerReport(True, 0, [0.0], 0, tol_abs,
                                               "zero right-hand side")
-    _, _, dhat, ahat = prob.shifted_coefficients(X)
-    H = np.hstack([prob.C1.T, prob.C2.T, X.P2 @ alpha, X.P2 @ beta])
     residuals = []
+    mem = 0
     try:
-        eng = ExtendedKrylovTSylv(dhat, ahat, H, rhs1, rhs2, breakdown_tol)
-    except (InnerSolveError, SingularOperatorError) as e:
-        e.history = residuals
-        raise
-    mem = eng.built_dim
-    for m in range(1, m_max + 1):
-        try:
+        _, _, dhat, ahat = prob.shifted_coefficients(X)
+        H = np.hstack([prob.C1.T, prob.C2.T, X.P2 @ alpha, X.P2 @ beta])
+        eng = ExtendedKrylovTSylv(dhat, ahat, H, rhs1, rhs2)
+        mem = eng.built_dim
+        for m in range(1, m_max + 1):
             grew = eng.stage()
             Y = eng.solve_reduced()
             res = eng.residual_norm(Y)
-        except (InnerSolveError, SingularOperatorError) as e:
-            e.history = residuals
-            raise
-        mem = max(mem, eng.built_dim)
-        residuals.append(res)
-        if monitor is not None:
-            monitor(eng, m, Y, res)
-        if res <= tol_abs:
-            pair = eng.extract(Y, trunc_tol)
-            return pair, InnerReport(True, m, residuals, mem, tol_abs)
-        if not grew:
-            return None, InnerReport(
-                False, m, residuals, mem, tol_abs,
-                "space exhausted at dimension %d before tolerance" % eng.ell)
-        eng.absorb()
+            mem = max(mem, eng.built_dim)
+            residuals.append(res)
+            if monitor is not None:
+                monitor(eng, m, Y, res)
+            if res <= tol_abs:
+                pair = eng.extract(Y, trunc_tol)
+                return pair, InnerReport(True, m, residuals, mem, tol_abs)
+            if not grew:
+                return None, InnerReport(
+                    False, m, residuals, mem, tol_abs,
+                    "space exhausted at dimension %d before tolerance"
+                    % eng.ell)
+            eng.absorb()
+    except TRiccatiError as e:
+        return None, InnerReport(False, len(residuals), residuals, mem,
+                                 tol_abs, "%s: %s" % (type(e).__qualname__, e))
     return None, InnerReport(False, m_max, residuals, mem, tol_abs,
                              "m_max reached before tolerance")

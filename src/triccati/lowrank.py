@@ -183,24 +183,10 @@ def _as_operator(A):
 def smw_solve(A_op, M, N, Y, rcond_limit=1e-14):
     """Solve (A - M N^T) Z = Y through the base factorization of A.
 
-    The r-by-r capacitance I - N^T A^{-1} M is formed densely; a reciprocal
+    One-shot form of :class:`ShiftedOperator`: a capacitance reciprocal
     condition estimate below rcond_limit raises SingularCapacitanceError.
     """
-    A_op = _as_operator(A_op)
-    Y = np.asarray(Y, dtype=float)
-    Z0 = A_op.solve(Y)
-    M = np.asarray(M, dtype=float)
-    N = np.asarray(N, dtype=float)
-    if M.size == 0 or N.size == 0:
-        return Z0
-    AinvM = A_op.solve(M)
-    cap = np.eye(M.shape[1]) - N.T @ AinvM
-    sv = scipy.linalg.svdvals(cap)
-    rcond = float(sv[-1] / (sv[0] + 1e-300)) if sv.size else 0.0
-    if rcond < rcond_limit:
-        raise SingularCapacitanceError(
-            "capacitance matrix is singular (rcond=%.2e)" % rcond)
-    return Z0 + AinvM @ np.linalg.solve(cap, N.T @ Z0)
+    return ShiftedOperator(A_op, M, N, rcond_limit).solve(Y)
 
 
 class ShiftedOperator:

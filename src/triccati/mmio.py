@@ -50,7 +50,7 @@ def save_problem(directory, prob, name="problem"):
         kind = "dense"
         roles = _DENSE_ROLES
     else:
-        raise TypeError("cannot save %r" % type(prob).__name__)
+        raise TypeError("cannot save %r" % (type(prob),))
     files = {}
     for role in roles:
         fname = "%s_%s.mtx" % (name, role)

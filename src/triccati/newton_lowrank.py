@@ -18,9 +18,10 @@ over (0, theta_k], where L is the inner-solve residual and theta_k the
 admissibility cap; every accepted step must shrink the residual norm by
 the factor (1 - lam*alpha).  A step that fails the decrease test after
 truncation is retried with halved lam a few times, then the run is
-reported as Diverged.  Inner-solver failures (stagnation, basis
-breakdown, singular projected equations) surface as InnerSolveFailed
-reports carrying the full inner residual history.
+reported as Diverged, and so is an accepted iterate wider than the rank
+cap.  Inner-solver failures (stagnation, basis breakdown, singular
+projected equations) surface as InnerSolveFailed reports carrying the
+full inner residual history.  No failure raises.
 
 Rank control has two stages.  Every accepted iterate is recompressed with
 the floor trunc_tol: singular values below trunc_tol * sigma_max go, which
@@ -40,7 +41,6 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, InnerSolveError, SingularOperatorError
 from .krylov import solve_tsylv_krylov
 from .lowrank import (
     LowRankPair,
@@ -61,6 +61,7 @@ __all__ = [
     "compute_theta",
     "decrease_condition_check",
     "nonnegativity_monitor",
+    "min_entry_ratio",
     "solve_inexact_newton",
 ]
 
@@ -82,9 +83,6 @@ class InexactNewtonConfig:
     recompressed further to eps (see the module docstring).  rank_cap =
     None means 4*(p+q)*m_max, the widest iterate the inner spaces could
     produce.
-    force_sign_consistency is advisory metadata consumed by the problem
-    generators (a factored C with mixed-sign product violates the
-    nonnegativity theory); the iteration itself never alters C.
     """
 
     eps: float = 1e-6
@@ -94,7 +92,6 @@ class InexactNewtonConfig:
     max_outer: int = 30
     m_max: int = 50
     trunc_tol: float = 1e-12
-    force_sign_consistency: bool = True
     rank_cap: int = None
 
     def __post_init__(self):
@@ -120,25 +117,35 @@ def decrease_condition_check(res_old, res_new, lam, alpha):
     return res_new <= (1.0 - lam * alpha) * res_old * (1.0 + 1e-10)
 
 
-def nonnegativity_monitor(X, sample=256, tol=1e-8, rng=None):
-    """Entrywise X >= 0 check: dense below n = 200, sampled above.
-
-    The iterates are only guaranteed nonnegative when the inner residuals
-    are; this observes, it never enforces.
-    """
+def _sampled_entries(X, sample, rng):
+    """Entries of X: all of them up to n = 200, `sample` random ones above."""
     n = X.P1.shape[0]
-    if n <= 200:
-        if X.rank == 0:
-            return True
-        return bool(np.min(X.to_dense()) >= -tol)
     if X.rank == 0:
-        return True
+        return np.zeros(1)
+    if n <= 200:
+        return X.to_dense().ravel()
     if rng is None:
         rng = np.random.default_rng(0)
     rows = rng.integers(0, n, size=sample)
     cols = rng.integers(0, n, size=sample)
-    vals = np.einsum("ij,ij->i", X.P1[rows], X.P2[cols])
-    return bool(np.min(vals) >= -tol)
+    return np.einsum("ij,ij->i", X.P1[rows], X.P2[cols])
+
+
+def nonnegativity_monitor(X, sample=256, tol=1e-8, rng=None):
+    """Entrywise X >= 0 check: dense up to n = 200, sampled above.
+
+    The iterates are only guaranteed nonnegative when the inner residuals
+    are; this observes, it never enforces.
+    """
+    return bool(np.min(_sampled_entries(X, sample, rng)) >= -tol)
+
+
+def min_entry_ratio(X, sample=256, rng=None):
+    """Smallest entry of X over its largest magnitude (0 for X = 0), on the
+    entries nonnegativity_monitor looks at; scale-free, unlike its tol."""
+    vals = _sampled_entries(X, sample, rng)
+    top = np.max(np.abs(vals))
+    return float(np.min(vals) / top) if top > 0.0 else 0.0
 
 
 def _failure_row(k, res, rel, inner_its, rank, history):
@@ -202,28 +209,19 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
         records.append(IterationRecord(k=0, residual_norm=res,
                                        relative_residual=rel,
                                        iterate_rank=X.rank,
-                                       nonnegative=True))
+                                       nonnegative=True, min_entry_ratio=0.0))
         return X, report(Status.CONVERGED)
 
     status = Status.MAX_ITERATIONS
     for k in range(cfg.max_outer):
         eta_k = cfg.eta(k)
-        try:
-            Xt, inner = solve_tsylv_krylov(prob, X, eta_k * res,
-                                           m_max=cfg.m_max,
-                                           trunc_tol=cfg.trunc_tol)
-        except (InnerSolveError, SingularOperatorError) as e:
-            history = list(getattr(e, "history", None) or [])
-            records.append(_failure_row(k + 1, res, rel, len(history),
-                                        X.rank, history))
-            warnings.append("inner solve failed at sweep %d: %s" % (k + 1, e))
-            status = Status.INNER_SOLVE_FAILED
-            break
+        Xt, inner = solve_tsylv_krylov(prob, X, eta_k * res, m_max=cfg.m_max,
+                                       trunc_tol=cfg.trunc_tol)
         mem = max(mem, inner.basis_dim)
         if Xt is None:
             records.append(_failure_row(k + 1, res, rel, inner.iterations,
                                         X.rank, list(inner.residuals)))
-            warnings.append("inner solve stagnated at sweep %d: %s"
+            warnings.append("inner solve failed at sweep %d: %s"
                             % (k + 1, inner.message))
             status = Status.INNER_SOLVE_FAILED
             break
@@ -263,10 +261,10 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
             rel_n = res_n / c_norm if c_norm > 0.0 else res_n
             records.append(_failure_row(k + 1, res_n, rel_n, inner.iterations,
                                         Xn.rank, list(inner.residuals)))
-            exc = ConvergenceError("iterate rank %d exceeds the configured "
-                                   "cap %d" % (Xn.rank, cap))
-            exc.records = list(records)
-            raise exc
+            warnings.append("iterate rank %d exceeds the configured cap %d "
+                            "at sweep %d" % (Xn.rank, cap, k + 1))
+            status = Status.DIVERGED
+            break
 
         X, R, res = Xn, Rn, res_n
         if res <= stop:
@@ -277,7 +275,8 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
             k=k + 1, residual_norm=res, relative_residual=rel,
             step_size=lam, inner_iterations=inner.iterations,
             iterate_rank=X.rank, inner_residuals=list(inner.residuals),
-            nonnegative=nonnegativity_monitor(X)))
+            nonnegative=nonnegativity_monitor(X),
+            min_entry_ratio=min_entry_ratio(X)))
         if keep_iterates:
             iterates.append(X)
         if res <= stop:

@@ -22,7 +22,8 @@ class IterationRecord:
     residual_norm is the Frobenius norm of the T-Riccati residual at the
     iterate produced by this iteration; step_size is the line-search step
     (1 when no search ran); inner_residuals keeps the per-expansion history
-    of the inner projected solver when one was used.
+    of the inner projected solver when one was used; nonnegative and
+    min_entry_ratio observe the sign of factored iterates.
     """
 
     k: int
@@ -33,6 +34,7 @@ class IterationRecord:
     iterate_rank: int = 0
     inner_residuals: list | None = None
     nonnegative: bool | None = None
+    min_entry_ratio: float | None = None
 
     def to_row(self):
         row = {
@@ -47,6 +49,8 @@ class IterationRecord:
             row["inner_residuals"] = [float(r) for r in self.inner_residuals]
         if self.nonnegative is not None:
             row["nonnegative"] = bool(self.nonnegative)
+        if self.min_entry_ratio is not None:
+            row["min_entry_ratio"] = float(self.min_entry_ratio)
         return row
 
 

@@ -56,9 +56,6 @@ class TRiccatiProblem:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    assumption1_checked: bool = False
-    assumption1_holds: bool = False
-    assumption1_note: str = ""
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -80,8 +77,8 @@ class TRiccatiProblem:
         operator X -> D X + X^T A having a nonsingular M-matrix as its
         Kronecker representation.
 
-        The operator check costs n^3 storage and is skipped (with a note)
-        for n > max_n.  Returns a dict of findings and caches the verdict.
+        The operator check costs n^3 storage and is skipped for n > max_n
+        (operator_checked is then False).  Returns a dict of findings.
         """
         if tol is None:
             tol = dense_core.default_order_tol(self.A, self.B, self.C, self.D)
@@ -94,19 +91,13 @@ class TRiccatiProblem:
         if self.n > max_n:
             audit["operator_checked"] = False
             audit["operator_m_matrix"] = None
-            self.assumption1_note = "operator check skipped for n=%d > %d" % (
-                self.n, max_n)
         else:
             K = dense_core.tsylv_kron_sparse(self.D, self.A)
             cls = dense_core.classify_m_matrix(K)
             audit["operator_checked"] = True
             audit["operator_m_matrix"] = cls.is_nonsingular_m_matrix
-            self.assumption1_note = ""
-        self.assumption1_checked = audit["operator_checked"]
-        self.assumption1_holds = bool(
-            audit["b_nonnegative"] and audit["c_nonpositive"]
-            and audit.get("operator_m_matrix"))
-        audit["holds"] = self.assumption1_holds
+        audit["holds"] = bool(audit["b_nonnegative"] and audit["c_nonpositive"]
+                              and audit["operator_m_matrix"])
         return audit
 
 

@@ -4,8 +4,8 @@ hypotheses, and serialize one report per run as JSON or CSV.
 
 Reports are deterministic for a fixed (spec, solver, config) triple apart
 from the wall-time field, which is what the determinism test masks out.
-Solver failures become statuses inside the report — a run never raises
-out of run_experiment.
+The solvers return their failures as statuses inside the report, so a
+failed solve never raises out of run_experiment.
 """
 
 import csv
@@ -17,7 +17,6 @@ import pathlib
 import numpy as np
 
 from . import generators, mmio
-from .errors import TRiccatiError
 from .lowrank import LowRankTRiccatiProblem
 from .newton_lowrank import InexactNewtonConfig, solve_inexact_newton
 from .reports import SolveReport, Status
@@ -98,7 +97,6 @@ class RunReport:
     report: SolveReport
     audit: dict = None
     metadata: dict = None
-    error: str = None
 
     @property
     def status(self):
@@ -110,8 +108,6 @@ class RunReport:
         d.update(self.report.to_dict())
         d["audit"] = self.audit
         d["metadata"] = self.metadata or {}
-        if self.error:
-            d["error"] = self.error
         return _jsonable(d)
 
 
@@ -128,53 +124,37 @@ def _audit_problem(prob, max_n=200):
     return prob.check_assumption1(max_n=max_n)
 
 
-def _failed_report(exc):
-    status = Status.INNER_SOLVE_FAILED if "inner" in type(exc).__name__.lower() \
-        else Status.DIVERGED
-    # a solver that aborted mid-run may attach the sweeps it completed
-    records = list(getattr(exc, "records", []))
-    return SolveReport(status=status, iterations=records, wall_time=0.0,
-                       final_relative_residual=float("nan"), rhs_norm=0.0,
-                       warnings=[str(exc)])
-
-
 def run_experiment(spec, solver, config=None):
-    """One (problem, solver) cell; returns a RunReport, never raises from
-    solver-level failures."""
+    """One (problem, solver) cell; returns a RunReport whose status says
+    whether the solve converged."""
     config = dict(config or {})
     prob, meta = build_problem(spec)
     x_exact = meta.pop("X_exact", None)
-    error = None
-    X = None
-    try:
-        if solver == "fixed-point":
-            X, rep = solve_fixed_point(
-                prob, tol=config.get("tol", 1e-12),
-                max_iter=config.get("max_iter", 10000))
-        elif solver == "newton":
-            X, rep = solve_newton(
-                prob, tol=config.get("tol", 1e-12),
-                max_iter=config.get("max_iter", 50),
-                line_search=config.get("line_search", "off"))
-        elif solver == "inexact-newton":
-            keys = ("eps", "eta_bar", "alpha", "max_outer", "m_max",
-                    "trunc_tol", "rank_cap")
-            cfg = InexactNewtonConfig(**{k: config[k] for k in keys
-                                         if k in config})
-            X, rep = solve_inexact_newton(prob, cfg)
-        else:
-            raise ValueError("unknown solver %r" % (solver,))
-    except TRiccatiError as exc:
-        rep = _failed_report(exc)
-        error = "%s: %s" % (type(exc).__name__, exc)
+    if solver == "fixed-point":
+        X, rep = solve_fixed_point(
+            prob, tol=config.get("tol", 1e-12),
+            max_iter=config.get("max_iter", 10000))
+    elif solver == "newton":
+        X, rep = solve_newton(
+            prob, tol=config.get("tol", 1e-12),
+            max_iter=config.get("max_iter", 50),
+            line_search=config.get("line_search", "off"))
+    elif solver == "inexact-newton":
+        keys = ("eps", "eta_bar", "alpha", "max_outer", "m_max",
+                "trunc_tol", "rank_cap")
+        cfg = InexactNewtonConfig(**{k: config[k] for k in keys
+                                     if k in config})
+        X, rep = solve_inexact_newton(prob, cfg)
+    else:
+        raise ValueError("unknown solver %r" % (solver,))
     audit = _audit_problem(prob)
-    if x_exact is not None and X is not None and rep.status == Status.CONVERGED:
+    if x_exact is not None and rep.status == Status.CONVERGED:
         Xd = X.to_dense() if hasattr(X, "to_dense") else X
         meta["err_rel"] = float(np.linalg.norm(Xd - x_exact)
                                 / np.linalg.norm(x_exact))
     return RunReport(spec=spec, solver=solver, config=config, report=rep,
                      audit=_jsonable(audit) if audit else None,
-                     metadata=_jsonable(meta), error=error)
+                     metadata=_jsonable(meta))
 
 
 def emit_report(run_report, fmt="json", path=None):

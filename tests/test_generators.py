@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from triccati.generators import (
     _convection_diffusion,
     generate_admissible_dense,
-    generate_ex1,
     generate_ex1_dense,
     generate_ex1_lowrank,
     generate_ex2_dense,
@@ -72,13 +71,6 @@ class TestEx1:
         assert np.any(off.C1.T @ off.C2 > 0)
         assert np.allclose(on.C1, off.C1)
         assert np.allclose(on.C2, -off.C2)
-
-    def test_dispatcher(self):
-        d, _ = generate_ex1(9, mode="dense", seed=0)
-        lr, _ = generate_ex1(9, mode="lowrank", p=1, q=2, seed=0)
-        assert d.n == lr.n == 9
-        with pytest.raises(ValueError):
-            generate_ex1(9, mode="sparse")
 
     def test_determinism(self):
         a, _ = generate_ex1_lowrank(25, seed=11)

@@ -6,7 +6,6 @@ import pytest
 import scipy.sparse as sp
 
 import triccati as tr
-from triccati.errors import ConvergenceError
 from triccati.generators import generate_ex2_lowrank
 from triccati.lowrank import (
     LowRankPair,
@@ -20,6 +19,7 @@ from triccati.newton_lowrank import (
     compute_theta,
     decrease_condition_check,
     default_eta_schedule,
+    min_entry_ratio,
     nonnegativity_monitor,
     solve_inexact_newton,
 )
@@ -123,6 +123,34 @@ class TestNonnegativityMonitor:
         assert nonnegativity_monitor(pos)
         neg = LowRankPair(-np.ones((n, 1)), np.ones((n, 1)))
         assert not nonnegativity_monitor(neg)
+
+
+class TestMinEntryRatio:
+    def test_dense_known_entries(self):
+        P1 = np.ones((20, 1)); P2 = np.ones((20, 1))
+        assert min_entry_ratio(LowRankPair(P1, P2)) == 1.0
+        P1[3, 0] = -0.5  # entries are 1 and -0.5
+        assert min_entry_ratio(LowRankPair(P1, P2)) == -0.5
+
+    def test_sampled_known_entries(self):
+        # every column of X is constant, 2 or -0.5, and both kinds are
+        # among the sampled columns
+        n = 5000
+        v = np.where(np.arange(n) % 2 == 0, 2.0, -0.5)
+        X = LowRankPair(np.ones((n, 1)), v[:, None])
+        assert min_entry_ratio(X) == -0.25
+        assert min_entry_ratio(LowRankPair(np.ones((n, 1)), 3.0 * np.ones((n, 1)))) == 1.0
+
+    def test_zero_pair(self):
+        assert min_entry_ratio(zero_pair(50)) == 0.0
+        assert min_entry_ratio(zero_pair(5000)) == 0.0
+
+    def test_recorded_next_to_the_monitor(self):
+        X, rep = solve_inexact_newton(make_problem(n=40, seed=1),
+                                      InexactNewtonConfig(eps=1e-10))
+        assert rep.status is tr.Status.CONVERGED
+        assert all("min_entry_ratio" in row for row in rep.trace_rows())
+        assert rep.iterations[-1].min_entry_ratio == min_entry_ratio(X)
 
 
 class TestSolver:
@@ -231,5 +259,7 @@ class TestSolver:
     def test_rank_cap_enforced(self):
         prob = make_problem(n=40, p=2, q=2, seed=6)
         cfg = InexactNewtonConfig(eps=1e-10, rank_cap=1)
-        with pytest.raises(ConvergenceError):
-            solve_inexact_newton(prob, cfg)
+        X, rep = solve_inexact_newton(prob, cfg)
+        assert rep.status is tr.Status.DIVERGED
+        assert rep.iterations[-1].iterate_rank > 1
+        assert any("cap 1" in w for w in rep.warnings)

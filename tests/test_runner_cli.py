@@ -96,6 +96,16 @@ class TestRunExperiment:
                              {"eps": 1e-8, "m_max": 0})
         assert run.status is Status.INNER_SOLVE_FAILED
 
+    def test_rank_cap_overflow_is_a_status(self):
+        # the overflowing sweep is recorded; the report describes X_0 = 0
+        spec = ProblemSpec(family="Ex2LowRank", n=150, seed=0)
+        run = run_experiment(spec, "inexact-newton",
+                             {"eps": 1e-10, "rank_cap": 1})
+        assert run.status is Status.DIVERGED
+        assert len(run.report.iterations) == 1
+        assert run.report.rhs_norm == pytest.approx(1.0, rel=1e-12)
+        assert np.isfinite(run.report.final_relative_residual)
+
     def test_unknown_solver(self):
         spec = ProblemSpec(family="Ex2Dense", n=10)
         with pytest.raises(ValueError):

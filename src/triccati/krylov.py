@@ -102,8 +102,8 @@ class ExtendedKrylovTSylv:
             self.T = self.W.T @ self.DV
             self.G1 = self.W.T @ rhs1
             self.G2 = self.W.T @ rhs2
-        self._staged = None
-        self.built_dim = self.ell
+
+    built_dim = property(lambda self: self.ell)  # order of the space built
 
     def _pivot_orth(self, C, Q_prev):
         C, _ = _cgs_against(Q_prev, C)
@@ -134,15 +134,15 @@ class ExtendedKrylovTSylv:
         return Q, (np.vstack([coeffs, R]) if Q_prev.shape[1] else R)
 
     def stage(self):
-        """Build (but do not absorb) the next block pair of V and W.
+        """Build the next block pair of V and W and absorb it.
 
         Candidate columns that have (numerically) fallen into the current
         space are dropped chain-by-chain; a chain with no surviving
-        columns stops advancing.  Returns True on success; False when no
-        genuinely new direction exists -- invariant space, the whole of
-        R^n spanned, or the W image of the surviving candidates
+        columns stops advancing.  Returns True when the space grew; False
+        when no genuinely new direction exists -- invariant space, the
+        whole of R^n spanned, or the W image of the surviving candidates
         collapsing into span(W), which marks the pair construction as
-        saturated.
+        saturated.  The space is left unchanged then.
         """
         if self.ell >= self.n or self.exhausted:
             return False
@@ -158,18 +158,14 @@ class ExtendedKrylovTSylv:
         if Qn.shape[1] == 0:
             return False  # invariant subspace: nothing new to add
         DVn = self.dhat.matvec(Qn)
-        AtQn = self.ahat.rmatvec(Qn)
         try:
-            Wn, Ucol = self._block_qr(AtQn, self.W, "W basis")
+            Wn, Ucol = self._block_qr(self.ahat.rmatvec(Qn), self.W, "W basis")
         except BasisBreakdownError:
             # the new directions are only marginally outside the space and
             # their images carry nothing new: saturated, stop expanding
             self.exhausted = True
-            self._staged = None
             return False
-        tau = Wn.T @ self.DV
-        self._staged = (Qn, DVn, Wn, Ucol, tau, Qf.shape[1])
-        self.built_dim = self.ell + Qn.shape[1]
+        self.absorb(Qn, DVn, Wn, Ucol, Qf.shape[1])
         return True
 
     def solve_reduced(self):
@@ -198,16 +194,16 @@ class ExtendedKrylovTSylv:
         FY = self.DV @ Y - self.W @ TY
         return float(np.hypot(np.linalg.norm(red), np.linalg.norm(FY)))
 
-    def absorb(self):
-        Qn, DVn, Wn, Ucol, tau, bf = self._staged
+    def absorb(self, Qn, DVn, Wn, Ucol, bf):
+        """Append the block pair (Qn, Wn), whose first bf columns of Qn
+        continue the forward chain, to V, DV, W and the projected data."""
         b = Qn.shape[1]
         self._fwd = np.arange(self.ell, self.ell + bf)
         self._inv = np.arange(self.ell + bf, self.ell + b)
+        self.T = np.block([[self.T, self.W.T @ DVn],
+                           [Wn.T @ self.DV, Wn.T @ DVn]])
         self.V = np.hstack([self.V, Qn])
         self.DV = np.hstack([self.DV, DVn])
-        Tcol = self.W.T @ DVn
-        Tnew = Wn.T @ DVn
-        self.T = np.block([[self.T, Tcol], [tau, Tnew]])
         lw = self.U.shape[0]
         self.U = np.block([[self.U, Ucol[:lw]],
                            [np.zeros((b, self.U.shape[1])), Ucol[lw:]]])
@@ -215,7 +211,6 @@ class ExtendedKrylovTSylv:
         self.G2 = np.vstack([self.G2, Wn.T @ self._rhs2])
         self.W = np.hstack([self.W, Wn])
         self.ell += b
-        self._staged = None
 
     def extract(self, Y, trunc_tol=1e-12):
         """Lift and recompress: X = V Y W^T as a LowRankPair."""
@@ -232,13 +227,15 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, trunc_tol=1e-12,
                        monitor=None):
     """Solve the Newton-step equation at iterate X by extended Krylov projection.
 
-    Stops as soon as the lifted-residual norm drops to tol_abs (absolute).
-    Returns (solution_pair_or_None, InnerReport); the pair is None when
-    the tolerance was not reached before m_max expansions or saturation,
-    or when a numerical failure (singular shifted coefficient, degenerate
-    seed, singular reduced equation) stopped the solve.  The report's
-    message then names the error class; its residuals are those collected
-    before the failure.
+    Each of at most m_max passes solves the projected equation, tests its
+    lifted-residual norm against tol_abs (absolute), and only then grows
+    the space.  Returns (solution_pair_or_None, InnerReport), whose
+    basis_dim is the order of the last projected equation.  The pair is
+    None when the tolerance was not met within m_max passes or before
+    saturation, or when a numerical failure (singular shifted coefficient,
+    degenerate seed, singular reduced equation) stopped the solve; the
+    message then names the error class and the residuals are those
+    collected before the failure.
     """
     alpha = X.P1.T @ prob.B1
     beta = X.P1.T @ prob.B2
@@ -249,31 +246,28 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, trunc_tol=1e-12,
         return zero_pair(prob.n), InnerReport(True, 0, [0.0], 0, tol_abs,
                                               "zero right-hand side")
     residuals = []
-    mem = 0
+    eng = None
     try:
         _, _, dhat, ahat = prob.shifted_coefficients(X)
         H = np.hstack([prob.C1.T, prob.C2.T, X.P2 @ alpha, X.P2 @ beta])
         eng = ExtendedKrylovTSylv(dhat, ahat, H, rhs1, rhs2)
-        mem = eng.built_dim
         for m in range(1, m_max + 1):
-            grew = eng.stage()
             Y = eng.solve_reduced()
             res = eng.residual_norm(Y)
-            mem = max(mem, eng.built_dim)
             residuals.append(res)
             if monitor is not None:
                 monitor(eng, m, Y, res)
             if res <= tol_abs:
                 pair = eng.extract(Y, trunc_tol)
-                return pair, InnerReport(True, m, residuals, mem, tol_abs)
-            if not grew:
+                return pair, InnerReport(True, m, residuals, eng.ell, tol_abs)
+            if m < m_max and not eng.stage():
                 return None, InnerReport(
-                    False, m, residuals, mem, tol_abs,
+                    False, m, residuals, eng.ell, tol_abs,
                     "space exhausted at dimension %d before tolerance"
                     % eng.ell)
-            eng.absorb()
     except TRiccatiError as e:
-        return None, InnerReport(False, len(residuals), residuals, mem,
-                                 tol_abs, "%s: %s" % (type(e).__qualname__, e))
-    return None, InnerReport(False, m_max, residuals, mem, tol_abs,
+        return None, InnerReport(False, len(residuals), residuals,
+                                 eng.ell if eng else 0, tol_abs,
+                                 "%s: %s" % (type(e).__qualname__, e))
+    return None, InnerReport(False, m_max, residuals, eng.ell, tol_abs,
                              "m_max reached before tolerance")

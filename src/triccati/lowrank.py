@@ -96,9 +96,9 @@ def lr_frobenius_norm(M):
     return float(np.linalg.norm(R1 @ R2.T))
 
 
-def lr_truncate(M, tol=1e-12, max_rank=None, rel_tail=None):
+def lr_truncate(M, tol=1e-12, rel_tail=None):
     """Recompress a pair: economy QR of both factors, SVD of the small core,
-    singular values below tol * sigma_max (and ranks beyond max_rank) dropped.
+    singular values below tol * sigma_max dropped.
 
     rel_tail, when given, also drops the longest run of trailing singular
     values whose combined Frobenius norm sqrt(sum s_i^2) is at most
@@ -119,8 +119,6 @@ def lr_truncate(M, tol=1e-12, max_rank=None, rel_tail=None):
         # tail2[k] = sum_{i >= k} (s_i / s_0)^2, nonincreasing in k
         tail2 = np.cumsum(((s / s[0]) ** 2)[::-1])[::-1]
         keep = min(keep, int(np.sum(tail2 > (rel_tail ** 2) * tail2[0])))
-    if max_rank is not None:
-        keep = min(keep, max_rank)
     if keep == 0:
         return zero_pair(n1, n2)
     root = np.sqrt(s[:keep])

@@ -175,7 +175,7 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
     """Run the factored inexact Newton iteration; returns (X, SolveReport).
 
     Stops when ||R(X_k)||_F <= eps * ||C1^T C2||_F.  The report's
-    memory_metric is the largest inner basis dimension built across all
+    memory_metric is the largest inner basis dimension used across all
     outer sweeps, and min_step_size the smallest accepted lam.
     """
     if cfg is None:

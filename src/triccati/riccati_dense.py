@@ -190,66 +190,11 @@ def _record(k, res, c_norm, lam=1.0, rank=0):
                            step_size=lam, iterate_rank=rank)
 
 
-def solve_fixed_point(prob, tol=1e-12, max_iter=10000, keep_iterates=False):
-    """Fixed-point iteration: X_{k+1} solves D X + X^T A = X_k^T B X_k - C.
-
-    Stops when ||R(X_k)||_F <= tol * ||C||_F.  The QZ factorization of the
-    (fixed) linear operator is computed once and reused every step.
-    Returns (X, SolveReport).
-    """
-    t0 = time.perf_counter()
-    n = prob.n
-    c_norm = np.linalg.norm(prob.C)
-    solver = TSylvSolver(prob.D, prob.A)
-    X = np.zeros((n, n))
-    records = []
-    warnings = []
-    iterates = [X.copy()] if keep_iterates else None
-    status = Status.MAX_ITERATIONS
-    res = np.linalg.norm(residual(prob, X))
-    if res <= tol * c_norm:
-        records.append(_record(0, res, c_norm, rank=n))
-        status = Status.CONVERGED
-    else:
-        for k in range(1, max_iter + 1):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    X = solver.solve(X.T @ prob.B @ X - prob.C)
-                    res = float(np.linalg.norm(residual(prob, X)))
-            except SingularOperatorError as e:
-                status = Status.INNER_SOLVE_FAILED
-                warnings.append("iteration %d: %s" % (k, e))
-                records.append(_record(k, res, c_norm, rank=n))
-                break
-            records.append(_record(k, res, c_norm, rank=n))
-            if keep_iterates:
-                iterates.append(X.copy())
-            if not np.isfinite(res):
-                status = Status.DIVERGED
-                warnings.append("iterate overflowed at iteration %d" % k)
-                break
-            if res <= tol * c_norm:
-                status = Status.CONVERGED
-                break
-    report = SolveReport(
-        status=status, iterations=records, wall_time=time.perf_counter() - t0,
-        final_relative_residual=records[-1].relative_residual if records else np.nan,
-        rhs_norm=c_norm, solution_rank=n, warnings=warnings,
-        iterates=iterates)
-    return X, report
-
-
-def solve_newton(prob, tol=1e-12, max_iter=50, line_search="off",
-                 keep_iterates=False):
-    """Newton-Kleinman iteration from X_0 = 0, optionally with exact line search.
-
-    line_search: "off" takes the full step (lam = 1); "exact" minimizes the
-    residual-norm quartic over (0, 2] (a minimizer within 1e-8 of 1 is
-    recorded as exactly 1).  Stops when ||R(X_k)||_F <= tol * ||C||_F.
-    Returns (X, SolveReport).
-    """
-    if line_search not in ("off", "exact"):
-        raise ValueError("line_search must be 'off' or 'exact'")
+def _iterate(prob, step, tol, max_iter, keep_iterates, label):
+    """X_{k+1}, lam_k = step(X_k, R(X_k)) from X_0 = 0 until ||R(X_k)||_F
+    <= tol * ||C||_F.  A SingularOperatorError ends the run with a warning
+    "<label> k: ..."; lam_k = None means the iteration has no step sizes
+    (records read 1, no min_step_size).  Returns (X, SolveReport)."""
     t0 = time.perf_counter()
     n = prob.n
     c_norm = np.linalg.norm(prob.C)
@@ -266,30 +211,22 @@ def solve_newton(prob, tol=1e-12, max_iter=50, line_search="off",
         status = Status.CONVERGED
     else:
         for k in range(1, max_iter + 1):
-            XtB = X.T @ prob.B
-            rhs = -XtB @ X - prob.C
             try:
-                X_next = solve_tsylv_shifted(prob.D, prob.A, XtB, prob.B @ X, rhs)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    X_next, lam = step(X, R_k)
+                    R_k = residual(prob, X_next)
+                    res = float(np.linalg.norm(R_k))
             except SingularOperatorError as e:
                 status = Status.INNER_SOLVE_FAILED
-                warnings.append("Newton step %d: %s" % (k, e))
+                warnings.append("%s %d: %s" % (label, k, e))
                 records.append(_record(k, res, c_norm, rank=n))
                 break
-            lam = 1.0
-            if line_search == "exact":
-                S = X_next - X
-                SBS = S.T @ prob.B @ S
-                poly = line_search_poly(R_k, 0.0, SBS)
-                lam = minimize_quartic(poly, 2.0)
-                if abs(lam - 1.0) <= 1e-8:
-                    lam = 1.0
-                X_next = X + lam * S
             X = X_next
-            with np.errstate(over="ignore", invalid="ignore"):
-                R_k = residual(prob, X)
-                res = float(np.linalg.norm(R_k))
+            if lam is None:
+                lam = 1.0
+            else:
+                min_lam = lam if min_lam is None else min(min_lam, lam)
             records.append(_record(k, res, c_norm, lam=lam, rank=n))
-            min_lam = lam if min_lam is None else min(min_lam, lam)
             if keep_iterates:
                 iterates.append(X.copy())
             if not np.isfinite(res):
@@ -305,6 +242,45 @@ def solve_newton(prob, tol=1e-12, max_iter=50, line_search="off",
         rhs_norm=c_norm, solution_rank=n, min_step_size=min_lam,
         warnings=warnings, iterates=iterates)
     return X, report
+
+
+def solve_fixed_point(prob, tol=1e-12, max_iter=10000, keep_iterates=False):
+    """Fixed-point iteration: X_{k+1} solves D X + X^T A = X_k^T B X_k - C.
+
+    Stops when ||R(X_k)||_F <= tol * ||C||_F.  The QZ factorization of the
+    (fixed) linear operator is computed once and reused every step.
+    Returns (X, SolveReport).
+    """
+    solver = TSylvSolver(prob.D, prob.A)
+    step = lambda X, R_k: (solver.solve(X.T @ prob.B @ X - prob.C), None)
+    return _iterate(prob, step, tol, max_iter, keep_iterates, "iteration")
+
+
+def solve_newton(prob, tol=1e-12, max_iter=50, line_search="off",
+                 keep_iterates=False):
+    """Newton-Kleinman iteration from X_0 = 0, optionally with exact line search.
+
+    line_search: "off" takes the full step (lam = 1); "exact" minimizes the
+    residual-norm quartic over (0, 2] (a minimizer within 1e-8 of 1 is
+    recorded as exactly 1).  Stops when ||R(X_k)||_F <= tol * ||C||_F.
+    Returns (X, SolveReport).
+    """
+    if line_search not in ("off", "exact"):
+        raise ValueError("line_search must be 'off' or 'exact'")
+
+    def step(X, R_k):
+        XtB = X.T @ prob.B
+        X_next = solve_tsylv_shifted(prob.D, prob.A, XtB, prob.B @ X,
+                                     -XtB @ X - prob.C)
+        if line_search == "off":
+            return X_next, 1.0
+        S = X_next - X
+        lam = minimize_quartic(line_search_poly(R_k, 0.0, S.T @ prob.B @ S), 2.0)
+        if abs(lam - 1.0) <= 1e-8:
+            lam = 1.0
+        return X + lam * S, lam
+
+    return _iterate(prob, step, tol, max_iter, keep_iterates, "Newton step")
 
 
 def verify_minimality(prob, X, trials=10000, tol=None):

@@ -173,6 +173,41 @@ class TestSmallSpaceBehaviour:
         assert Xt.rank == 0
 
 
+class TestGrowthOrder:
+    """Each pass tests the residual first and grows the space only after
+    a failed test, so no block is built that no projected solve uses."""
+
+    def count_stages(self, monkeypatch):
+        calls = []
+        stage = ExtendedKrylovTSylv.stage
+
+        def counted(eng):
+            calls.append(eng.ell)
+            return stage(eng)
+
+        monkeypatch.setattr(ExtendedKrylovTSylv, "stage", counted)
+        return calls
+
+    def test_grows_only_after_failed_test(self, monkeypatch):
+        calls = self.count_stages(monkeypatch)
+        dims = []
+        prob = make_problem(n=60, p=1, q=2, seed=0)
+        Xt, rep = solve_tsylv_krylov(
+            prob, zero_pair(prob.n), 1e-10 * prob.c_norm(),
+            monitor=lambda eng, m, Y, res: dims.append(eng.V.shape[1]))
+        assert rep.converged and rep.iterations > 1
+        assert len(calls) == rep.iterations - 1
+        assert rep.basis_dim == dims[-1]
+
+    def test_no_growth_with_one_pass(self, monkeypatch):
+        calls = self.count_stages(monkeypatch)
+        prob = make_problem(n=64, p=1, q=2, seed=4)
+        Xt, rep = solve_tsylv_krylov(prob, zero_pair(64),
+                                     1e-14 * prob.c_norm(), m_max=1)
+        assert Xt is None and "m_max" in rep.message
+        assert calls == []
+
+
 class TestBreakdown:
     n = 12
 

@@ -118,15 +118,6 @@ class TestTruncate:
         assert T.rank == 2
         assert np.allclose(T.to_dense(), M.to_dense(), atol=1e-10)
 
-    def test_max_rank_cap(self):
-        M = rand_pair(18, 18, 6)
-        T = lr_truncate(M, tol=0.0, max_rank=3)
-        assert T.rank == 3
-        # best rank-3 approximation in Frobenius norm
-        s = np.linalg.svd(M.to_dense(), compute_uv=False)
-        err = np.linalg.norm(T.to_dense() - M.to_dense())
-        assert err == pytest.approx(np.sqrt(np.sum(s[3:] ** 2)), rel=1e-8)
-
     def test_zero_in_zero_out(self):
         Z = lr_truncate(LowRankPair(np.zeros((5, 2)), np.zeros((4, 2))))
         assert Z.rank == 0 and Z.shape == (5, 4)
@@ -171,8 +162,7 @@ class TestTruncateTailBudget:
 
     def test_no_budget_keeps_floor_and_cap_rules(self):
         M = spectrum_pair(SPECTRUM)
-        for kw, keep in [({"tol": 1e-12}, 4), ({"tol": 1e-4}, 2),
-                         ({"tol": 0.0, "max_rank": 1}, 1)]:
+        for kw, keep in [({"tol": 1e-12}, 4), ({"tol": 1e-4}, 2)]:
             T = lr_truncate(M, **kw)
             T0 = lr_truncate(M, rel_tail=None, **kw)
             assert T.rank == keep
@@ -180,9 +170,8 @@ class TestTruncateTailBudget:
 
     def test_budget_combines_with_floor_and_cap(self):
         M = spectrum_pair(SPECTRUM)
-        # the strictest of the three rules decides
+        # the stricter of the two rules decides
         assert lr_truncate(M, tol=1e-4, rel_tail=1e-10).rank == 2
-        assert lr_truncate(M, tol=0.0, rel_tail=1e-8, max_rank=2).rank == 2
         assert lr_truncate(M, tol=1e-12, rel_tail=1e-5).rank == 2
 
 

@@ -244,3 +244,17 @@ class TestFailureStatuses:
         X, rep = solve_newton(prob, tol=1e-12)
         assert rep.status is tr.Status.INNER_SOLVE_FAILED
         assert rep.iterations  # failure recorded in the trace
+
+    def test_newton_failure_warning_names_the_step(self):
+        prob = tr.TRiccatiProblem(A=-np.eye(2), B=np.zeros((2, 2)),
+                                  C=-np.ones((2, 2)), D=np.eye(2))
+        X, rep = solve_newton(prob, tol=1e-12)
+        assert rep.warnings[0].startswith("Newton step 1:")
+
+    def test_min_lambda_only_in_newton_reports(self):
+        prob = generate_admissible_dense(8, seed=3)
+        assert "min_lambda" not in solve_fixed_point(prob)[1].to_dict()
+        for line_search in ("off", "exact"):
+            rep = solve_newton(prob, line_search=line_search)[1]
+            assert rep.to_dict()["min_lambda"] == min(
+                rec.step_size for rec in rep.iterations)

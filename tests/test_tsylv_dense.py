@@ -268,6 +268,12 @@ class TestOffDiagonalSingularPair:
         assert report.status == Status.INNER_SOLVE_FAILED
         assert len(report.iterations) == 1
 
+    def test_fixed_point_warning_names_the_iteration(self):
+        D, A = singular_pair_pencil()
+        prob = TRiccatiProblem(A=A, B=np.zeros((10, 10)), C=-np.ones((10, 10)), D=D)
+        X, report = solve_fixed_point(prob, max_iter=5)
+        assert report.warnings[0].startswith("iteration 1:")
+
 
 class TestShiftedInterface:
     def test_matches_explicit_shift(self):

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .errors import ConvergenceError, SingularOperatorError
 
@@ -37,6 +38,9 @@ __all__ = [
     "spectral_radius",
     "default_order_tol",
 ]
+
+# components up to this order get dense eigvals (about 0.1 s at order 500)
+_DENSE_COMPONENT_MAX = 500
 
 
 def _as_square(M, name="matrix"):
@@ -143,7 +147,7 @@ class MatrixClass:
     rho_n: float
 
 
-def _power_radius_nonneg(N, matvec, n, tol=1e-8, max_iter=10000):
+def _power_radius_nonneg(matvec, n, tol=1e-8, max_iter=10000):
     """Spectral radius of an (entrywise) nonnegative operator by power iteration.
 
     Returns (rho, converged).  Stagnation of the norm-ratio estimate over a
@@ -168,6 +172,52 @@ def _power_radius_nonneg(N, matvec, n, tol=1e-8, max_iter=10000):
     return lam, False
 
 
+def _arpack_radius(M, max_iter):
+    """Largest eigenvalue magnitude of sparse M by ARPACK, deterministic start."""
+    try:
+        vals = spla.eigs(M, k=1, which="LM", v0=np.ones(M.shape[0]),
+                         return_eigenvectors=False, maxiter=max_iter)
+    except (spla.ArpackNoConvergence, spla.ArpackError) as e:
+        raise ConvergenceError("spectral radius estimate failed: %s" % e) from None
+    return float(np.max(np.abs(vals)))
+
+
+def _perron_root(M, tol=1e-8, max_iter=10000, boundary=None):
+    """Spectral radius of a sparse nonnegative CSR matrix M.
+
+    It is the largest over the strongly connected components of M, the
+    diagonal blocks of its Frobenius normal form (Berman & Plemmons, 1994).
+    Singletons give their diagonal entry, components of at most
+    _DENSE_COMPONENT_MAX nodes a dense eigensolve, and a larger one C the
+    power iteration on the primitive C + I.  ARPACK sharpens that value when
+    it did not converge (raising ConvergenceError if ARPACK fails too) or
+    when it lies within 1e-6 relative of ``boundary``.
+    """
+    labels = csgraph.connected_components(M, connection="strong")[1]
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(sizes)
+    rho = float(np.max(np.abs(M.diagonal())))  # exact for singletons
+    for c in np.flatnonzero(sizes > 1):
+        idx = order[ends[c] - sizes[c]:ends[c]]
+        C = M[idx][:, idx]
+        if idx.size <= _DENSE_COMPONENT_MAX:
+            rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(C.toarray())))))
+            continue
+        lam, ok = _power_radius_nonneg(lambda v: C @ v + v, idx.size, tol,
+                                       max_iter)
+        lam -= 1.0
+        if not ok or (boundary is not None
+                      and abs(boundary - lam) <= 1e-6 * boundary):
+            try:
+                lam = _arpack_radius(C, max_iter)
+            except ConvergenceError:
+                if not ok:
+                    raise
+        rho = max(rho, lam)
+    return rho
+
+
 def classify_m_matrix(M, tol=None):
     """Classify a square matrix as Z-matrix / nonsingular M-matrix.
 
@@ -176,8 +226,8 @@ def classify_m_matrix(M, tol=None):
     For dense inputs of moderate size the power iteration falls back to a
     full eigensolve when it stagnates or lands near the boundary, and a
     certificate vector v = M^{-1} 1 (>= 0, with M v = 1 > 0) is attached.
-    Sparse inputs are classified by the same splitting with matvec-only
-    iterations and carry the (s, rho) evidence instead of a vector.
+    Sparse inputs take rho(N) from N's strongly connected components and
+    carry the (s, rho) evidence instead of a vector.
     """
     sparse = sp.issparse(M)
     if sparse:
@@ -205,22 +255,10 @@ def classify_m_matrix(M, tol=None):
         return MatrixClass(is_z, False, None, s, np.nan)
 
     if sparse:
-        N = sp.diags(np.full(n, s)) - M
-        rho, ok = _power_radius_nonneg(N, N.dot, n)
-        if not ok or abs(s - rho) <= 1e-6 * s:
-            # near the boundary: sharpen with an Arnoldi eigensolve
-            try:
-                vals = spla.eigs(N, k=1, which="LM", v0=np.ones(n),
-                                 return_eigenvectors=False, maxiter=5000)
-                rho = float(np.max(np.abs(vals)))
-            except Exception:
-                if not ok:
-                    raise ConvergenceError(
-                        "spectral-radius iteration for the M-matrix test "
-                        "did not converge") from None
+        rho = _perron_root((sp.diags(np.full(n, s)) - M).tocsr(), boundary=s)
     else:
         N = s * np.eye(n) - M
-        rho, ok = _power_radius_nonneg(N, N.dot, n)
+        rho, ok = _power_radius_nonneg(N.dot, n)
         if not ok or abs(s - rho) <= 1e-6 * s:
             rho = float(np.max(np.abs(np.linalg.eigvals(N))))
 
@@ -279,28 +317,19 @@ def spectral_radius(M, tol=1e-8, max_iter=10000):
     """Spectral radius of M.
 
     Dense inputs use a full eigensolve (the iteration tolerance is then
-    irrelevant).  Sparse nonnegative inputs use the power iteration, which
-    is exact for them in the limit; general sparse inputs go through an
+    irrelevant).  Sparse nonnegative inputs go by strongly connected
+    components (``_perron_root``); general sparse inputs through an
     Arnoldi largest-magnitude eigensolve with a deterministic start.
     """
     if sp.issparse(M):
         M = M.tocsr()
         if M.shape[0] != M.shape[1]:
             raise ValueError("matrix must be square")
-        n = M.shape[0]
         if M.nnz == 0:
             return 0.0
         if np.all(M.data >= 0):
-            rho, ok = _power_radius_nonneg(M, M.dot, n, tol=tol,
-                                           max_iter=max_iter)
-            if ok:
-                return rho
-        try:
-            vals = spla.eigs(M, k=1, which="LM", v0=np.ones(n),
-                             return_eigenvectors=False, maxiter=max_iter)
-            return float(np.max(np.abs(vals)))
-        except Exception as e:
-            raise ConvergenceError("spectral radius estimate failed: %s" % e)
+            return _perron_root(M, tol, max_iter)
+        return _arpack_radius(M, max_iter)
     M = _as_square(M)
     if M.size == 0:
         return 0.0

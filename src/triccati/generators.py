@@ -30,7 +30,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dense_core import spectral_radius
-from .errors import ConvergenceError
 from .lowrank import LowRankTRiccatiProblem
 from .riccati_dense import TRiccatiProblem
 
@@ -135,7 +134,8 @@ def generate_ex2_lowrank(n, p=1, q=1, seed=0, sign_consistency=True):
     """Shifted sparse random linear part with unit-norm factored B and C.
 
     D = F + (rho(F)+1) I and A = G + (rho(G)+20) I for nonnegative sparse
-    F, G of density 1/n; the spectral radii are power-iteration estimates.
+    F, G of density 1/n; the spectral radii are exact, the largest over the
+    strongly connected components of F and G.
     """
     rng = np.random.default_rng(seed)
     density = 1.0 / n
@@ -143,11 +143,7 @@ def generate_ex2_lowrank(n, p=1, q=1, seed=0, sign_consistency=True):
     def _shifted(shift):
         F = sp.random(n, n, density=density, format="csr",
                       random_state=rng, data_rvs=rng.random)
-        try:
-            rho = spectral_radius(F)
-        except ConvergenceError:
-            rho = float(np.abs(F).sum(axis=1).max())  # row-sum upper bound
-        return (F + (rho + shift) * sp.identity(n)).tocsr()
+        return (F + (spectral_radius(F) + shift) * sp.identity(n)).tocsr()
 
     D = _shifted(1.0)
     A = _shifted(20.0)

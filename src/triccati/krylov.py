@@ -24,9 +24,9 @@ fallen into the current space are dropped; when nothing genuinely new
 survives (on either side) the space is treated as invariant, the lifted
 residual is then evaluated honestly from its factored form, and the
 caller decides whether that is convergence or stagnation.  Only a
-degenerate seed -- the image of the very first block collapsing, i.e. an
-effectively singular coefficient -- raises BasisBreakdownError, which
-``solve_tsylv_krylov`` returns as a failed InnerReport like any other.
+degenerate seed -- no seed column left, or the first block's image
+collapsing under an effectively singular coefficient -- raises
+BasisBreakdownError, which ``solve_tsylv_krylov`` reports as a failure.
 """
 
 import numpy as np
@@ -92,16 +92,16 @@ class ExtendedKrylovTSylv:
         self._fwd = np.arange(kf)
         self._inv = np.arange(kf, kf + ki)
         self.ell = kf + ki
-        self.exhausted = self.ell == 0
-
-        if not self.exhausted:
-            self.DV = dhat.matvec(self.V)
-            self.W, Rw = self._block_qr(ahat.rmatvec(self.V),
-                                        np.zeros((n, 0)), "W basis seed")
-            self.U = Rw
-            self.T = self.W.T @ self.DV
-            self.G1 = self.W.T @ rhs1
-            self.G2 = self.W.T @ rhs2
+        self.exhausted = False
+        if self.ell == 0:
+            raise BasisBreakdownError("no seed column survived orthogonalization")
+        self.DV = dhat.matvec(self.V)
+        self.W, Rw = self._block_qr(ahat.rmatvec(self.V),
+                                    np.zeros((n, 0)), "W basis seed")
+        self.U = Rw
+        self.T = self.W.T @ self.DV
+        self.G1 = self.W.T @ rhs1
+        self.G2 = self.W.T @ rhs2
 
     built_dim = property(lambda self: self.ell)  # order of the space built
 

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 import triccati as tr
+from triccati import dense_core
 from triccati.dense_core import (
     classify_m_matrix,
     commutation_matrix,
@@ -162,3 +166,50 @@ class TestSpectralRadius:
         rho = tr.spectral_radius(M)
         dense_rho = np.max(np.abs(np.linalg.eigvals(M.toarray())))
         assert abs(rho - dense_rho) < 1e-6 * max(1.0, dense_rho)
+
+
+def _dense_rho(M):
+    return float(np.max(np.abs(np.linalg.eigvals(M.toarray()))))
+
+
+def _no_arpack(*args, **kwargs):
+    raise AssertionError("ARPACK eigs called")
+
+
+class TestStrongComponents:
+    """Sparse nonnegative spectral radius from strongly connected components."""
+
+    def _permuted(self, M, seed):
+        p = np.random.default_rng(seed).permutation(M.shape[0])
+        return M.tocsr()[p][:, p]
+
+    def test_mixed_components_match_eigvals(self):
+        blocks = [
+            np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 1.5], [3.0, 0.0, 0.25]]),
+            np.array([[0.1, 4.0], [0.7, 0.0]]),
+            np.triu(1.0 + np.arange(16.0).reshape(4, 4), k=1),  # nilpotent
+            np.diag([0.3, 1.2]),                               # self-loops
+        ]
+        # dropping the leading block hands the maximum to the next kind
+        for k in range(len(blocks)):
+            M = self._permuted(sp.block_diag(blocks[k:]), k)
+            ref = _dense_rho(M)
+            assert abs(tr.spectral_radius(M) - ref) <= 1e-12 * ref
+
+    def test_nilpotent_is_exactly_zero(self):
+        U = sp.triu(sp.random(50, 50, density=0.3, random_state=1), k=1)
+        assert U.nnz > 0
+        assert tr.spectral_radius(self._permuted(U, 2)) == 0.0
+
+    def test_large_component_takes_power_path(self, monkeypatch):
+        n = 800
+        g = np.random.default_rng(12)
+        ring = sp.csr_matrix((np.ones(n), (np.arange(n), np.roll(np.arange(n), -1))),
+                             shape=(n, n))
+        M = (ring + sp.random(n, n, density=5.0 / n, random_state=g,
+                              data_rvs=g.random)).tocsr()
+        assert csgraph.connected_components(M, connection="strong")[0] == 1
+        assert n > dense_core._DENSE_COMPONENT_MAX
+        monkeypatch.setattr(spla, "eigs", _no_arpack)
+        ref = _dense_rho(M)
+        assert abs(tr.spectral_radius(M) - ref) <= 1e-7 * ref

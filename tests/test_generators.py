@@ -4,6 +4,8 @@ and determinism."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from triccati.generators import (
     _convection_diffusion,
@@ -124,6 +126,27 @@ class TestEx2LowRank:
             off = M - np.diag(np.diag(M))
             assert np.all(off >= 0)          # the random part is nonnegative
             assert np.min(np.diag(M)) >= shift
+
+    def test_shifts_exact_without_arpack(self, monkeypatch):
+        def no_arpack(*args, **kwargs):
+            raise AssertionError("ARPACK eigs called")
+
+        monkeypatch.setattr(spla, "eigs", no_arpack)
+        n = 10000
+        for seed in (0, 1, 2, 5):
+            prob, _ = generate_ex2_lowrank(n, seed=seed)
+            rng = np.random.default_rng(seed)  # replay the draws of F and G
+            for op, shift in ((prob.D, 1.0), (prob.A, 20.0)):
+                F = sp.random(n, n, density=1.0 / n, format="csr",
+                              random_state=rng, data_rvs=rng.random)
+                _, labels = csgraph.connected_components(F, connection="strong")
+                ref = np.max(F.diagonal())
+                for c in np.flatnonzero(np.bincount(labels) > 1):
+                    idx = np.flatnonzero(labels == c)
+                    block = F[idx][:, idx].toarray()
+                    ref = max(ref, np.max(np.abs(np.linalg.eigvals(block))))
+                rho = op.A.diagonal() - F.diagonal() - shift
+                assert np.all(np.abs(rho - ref) <= 1e-12 * max(ref, 1.0))
 
     def test_determinism(self):
         a, _ = generate_ex2_lowrank(200, seed=9)

@@ -236,6 +236,21 @@ class TestBreakdown:
         assert last.inner_iterations == len(last.inner_residuals)
         assert any("BasisBreakdownError" in w for w in rep.warnings)
 
+    def test_vanishing_seed_reports_breakdown(self):
+        # seed blocks of size ~1e-16 fall under the absolute drop threshold,
+        # so no seed column survives
+        n = self.n
+        prob = LowRankTRiccatiProblem(
+            A=-1e16 * np.eye(n), D=3e16 * np.eye(n),
+            B1=rng.random((n, 1)), B2=rng.random((n, 1)),
+            C1=rng.random((2, n)), C2=rng.random((2, n)))
+        Xt, rep = solve_tsylv_krylov(prob, zero_pair(n), 1e-10 * prob.c_norm())
+        assert Xt is None and not rep.converged
+        assert rep.message.startswith("BasisBreakdownError")
+        _, outer = solve_inexact_newton(prob)
+        assert outer.status is Status.INNER_SOLVE_FAILED
+        assert any("BasisBreakdownError" in w for w in outer.warnings)
+
 
 class TestEngineDirect:
     def test_module_level_residual_norm(self):

@@ -318,8 +318,9 @@ def spectral_radius(M, tol=1e-8, max_iter=10000):
 
     Dense inputs use a full eigensolve (the iteration tolerance is then
     irrelevant).  Sparse nonnegative inputs go by strongly connected
-    components (``_perron_root``); general sparse inputs through an
-    Arnoldi largest-magnitude eigensolve with a deterministic start.
+    components (``_perron_root``); general sparse inputs of order above 2
+    through an Arnoldi largest-magnitude eigensolve with a deterministic
+    start, smaller ones densely.
     """
     if sp.issparse(M):
         M = M.tocsr()
@@ -329,7 +330,9 @@ def spectral_radius(M, tol=1e-8, max_iter=10000):
             return 0.0
         if np.all(M.data >= 0):
             return _perron_root(M, tol, max_iter)
-        return _arpack_radius(M, max_iter)
+        if M.shape[0] > 2:  # ARPACK's eigs(k=1) needs k < n - 1
+            return _arpack_radius(M, max_iter)
+        M = M.toarray()
     M = _as_square(M)
     if M.size == 0:
         return 0.0

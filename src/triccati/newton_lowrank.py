@@ -23,16 +23,20 @@ cap.  Inner-solver failures (stagnation, basis breakdown, singular
 projected equations) surface as InnerSolveFailed reports carrying the
 full inner residual history.  No failure raises.
 
-Rank control has two stages.  Every accepted iterate is recompressed with
-the floor trunc_tol: singular values below trunc_tol * sigma_max go, which
-removes only rounding-level directions.  The iterate that meets the
-stopping test ||R|| <= eps ||C|| is then cut once more to the accuracy
-asked for: the trailing singular values whose combined Frobenius norm is
-at most 0.1 * eps * ||X||_F are dropped, and the cut stands only if its
-recomputed residual still meets the stopping test.  The reported rank is
-therefore set by eps, not by where rounding noise crosses the floor.
-Iterates before convergence are never cut to eps, so the outer
-trajectory up to the converged iterate depends on the floor alone.
+Rank control has two stages, both set by the accuracy asked for rather
+than by where rounding noise crosses a fixed cutoff.  Every accepted
+iterate of sweep k is cut with a tail budget tied to the forcing term:
+the trailing singular values whose combined Frobenius norm is at most
+0.01 * eta_k * (||R_k|| / ||C||) * ||X||_F are dropped, with trunc_tol *
+sigma_max as a floor below that.  That error is a small share of what
+the inexact inner solve already leaves, so the iterates stay as narrow as
+the sweep's accuracy allows, and the sufficient-decrease test still
+guards every cut step (Feitzinger, Hylla & Sachs, SIMAX 31 (2009);
+Benner, Heinkenschloss, Saak & Weichelt, Appl. Numer. Math. 108 (2016)).
+The iterate that meets the stopping test ||R|| <= eps ||C|| is then cut
+once more to eps: the trailing singular values whose combined Frobenius
+norm is at most 0.1 * eps * ||X||_F are dropped, and the cut stands only
+if its recomputed residual still meets the stopping test.
 """
 
 import time
@@ -67,6 +71,7 @@ __all__ = [
 
 _MAX_HALVINGS = 5
 _FINAL_TAIL = 0.1  # share of eps * ||X||_F the converged iterate may drop
+_SWEEP_TAIL = 0.01  # share of eta_k * rel_k * ||X||_F each sweep may drop
 
 
 def default_eta_schedule(k):
@@ -78,11 +83,11 @@ class InexactNewtonConfig:
     """Knobs for the outer iteration.
 
     eta_schedule maps the 0-based outer index to a forcing value; it is
-    clamped into (0, eta_bar] before use.  trunc_tol is the per-sweep
-    truncation floor relative to sigma_max; the converged iterate is
-    recompressed further to eps (see the module docstring).  rank_cap =
-    None means 4*(p+q)*m_max, the widest iterate the inner spaces could
-    produce.
+    clamped into (0, eta_bar] before use.  trunc_tol is the truncation
+    floor relative to sigma_max; each sweep cuts further to a share of its
+    forcing term, and the converged iterate to eps (see the module
+    docstring).  rank_cap = None means 4*(p+q)*m_max, the widest iterate
+    the inner spaces could produce.
     """
 
     eps: float = 1e-6
@@ -234,16 +239,18 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
                               delta_k=lr_inner_product(SBS, SBS),
                               eps_k=lr_inner_product(R, SBS),
                               xi_k=lr_inner_product(L, SBS))
+        del S, L, SBS, R  # the failure rows below need only res
         theta = compute_theta(poly.alpha_k, poly.delta_k, cfg)
         lam = minimize_quartic(poly, theta)
         if abs(lam - 1.0) <= 1e-8:
             lam = 1.0
 
+        tail = _SWEEP_TAIL * eta_k * rel
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             cand = LowRankPair(np.hstack([X.P1, Xt.P1]),
                                np.hstack([(1.0 - lam) * X.P2, lam * Xt.P2]))
-            Xn = lr_truncate(cand, tol=cfg.trunc_tol)
+            Xn = lr_truncate(cand, tol=cfg.trunc_tol, rel_tail=tail)
             Rn = lr_riccati_residual(prob, Xn)
             res_n = lr_frobenius_norm(Rn)
             if decrease_condition_check(res, res_n, lam, cfg.alpha):
@@ -266,6 +273,8 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
             status = Status.DIVERGED
             break
 
+        width = cand.rank
+        del Xt, cand
         X, R, res = Xn, Rn, res_n
         if res <= stop:
             X, res = _recompress_converged(prob, X, res, stop, cfg.eps)
@@ -274,7 +283,8 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
         records.append(IterationRecord(
             k=k + 1, residual_norm=res, relative_residual=rel,
             step_size=lam, inner_iterations=inner.iterations,
-            iterate_rank=X.rank, inner_residuals=list(inner.residuals),
+            iterate_rank=X.rank, rank_before_cut=width,
+            inner_residuals=list(inner.residuals),
             nonnegative=nonnegativity_monitor(X),
             min_entry_ratio=min_entry_ratio(X)))
         if keep_iterates:

@@ -21,9 +21,11 @@ class IterationRecord:
 
     residual_norm is the Frobenius norm of the T-Riccati residual at the
     iterate produced by this iteration; step_size is the line-search step
-    (1 when no search ran); inner_residuals keeps the per-expansion history
-    of the inner projected solver when one was used; nonnegative and
-    min_entry_ratio observe the sign of factored iterates.
+    (1 when no search ran); rank_before_cut is the width of a factored
+    iterate before its truncation to iterate_rank; inner_residuals keeps
+    the per-expansion history of the inner projected solver when one was
+    used; nonnegative and min_entry_ratio observe the sign of factored
+    iterates.
     """
 
     k: int
@@ -32,6 +34,7 @@ class IterationRecord:
     step_size: float = 1.0
     inner_iterations: int = 0
     iterate_rank: int = 0
+    rank_before_cut: int | None = None
     inner_residuals: list | None = None
     nonnegative: bool | None = None
     min_entry_ratio: float | None = None
@@ -45,6 +48,8 @@ class IterationRecord:
             "inner_its": int(self.inner_iterations),
             "rank": int(self.iterate_rank),
         }
+        if self.rank_before_cut is not None:
+            row["rank_before_cut"] = int(self.rank_before_cut)
         if self.inner_residuals is not None:
             row["inner_residuals"] = [float(r) for r in self.inner_residuals]
         if self.nonnegative is not None:

@@ -167,6 +167,12 @@ class TestSpectralRadius:
         dense_rho = np.max(np.abs(np.linalg.eigvals(M.toarray())))
         assert abs(rho - dense_rho) < 1e-6 * max(1.0, dense_rho)
 
+    def test_sparse_signed_of_order_two_or_less(self):
+        # below order 3 ARPACK's eigs(k=1) cannot run at all
+        M = sp.csr_matrix(np.array([[1.0, -2.0], [3.0, 0.0]]))
+        assert tr.spectral_radius(M) == pytest.approx(np.sqrt(6.0), rel=1e-14)
+        assert tr.spectral_radius(sp.csr_matrix([[-2.0]])) == 2.0
+
 
 def _dense_rho(M):
     return float(np.max(np.abs(np.linalg.eigvals(M.toarray()))))

@@ -1,12 +1,15 @@
 """Outer factored Newton driver: config contracts, step-length rules, and
 equivalence with the dense solver on desk-size instances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import triccati as tr
-from triccati.generators import generate_ex2_lowrank
+from triccati import newton_lowrank
+from triccati.generators import generate_ex1_lowrank, generate_ex2_lowrank
 from triccati.lowrank import (
     LowRankPair,
     LowRankTRiccatiProblem,
@@ -263,3 +266,56 @@ class TestSolver:
         assert rep.status is tr.Status.DIVERGED
         assert rep.iterations[-1].iterate_rank > 1
         assert any("cap 1" in w for w in rep.warnings)
+
+
+class TestSweepTruncation:
+    """Each sweep cuts its iterate to a share of its forcing term."""
+
+    def test_rank_before_cut_recorded(self):
+        prob, _ = generate_ex2_lowrank(200, p=1, q=5, seed=0)
+        X, rep = solve_inexact_newton(prob, InexactNewtonConfig(eps=1e-6))
+        assert rep.status is tr.Status.CONVERGED
+        for rec, row in zip(rep.iterations, rep.trace_rows()):
+            assert rec.rank_before_cut >= rec.iterate_rank
+            assert row["rank_before_cut"] == rec.rank_before_cut
+
+    def test_ranks_stable_under_last_bit_changes(self):
+        # a fixed relative floor let a 2e-15 change of D move sweep ranks
+        prob, _ = generate_ex2_lowrank(10000, p=1, q=5, seed=0)
+        D = prob.D.A
+        sweeps = []
+        for scale in (1.0, 1.0 + 2e-15, 1.0 - 2e-15):
+            Ds = D.copy()
+            Ds.setdiag(D.diagonal() * scale)
+            moved = LowRankTRiccatiProblem(A=prob.A.A, D=Ds, B1=prob.B1,
+                                           B2=prob.B2, C1=prob.C1, C2=prob.C2)
+            X, rep = solve_inexact_newton(moved, InexactNewtonConfig(eps=1e-6))
+            assert rep.status is tr.Status.CONVERGED
+            sweeps.append([(r.inner_iterations, r.iterate_rank)
+                           for r in rep.iterations])
+        assert sweeps[0] == sweeps[1] == sweeps[2]
+
+    def test_inner_solves_start_without_dead_sweep_arrays(self, monkeypatch):
+        # at each inner solve only X and R(X) should be alive among the
+        # n-sized arrays; the previous sweep's step, inner residual and
+        # candidate iterate must already be released
+        prob, _ = generate_ex1_lowrank(2500, p=1, q=5, gamma=1e4, seed=0)
+        inner = newton_lowrank.solve_tsylv_krylov
+        ratios = []
+
+        def spy(prob, X, *args, **kwargs):
+            live = tracemalloc.get_traced_memory()[0]
+            width = 2 * X.rank + prob.p + prob.q
+            needed = X.P1.nbytes + X.P2.nbytes + 2 * 8 * prob.n * width
+            ratios.append(live / (1.1 * needed + 2 ** 20))
+            return inner(prob, X, *args, **kwargs)
+
+        monkeypatch.setattr(newton_lowrank, "solve_tsylv_krylov", spy)
+        tracemalloc.start()
+        try:
+            X, rep = solve_inexact_newton(prob, InexactNewtonConfig(eps=1e-6))
+        finally:
+            tracemalloc.stop()
+        assert rep.status is tr.Status.CONVERGED
+        assert len(ratios) == len(rep.iterations) >= 3
+        assert max(ratios) <= 1.0

@@ -89,21 +89,20 @@ def commutation_matrix(n):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    idx = np.arange(n * n)
-    i = idx % n
-    j = idx // n
     K = np.zeros((n * n, n * n))
-    K[idx, j + i * n] = 1.0
+    K[_commutation_index(n)] = 1.0
     return K
 
 
-def _commutation_sparse(n):
+def _commutation_index(n):
+    # (row, column) of the ones of K: entry (i, j) of X sits at i + j n
     idx = np.arange(n * n)
-    i = idx % n
-    j = idx // n
-    return sp.csr_matrix(
-        (np.ones(n * n), (idx, j + i * n)), shape=(n * n, n * n)
-    )
+    return idx, idx // n + (idx % n) * n
+
+
+def _commutation_sparse(n):
+    return sp.csr_matrix((np.ones(n * n), _commutation_index(n)),
+                         shape=(n * n, n * n))
 
 
 def tsylv_kron_matrix(D, A):
@@ -111,16 +110,11 @@ def tsylv_kron_matrix(D, A):
 
     The result is n^2-by-n^2; intended for desk-scale verification only.
     """
-    D = _as_square(D, "D")
-    A = _as_square(A, "A")
-    if D.shape != A.shape:
-        raise ValueError("D and A must have the same shape")
-    n = D.shape[0]
-    return np.kron(np.eye(n), D) + np.kron(A.T, np.eye(n)) @ commutation_matrix(n)
+    return tsylv_kron_sparse(_as_square(D, "D"), _as_square(A, "A")).toarray()
 
 
 def tsylv_kron_sparse(D, A):
-    """Sparse twin of ``tsylv_kron_matrix`` (n^3-scale storage, not n^4)."""
+    """Sparse form of ``tsylv_kron_matrix`` (n^3-scale storage, not n^4)."""
     D = sp.csr_matrix(D) if not sp.issparse(D) else D.tocsr()
     A = sp.csr_matrix(A) if not sp.issparse(A) else A.tocsr()
     if D.shape[0] != D.shape[1] or D.shape != A.shape:
@@ -135,14 +129,12 @@ def tsylv_kron_sparse(D, A):
 class MatrixClass:
     """Result of the Z-matrix / nonsingular M-matrix classification.
 
-    certificate holds a vector v >= 0 with M v > 0 when one was computed;
-    (s, rho_n) always record the splitting M = s I - N and the spectral
-    radius estimate of N >= 0 that decided the test.
+    (s, rho_n) record the splitting M = s I - N and the spectral radius of
+    N >= 0 that decided the test.
     """
 
     is_z_matrix: bool
     is_nonsingular_m_matrix: bool
-    certificate: np.ndarray | None
     s: float
     rho_n: float
 
@@ -222,56 +214,26 @@ def classify_m_matrix(M, tol=None):
     """Classify a square matrix as Z-matrix / nonsingular M-matrix.
 
     Writes M = s I - N with s = max(diag) + 1 so that N >= 0 whenever M is
-    a Z-matrix, then decides by comparing the spectral radius of N with s.
-    For dense inputs of moderate size the power iteration falls back to a
-    full eigensolve when it stagnates or lands near the boundary, and a
-    certificate vector v = M^{-1} 1 (>= 0, with M v = 1 > 0) is attached.
-    Sparse inputs take rho(N) from N's strongly connected components and
-    carry the (s, rho) evidence instead of a vector.
+    a Z-matrix, then decides by comparing the spectral radius of N, taken
+    from N's strongly connected components (``_perron_root``), with s.
+    Dense input is converted to CSR first, so dense and sparse forms of
+    one matrix classify alike.
     """
-    sparse = sp.issparse(M)
-    if sparse:
-        M = M.tocsr()
-        if M.shape[0] != M.shape[1]:
-            raise ValueError("matrix must be square")
-        n = M.shape[0]
-        diag = M.diagonal()
-        if tol is None:
-            tol = 1e-12 * max(1.0, spla.norm(M))
-        off = M - sp.diags(diag)
-        off_max = off.data.max() if off.nnz else 0.0
-    else:
-        M = _as_square(M)
-        n = M.shape[0]
-        diag = np.diag(M).copy()
-        if tol is None:
-            tol = default_order_tol(M)
-        off = M - np.diag(diag)
-        off_max = off.max() if n else 0.0
-
+    M = sp.csr_matrix(M, dtype=float)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError("matrix must be square")
+    n = M.shape[0]
+    diag = M.diagonal()
+    if tol is None:
+        tol = 1e-12 * max(1.0, spla.norm(M))
+    off = M - sp.diags(diag)
+    off_max = off.data.max() if off.nnz else 0.0
     s = float(diag.max()) + 1.0 if n else 1.0
     is_z = bool(off_max <= tol)
     if not is_z or n == 0:
-        return MatrixClass(is_z, False, None, s, np.nan)
-
-    if sparse:
-        rho = _perron_root((sp.diags(np.full(n, s)) - M).tocsr(), boundary=s)
-    else:
-        N = s * np.eye(n) - M
-        rho, ok = _power_radius_nonneg(N.dot, n)
-        if not ok or abs(s - rho) <= 1e-6 * s:
-            rho = float(np.max(np.abs(np.linalg.eigvals(N))))
-
-    is_m = bool(rho < s)
-    cert = None
-    if is_m and not sparse and n <= 2000:
-        try:
-            v = scipy.linalg.solve(M, np.ones(n))
-        except scipy.linalg.LinAlgError:
-            v = None
-        if v is not None and np.all(v >= -tol) and np.all(M @ v > 0):
-            cert = v
-    return MatrixClass(True, is_m, cert, s, float(rho))
+        return MatrixClass(is_z, False, s, np.nan)
+    rho = _perron_root((sp.diags(np.full(n, s)) - M).tocsr(), boundary=s)
+    return MatrixClass(True, bool(rho < s), s, float(rho))
 
 
 def tsylv_oracle_solve(D, A, rhs, cap=200):

@@ -35,7 +35,8 @@ import scipy.linalg
 from dataclasses import dataclass, field
 
 from .errors import BasisBreakdownError, TRiccatiError
-from .lowrank import LowRankPair, lr_frobenius_norm, zero_pair
+from .lowrank import (LowRankPair, lr_frobenius_norm, lr_quadratic_term,
+                      svd_cut, zero_pair)
 from .tsylv_dense import solve_tsylv_dense
 
 __all__ = [
@@ -214,13 +215,7 @@ class ExtendedKrylovTSylv:
 
     def extract(self, Y, trunc_tol=1e-12):
         """Lift and recompress: X = V Y W^T as a LowRankPair."""
-        U, s, Vt = np.linalg.svd(Y)
-        if s.size == 0 or s[0] == 0.0:
-            return zero_pair(self.n)
-        keep = int(np.sum(s > trunc_tol * s[0]))
-        root = np.sqrt(s[:keep])
-        return LowRankPair(self.V @ (U[:, :keep] * root),
-                           self.W @ (Vt[:keep].T * root))
+        return svd_cut(self.V, Y, self.W, trunc_tol)
 
 
 def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, trunc_tol=1e-12,
@@ -237,10 +232,9 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, trunc_tol=1e-12,
     message then names the error class and the residuals are those
     collected before the failure.
     """
-    alpha = X.P1.T @ prob.B1
-    beta = X.P1.T @ prob.B2
-    rhs1 = np.hstack([prob.C1.T, X.P2 @ alpha])
-    rhs2 = np.hstack([prob.C2.T, X.P2 @ beta])
+    XBX = lr_quadratic_term(X, prob.B1, prob.B2)
+    rhs1 = np.hstack([prob.C1.T, XBX.P1])
+    rhs2 = np.hstack([prob.C2.T, XBX.P2])
     rhs_norm = lr_frobenius_norm(LowRankPair(rhs1, rhs2))
     if rhs_norm == 0.0:
         return zero_pair(prob.n), InnerReport(True, 0, [0.0], 0, tol_abs,
@@ -248,8 +242,8 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, trunc_tol=1e-12,
     residuals = []
     eng = None
     try:
-        _, _, dhat, ahat = prob.shifted_coefficients(X)
-        H = np.hstack([prob.C1.T, prob.C2.T, X.P2 @ alpha, X.P2 @ beta])
+        dhat, ahat = prob.shifted_coefficients(XBX)
+        H = np.hstack([prob.C1.T, prob.C2.T, XBX.P1, XBX.P2])
         eng = ExtendedKrylovTSylv(dhat, ahat, H, rhs1, rhs2)
         for m in range(1, m_max + 1):
             Y = eng.solve_reduced()

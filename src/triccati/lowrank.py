@@ -27,6 +27,7 @@ __all__ = [
     "lr_frobenius_norm",
     "lr_inner_product",
     "lr_truncate",
+    "svd_cut",
     "smw_solve",
     "MatrixOperator",
     "ShiftedOperator",
@@ -97,21 +98,29 @@ def lr_frobenius_norm(M):
 
 
 def lr_truncate(M, tol=1e-12, rel_tail=None):
-    """Recompress a pair: economy QR of both factors, SVD of the small core,
-    singular values below tol * sigma_max dropped.
-
-    rel_tail, when given, also drops the longest run of trailing singular
-    values whose combined Frobenius norm sqrt(sum s_i^2) is at most
-    rel_tail * ||M||_F; that is exactly the Frobenius error of the cut.
+    """Recompress a pair: economy QR of both factors, then ``svd_cut`` of
+    the small core R1 R2^T (see there for tol and rel_tail).
 
     Returns a pair with orthogonal-times-sqrt-singular-value balanced factors.
     """
-    n1, n2 = M.shape
     if M.rank == 0:
         return M
     Q1, R1 = np.linalg.qr(M.P1)
     Q2, R2 = np.linalg.qr(M.P2)
-    U, s, Vt = np.linalg.svd(R1 @ R2.T)
+    return svd_cut(Q1, R1 @ R2.T, Q2, tol, rel_tail)
+
+
+def svd_cut(Q1, core, Q2, tol, rel_tail=None):
+    """Q1 @ core @ Q2.T as a balanced pair, for Q1, Q2 with orthonormal
+    columns: SVD of the small core, singular values at or below
+    tol * sigma_max dropped.
+
+    rel_tail, when given, also drops the longest run of trailing singular
+    values whose combined Frobenius norm sqrt(sum s_i^2) is at most
+    rel_tail * ||core||_F; that is exactly the Frobenius error of the cut.
+    """
+    n1, n2 = Q1.shape[0], Q2.shape[0]
+    U, s, Vt = np.linalg.svd(core)
     if s.size == 0 or s[0] == 0.0:
         return zero_pair(n1, n2)
     keep = int(np.sum(s > tol * s[0]))
@@ -284,17 +293,15 @@ class LowRankTRiccatiProblem:
     def c_norm(self):
         return lr_frobenius_norm(self.c_pair())
 
-    def shifted_coefficients(self, X):
-        """alpha = P1^T B1, beta = P1^T B2 and the SMW-shifted operators
+    def shifted_coefficients(self, XBX):
+        """The SMW-shifted operators
 
-        Dhat = D - (P2 alpha) B2^T,   Ahat = A - B1 (P2 beta)^T
+        Dhat = D - XBX.P1 B2^T,   Ahat = A - B1 XBX.P2^T
 
-        for the current iterate X = P1 P2^T."""
-        alpha = X.P1.T @ self.B1
-        beta = X.P1.T @ self.B2
-        dhat = ShiftedOperator(self.D, X.P2 @ alpha, self.B2)
-        ahat = ShiftedOperator(self.A, self.B1, X.P2 @ beta)
-        return alpha, beta, dhat, ahat
+        for X^T B X = XBX, the pair ``lr_quadratic_term(X, B1, B2)`` of the
+        current iterate X."""
+        return (ShiftedOperator(self.D, XBX.P1, self.B2),
+                ShiftedOperator(self.A, self.B1, XBX.P2))
 
 
 def lr_riccati_residual(prob, X):
@@ -303,10 +310,9 @@ def lr_riccati_residual(prob, X):
     Width of the result: 2 t + p + q.
     """
     P1, P2 = X.P1, X.P2
-    alpha = P1.T @ prob.B1
-    beta = P1.T @ prob.B2
-    F1 = np.hstack([prob.D.matvec(P1), P2, -P2 @ alpha, prob.C1.T])
-    F2 = np.hstack([P2, prob.A.rmatvec(P1), P2 @ beta, prob.C2.T])
+    XBX = lr_quadratic_term(X, prob.B1, prob.B2)
+    F1 = np.hstack([prob.D.matvec(P1), P2, -XBX.P1, prob.C1.T])
+    F2 = np.hstack([P2, prob.A.rmatvec(P1), XBX.P2, prob.C2.T])
     return LowRankPair(F1, F2)
 
 

@@ -10,6 +10,7 @@ failed solve never raises out of run_experiment.
 
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import pathlib
@@ -82,10 +83,11 @@ def _jsonable(obj):
         return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        # RFC 8259 has no NaN or Infinity; the status says what happened
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     return obj
 
 
@@ -124,29 +126,36 @@ def _audit_problem(prob, max_n=200):
     return prob.check_assumption1(max_n=max_n)
 
 
+# solver name -> (solve function, what takes the config keys)
+_SOLVERS = {
+    "fixed-point": (solve_fixed_point, solve_fixed_point),
+    "newton": (solve_newton, solve_newton),
+    "inexact-newton": (solve_inexact_newton, InexactNewtonConfig),
+}
+
+
 def run_experiment(spec, solver, config=None):
     """One (problem, solver) cell; returns a RunReport whose status says
-    whether the solve converged."""
+    whether the solve converged.
+
+    config holds keyword arguments of the dense solver, or the fields of
+    InexactNewtonConfig; a key that is neither raises ValueError.
+    """
     config = dict(config or {})
+    if solver not in _SOLVERS:
+        raise ValueError("unknown solver %r" % (solver,))
+    solve, takes = _SOLVERS[solver]
+    keys = [k for k in inspect.signature(takes).parameters if k != "prob"]
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise ValueError("unknown %s config key(s): %s (expected some of %s)"
+                         % (solver, ", ".join(unknown), ", ".join(keys)))
     prob, meta = build_problem(spec)
     x_exact = meta.pop("X_exact", None)
-    if solver == "fixed-point":
-        X, rep = solve_fixed_point(
-            prob, tol=config.get("tol", 1e-12),
-            max_iter=config.get("max_iter", 10000))
-    elif solver == "newton":
-        X, rep = solve_newton(
-            prob, tol=config.get("tol", 1e-12),
-            max_iter=config.get("max_iter", 50),
-            line_search=config.get("line_search", "off"))
-    elif solver == "inexact-newton":
-        keys = ("eps", "eta_bar", "alpha", "max_outer", "m_max",
-                "trunc_tol", "rank_cap")
-        cfg = InexactNewtonConfig(**{k: config[k] for k in keys
-                                     if k in config})
-        X, rep = solve_inexact_newton(prob, cfg)
+    if takes is solve:
+        X, rep = solve(prob, **config)
     else:
-        raise ValueError("unknown solver %r" % (solver,))
+        X, rep = solve(prob, takes(**config))
     audit = _audit_problem(prob)
     if x_exact is not None and rep.status == Status.CONVERGED:
         Xd = X.to_dense() if hasattr(X, "to_dense") else X
@@ -161,10 +170,11 @@ def emit_report(run_report, fmt="json", path=None):
     """Serialize one report; returns the text, writing it to path if given.
 
     CSV flattens the trace (one line per iteration, plot-ready); JSON
-    carries the whole report and round-trips losslessly.
+    carries the whole report, with null for a non-finite number.
     """
     if fmt == "json":
-        text = json.dumps(run_report.to_dict(), indent=2, sort_keys=True)
+        text = json.dumps(run_report.to_dict(), indent=2, sort_keys=True,
+                          allow_nan=False)
     elif fmt == "csv":
         buf = io.StringIO()
         fields = ["k", "res", "rel_res", "lambda", "inner_its", "rank"]

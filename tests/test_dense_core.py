@@ -109,6 +109,15 @@ class TestClassifyMMatrix:
             assert cls.is_nonsingular_m_matrix
             assert np.all(np.linalg.inv(M) >= -1e-10)
 
+    def test_dense_and_sparse_input_classify_alike(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(2, 12))
+            N = rng.random((n, n))
+            s = N.sum(axis=1).max() * (1.0 + rng.random())
+            M = s * np.eye(n) - N
+            assert classify_m_matrix(M) == classify_m_matrix(sp.csr_matrix(M))
+
     def test_sparse_input(self):
         import scipy.sparse as sp
         M = sp.csr_matrix(np.array([[3.0, -1.0, 0.0],

@@ -5,7 +5,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from triccati.krylov import ExtendedKrylovTSylv, solve_tsylv_krylov
-from triccati.lowrank import LowRankPair, LowRankTRiccatiProblem, zero_pair
+from triccati.lowrank import (LowRankPair, LowRankTRiccatiProblem,
+                              lr_quadratic_term, zero_pair)
 from triccati.newton_lowrank import solve_inexact_newton
 from triccati.reports import Status
 from triccati.tsylv_dense import solve_tsylv_dense
@@ -98,7 +99,8 @@ class TestResidualFormula:
     def test_basis_invariants(self):
         prob = make_problem(n=50, p=1, q=1, seed=7)
         X = zero_pair(prob.n)
-        _, _, dhat, ahat = prob.shifted_coefficients(X)
+        dhat, ahat = prob.shifted_coefficients(
+            lr_quadratic_term(X, prob.B1, prob.B2))
         checks = []
 
         def monitor(eng, m, Y, res):
@@ -256,12 +258,11 @@ class TestEngineDirect:
     def test_module_level_residual_norm(self):
         prob = make_problem(n=30, p=1, q=1, seed=8)
         X = zero_pair(30)
-        alpha = X.P1.T @ prob.B1
-        beta = X.P1.T @ prob.B2
-        rhs1 = np.hstack([prob.C1.T, X.P2 @ alpha])
-        rhs2 = np.hstack([prob.C2.T, X.P2 @ beta])
-        _, _, dhat, ahat = prob.shifted_coefficients(X)
-        H = np.hstack([prob.C1.T, prob.C2.T, X.P2 @ alpha, X.P2 @ beta])
+        XBX = lr_quadratic_term(X, prob.B1, prob.B2)
+        rhs1 = np.hstack([prob.C1.T, XBX.P1])
+        rhs2 = np.hstack([prob.C2.T, XBX.P2])
+        dhat, ahat = prob.shifted_coefficients(XBX)
+        H = np.hstack([prob.C1.T, prob.C2.T, XBX.P1, XBX.P2])
         eng = ExtendedKrylovTSylv(dhat, ahat, H, rhs1, rhs2)
         eng.stage()
         Y = eng.solve_reduced()

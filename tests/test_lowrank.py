@@ -285,8 +285,8 @@ class TestProblemContainer:
         A, D, B, _ = dense_of(prob)
         X = rand_pair(10, 10, 3, scale=0.1)
         Xd = X.to_dense()
-        alpha, beta, dhat, ahat = prob.shifted_coefficients(X)
-        assert np.allclose(alpha, X.P1.T @ prob.B1)
+        dhat, ahat = prob.shifted_coefficients(
+            lr_quadratic_term(X, prob.B1, prob.B2))
         assert np.allclose(dhat.to_dense(), D - Xd.T @ B)
         assert np.allclose(ahat.to_dense(), A - B @ Xd)
 

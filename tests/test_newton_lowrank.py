@@ -267,6 +267,32 @@ class TestSolver:
         assert rep.iterations[-1].iterate_rank > 1
         assert any("cap 1" in w for w in rep.warnings)
 
+    def test_step_rejected_after_halvings(self, monkeypatch):
+        # a decrease test that never passes: every halving is tried, then
+        # the sweep is recorded with step 0 and the report keeps X_0 = 0
+        trials = []
+
+        def refuse(res_old, res_new, lam, alpha):
+            trials.append(lam)
+            return False
+
+        monkeypatch.setattr(newton_lowrank, "decrease_condition_check", refuse)
+        prob = make_problem(n=40, seed=2)
+        X, rep = solve_inexact_newton(prob, InexactNewtonConfig(eps=1e-9))
+        assert rep.status is tr.Status.DIVERGED
+        assert len(trials) == newton_lowrank._MAX_HALVINGS + 1
+        assert trials == [trials[0] * 0.5 ** i for i in range(len(trials))]
+        assert len(rep.iterations) == 1
+        row = rep.iterations[0]
+        assert row.k == 1 and row.step_size == 0.0
+        assert row.residual_norm == pytest.approx(rep.rhs_norm, rel=1e-12)
+        assert rep.warnings == [
+            "step rejected at sweep 1: no decrease down to lam = %.3e"
+            % (trials[-1] * 0.5)]
+        assert X.rank == 0 and rep.solution_rank == 0
+        assert rep.final_relative_residual == pytest.approx(1.0, rel=1e-12)
+        assert rep.min_step_size is None
+
 
 class TestSweepTruncation:
     """Each sweep cuts its iterate to a share of its forcing term."""

@@ -106,6 +106,15 @@ class TestRunExperiment:
         assert run.report.rhs_norm == pytest.approx(1.0, rel=1e-12)
         assert np.isfinite(run.report.final_relative_residual)
 
+    def test_unknown_config_key(self):
+        # eps, not tol, sets the inexact Newton accuracy
+        spec = ProblemSpec(family="Ex2LowRank", n=50, seed=0)
+        with pytest.raises(ValueError, match=r"key\(s\): tol \("):
+            run_experiment(spec, "inexact-newton", {"tol": 1e-10})
+        with pytest.raises(ValueError, match=r"key\(s\): eps \("):
+            run_experiment(ProblemSpec(family="Ex2Dense", n=10), "newton",
+                           {"eps": 1e-10})
+
     def test_unknown_solver(self):
         spec = ProblemSpec(family="Ex2Dense", n=10)
         with pytest.raises(ValueError):
@@ -139,6 +148,19 @@ class TestEmitReport:
         assert run.status is Status.DIVERGED
         assert len(run.report.iterations) < 100
         assert run.report.warnings
+
+    def test_diverged_report_is_strict_json(self):
+        # RFC 8259 has no Infinity or NaN: non-finite numbers become null
+        def reject(name):
+            raise ValueError("non-standard JSON constant %s" % name)
+
+        spec = ProblemSpec(family="Ex2Dense", n=30, seed=0)
+        run = run_experiment(spec, "fixed-point", {"tol": 1e-10})
+        data = json.loads(emit_report(run, fmt="json"),
+                          parse_constant=reject)
+        assert data["status"] == "Diverged"
+        assert data["final_relative_residual"] is None
+        assert data["trace"][-1]["res"] is None
 
     def test_bad_format(self):
         spec = ProblemSpec(family="Ex2Dense", n=10)

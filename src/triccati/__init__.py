@@ -18,7 +18,6 @@ from .errors import (
     TRiccatiError,
 )
 from .dense_core import (
-    classify_m_matrix,
     commutation_matrix,
     elementwise_leq,
     spectral_radius,

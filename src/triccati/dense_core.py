@@ -1,4 +1,4 @@
-"""Dense linear-algebra substrate: orderings, Kronecker forms, M-matrix tests.
+"""Dense linear-algebra substrate: orderings, Kronecker forms, spectral radii.
 
 Conventions
 -----------
@@ -17,8 +17,6 @@ in floating point.
 
 import warnings
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -28,12 +26,10 @@ from scipy.sparse import csgraph
 from .errors import ConvergenceError, SingularOperatorError
 
 __all__ = [
-    "MatrixClass",
     "elementwise_leq",
     "commutation_matrix",
     "tsylv_kron_matrix",
     "tsylv_kron_sparse",
-    "classify_m_matrix",
     "tsylv_oracle_solve",
     "spectral_radius",
     "default_order_tol",
@@ -54,11 +50,7 @@ def default_order_tol(*mats):
     """Default tolerance for elementwise order tests: 1e-12 * max(1, scale)."""
     scale = 1.0
     for M in mats:
-        if sp.issparse(M):
-            nrm = spla.norm(M)
-        else:
-            nrm = np.linalg.norm(np.asarray(M, dtype=float))
-        scale = max(scale, nrm)
+        scale = max(scale, np.linalg.norm(np.asarray(M, dtype=float)))
     return 1e-12 * scale
 
 
@@ -125,20 +117,6 @@ def tsylv_kron_sparse(D, A):
             + sp.kron(A.T, I, format="csr") @ _commutation_sparse(n))
 
 
-@dataclass
-class MatrixClass:
-    """Result of the Z-matrix / nonsingular M-matrix classification.
-
-    (s, rho_n) record the splitting M = s I - N and the spectral radius of
-    N >= 0 that decided the test.
-    """
-
-    is_z_matrix: bool
-    is_nonsingular_m_matrix: bool
-    s: float
-    rho_n: float
-
-
 def _power_radius_nonneg(matvec, n, tol=1e-8, max_iter=10000):
     """Spectral radius of an (entrywise) nonnegative operator by power iteration.
 
@@ -174,16 +152,15 @@ def _arpack_radius(M, max_iter):
     return float(np.max(np.abs(vals)))
 
 
-def _perron_root(M, tol=1e-8, max_iter=10000, boundary=None):
+def _perron_root(M, tol=1e-8, max_iter=10000):
     """Spectral radius of a sparse nonnegative CSR matrix M.
 
     It is the largest over the strongly connected components of M, the
     diagonal blocks of its Frobenius normal form (Berman & Plemmons, 1994).
     Singletons give their diagonal entry, components of at most
     _DENSE_COMPONENT_MAX nodes a dense eigensolve, and a larger one C the
-    power iteration on the primitive C + I.  ARPACK sharpens that value when
-    it did not converge (raising ConvergenceError if ARPACK fails too) or
-    when it lies within 1e-6 relative of ``boundary``.
+    power iteration on the primitive C + I, or ARPACK when that does not
+    converge (raising ConvergenceError if ARPACK fails too).
     """
     labels = csgraph.connected_components(M, connection="strong")[1]
     sizes = np.bincount(labels)
@@ -198,42 +175,8 @@ def _perron_root(M, tol=1e-8, max_iter=10000, boundary=None):
             continue
         lam, ok = _power_radius_nonneg(lambda v: C @ v + v, idx.size, tol,
                                        max_iter)
-        lam -= 1.0
-        if not ok or (boundary is not None
-                      and abs(boundary - lam) <= 1e-6 * boundary):
-            try:
-                lam = _arpack_radius(C, max_iter)
-            except ConvergenceError:
-                if not ok:
-                    raise
-        rho = max(rho, lam)
+        rho = max(rho, lam - 1.0 if ok else _arpack_radius(C, max_iter))
     return rho
-
-
-def classify_m_matrix(M, tol=None):
-    """Classify a square matrix as Z-matrix / nonsingular M-matrix.
-
-    Writes M = s I - N with s = max(diag) + 1 so that N >= 0 whenever M is
-    a Z-matrix, then decides by comparing the spectral radius of N, taken
-    from N's strongly connected components (``_perron_root``), with s.
-    Dense input is converted to CSR first, so dense and sparse forms of
-    one matrix classify alike.
-    """
-    M = sp.csr_matrix(M, dtype=float)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    n = M.shape[0]
-    diag = M.diagonal()
-    if tol is None:
-        tol = 1e-12 * max(1.0, spla.norm(M))
-    off = M - sp.diags(diag)
-    off_max = off.data.max() if off.nnz else 0.0
-    s = float(diag.max()) + 1.0 if n else 1.0
-    is_z = bool(off_max <= tol)
-    if not is_z or n == 0:
-        return MatrixClass(is_z, False, s, np.nan)
-    rho = _perron_root((sp.diags(np.full(n, s)) - M).tocsr(), boundary=s)
-    return MatrixClass(True, bool(rho < s), s, float(rho))
 
 
 def tsylv_oracle_solve(D, A, rhs, cap=200):

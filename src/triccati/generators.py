@@ -79,7 +79,7 @@ def generate_ex1_dense(n, gamma=1e4, seed=0):
 
     B and C are unconstrained uniform draws, so the sign conditions of the
     solvability theory generally fail here; convergence on this family is
-    an empirical matter and the audit (small n) records the violation.
+    an empirical matter and the audit records the violation.
     """
     D, A = _convection_diffusion(n, gamma)
     rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """Experiment harness: build a problem from a family spec (or files), run
-the requested solver, audit small instances against the structural
-hypotheses, and serialize one report per run as JSON or CSV.
+the requested solver, audit the problem against the structural hypotheses
+(dense problems at every n, factored ones up to n = 200), and serialize one
+report per run as JSON or CSV.
 
 Reports are deterministic for a fixed (spec, solver, config) triple apart
 from the wall-time field, which is what the determinism test masks out.
@@ -88,6 +89,11 @@ def _jsonable(obj):
         return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
+    if callable(obj):  # e.g. an eta_schedule in the config
+        try:
+            return "%s.%s" % (obj.__module__, obj.__qualname__)
+        except AttributeError:
+            return repr(obj)
     return obj
 
 
@@ -113,17 +119,19 @@ class RunReport:
         return _jsonable(d)
 
 
-def _audit_problem(prob, max_n=200):
-    """Structural-hypothesis audit on small instances; None when skipped."""
+# a factored problem's audit forms the dense B1 B2^T, so larger ones skip it
+_AUDIT_MAX_N = 200
+
+
+def _audit_problem(prob):
+    """Structural-hypothesis audit; None for a factored problem above
+    _AUDIT_MAX_N."""
     if isinstance(prob, LowRankTRiccatiProblem):
-        if prob.n > max_n:
+        if prob.n > _AUDIT_MAX_N:
             return None
-        dense = TRiccatiProblem(A=prob.A.to_dense(), B=prob.B1 @ prob.B2.T,
-                                C=prob.C1.T @ prob.C2, D=prob.D.to_dense())
-        return dense.check_assumption1(max_n=max_n)
-    if prob.n > max_n:
-        return None
-    return prob.check_assumption1(max_n=max_n)
+        prob = TRiccatiProblem(A=prob.A.to_dense(), B=prob.B1 @ prob.B2.T,
+                               C=prob.C1.T @ prob.C2, D=prob.D.to_dense())
+    return prob.check_assumption1()
 
 
 # solver name -> (solve function, what takes the config keys)

@@ -1,4 +1,4 @@
-"""Vectorization plumbing, matrix classification, and the dense oracle."""
+"""Vectorization plumbing, order tests, spectral radii, and the dense oracle."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from scipy.sparse import csgraph
 import triccati as tr
 from triccati import dense_core
 from triccati.dense_core import (
-    classify_m_matrix,
     commutation_matrix,
     default_order_tol,
     elementwise_leq,
@@ -73,58 +72,6 @@ class TestElementwiseLeq:
         # absolute slack grows with the operand scale
         assert elementwise_leq(big + 1e-5, big)
         assert default_order_tol(big) > 1e-12
-
-
-class TestClassifyMMatrix:
-    def test_textbook_m_matrix(self):
-        M = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        cls = classify_m_matrix(M)
-        assert cls.is_z_matrix and cls.is_nonsingular_m_matrix
-        assert cls.s > cls.rho_n
-
-    def test_z_but_not_m(self):
-        M = np.array([[1.0, -2.0], [-2.0, 1.0]])  # rho(N) = 2 > s = 1
-        cls = classify_m_matrix(M)
-        assert cls.is_z_matrix and not cls.is_nonsingular_m_matrix
-
-    def test_positive_offdiagonal_is_not_z(self):
-        M = np.array([[2.0, 0.5], [-1.0, 2.0]])
-        cls = classify_m_matrix(M)
-        assert not cls.is_z_matrix and not cls.is_nonsingular_m_matrix
-
-    def test_singular_boundary(self):
-        # s = rho(N) exactly: irreducible singular case
-        M = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        cls = classify_m_matrix(M)
-        assert cls.is_z_matrix and not cls.is_nonsingular_m_matrix
-
-    def test_nonnegative_inverse_property(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = int(rng.integers(2, 12))
-            N = rng.random((n, n))
-            s = N.sum(axis=1).max() * (1.0 + rng.random())
-            M = s * np.eye(n) - N
-            cls = classify_m_matrix(M)
-            assert cls.is_nonsingular_m_matrix
-            assert np.all(np.linalg.inv(M) >= -1e-10)
-
-    def test_dense_and_sparse_input_classify_alike(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = int(rng.integers(2, 12))
-            N = rng.random((n, n))
-            s = N.sum(axis=1).max() * (1.0 + rng.random())
-            M = s * np.eye(n) - N
-            assert classify_m_matrix(M) == classify_m_matrix(sp.csr_matrix(M))
-
-    def test_sparse_input(self):
-        import scipy.sparse as sp
-        M = sp.csr_matrix(np.array([[3.0, -1.0, 0.0],
-                                    [-1.0, 3.0, -1.0],
-                                    [0.0, -1.0, 3.0]]))
-        cls = classify_m_matrix(M)
-        assert cls.is_nonsingular_m_matrix
 
 
 class TestOracle:

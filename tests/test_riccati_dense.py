@@ -110,11 +110,51 @@ class TestAssumptionAudit:
         assert not audit["c_nonpositive"]
         assert not audit["holds"]
 
-    def test_large_skips_operator_check(self):
-        prob = generate_admissible_dense(12, seed=4)
-        audit = prob.check_assumption1(max_n=10)
-        assert audit["operator_checked"] is False
-        assert audit["operator_m_matrix"] is None
+    def test_large_dense_problem_is_audited(self):
+        run = tr.run_experiment(tr.ProblemSpec("Ex2Dense", n=250), "newton",
+                                {"max_iter": 1})
+        assert run.audit is not None
+        # Ex2's A has a positive diagonal, so K is not a Z-matrix
+        assert run.audit["operator_m_matrix"] is False
+
+    def test_matches_eigenvalue_reference(self):
+        # a Z-matrix is a nonsingular M-matrix iff every eigenvalue of it
+        # has positive real part; shrinking diag(D) crosses that boundary
+        found = []
+        for n in (1, 2, 6, 10):
+            for seed in range(10):
+                base = generate_admissible_dense(n, seed=seed)
+                for scale in (1.0, 0.2, 0.05, 0.01, 1e-3):
+                    D = base.D + (scale - 1.0) * np.diag(np.diag(base.D))
+                    prob = tr.TRiccatiProblem(A=base.A, B=base.B, C=base.C, D=D)
+                    got = prob.check_assumption1()["operator_m_matrix"]
+                    ref = bool(np.all(np.linalg.eigvals(
+                        tr.tsylv_kron_matrix(D, base.A)).real > 0))
+                    assert got is ref, (n, seed, scale)
+                    found.append(ref)
+        assert 0 < sum(found) < len(found)
+
+    def test_singular_operator(self):
+        # D X + X^T A = X - X^T vanishes on every symmetric X
+        for n in (1, 2, 5):
+            prob = tr.TRiccatiProblem(A=-np.eye(n), B=np.zeros((n, n)),
+                                      C=np.zeros((n, n)), D=np.eye(n))
+            assert prob.check_assumption1()["operator_m_matrix"] is False
+
+    def test_positive_offdiagonal_entry_is_not_z(self):
+        prob = generate_admissible_dense(6, seed=0)
+        assert prob.check_assumption1()["operator_m_matrix"] is True
+        for name, (i, j) in (("D", (0, 1)), ("A", (2, 2))):
+            M = getattr(prob, name).copy()
+            M[i, j] = 0.01
+            bad = tr.TRiccatiProblem(**dict(vars(prob), **{name: M}))
+            assert bad.check_assumption1()["operator_m_matrix"] is False, name
+
+    def test_scalar_sign_of_d_plus_a(self):
+        for d, a, want in ((2.0, -1.0, True), (-1.0, 3.0, True),
+                           (1.0, -2.0, False), (-3.0, 1.0, False)):
+            prob = tr.TRiccatiProblem(A=[[a]], B=[[0.0]], C=[[0.0]], D=[[d]])
+            assert prob.check_assumption1()["operator_m_matrix"] is want
 
 
 class TestLineSearchPoly:

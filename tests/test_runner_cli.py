@@ -76,6 +76,14 @@ class TestRunExperiment:
         a.pop("wall_time_s"); b.pop("wall_time_s")
         assert a == b
 
+    def test_callable_config_serializes(self):
+        spec = ProblemSpec(family="Ex2LowRank", n=50, seed=0)
+        run = run_experiment(spec, "inexact-newton",
+                             {"eta_schedule": lambda k: 0.1})
+        d = json.loads(emit_report(run, "json"))
+        assert isinstance(d["config"]["eta_schedule"], str)
+        assert d["config"]["eta_schedule"].endswith("<lambda>")
+
     def test_audit_skipped_for_large(self):
         spec = ProblemSpec(family="Ex2LowRank", n=300, seed=0)
         run = run_experiment(spec, "inexact-newton", {"eps": 1e-6})

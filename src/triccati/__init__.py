@@ -24,7 +24,7 @@ from .dense_core import (
     tsylv_kron_matrix,
     tsylv_oracle_solve,
 )
-from .tsylv_dense import TSylvSolver, solve_tsylv_dense, solve_tsylv_shifted
+from .tsylv_dense import TSylvSolver, solve_tsylv_dense
 from .reports import IterationRecord, SolveReport, Status
 from .riccati_dense import (
     LineSearchPoly,

@@ -4,7 +4,7 @@ Subcommands:
   generate       write a problem instance as Matrix Market files + manifest
   solve-dense    run the dense fixed-point or Newton solver on a family/file
   solve-lowrank  run the factored inexact Newton solver on a family/file
-  bench          run a small grid of solves and write one report per cell
+  bench          run the smoke grid of solves and write one report per cell
 
 Exit codes: 0 when the solve converged, 2 when a solver finished without
 converging (max iterations, inner failure, divergence), 1 for usage or
@@ -32,14 +32,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _add_problem_args(p, lowrank):
+def _add_problem_args(p):
     p.add_argument("--problem", metavar="FILE",
                    help="manifest of a saved problem (overrides --family)")
     p.add_argument("--family", choices=sorted(_FAMILY_BY_FLAG),
                    help="generated problem family")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--p", type=int, default=1)
-    p.add_argument("--q", type=int, default=5 if not lowrank else 1)
+    p.add_argument("--q", type=int, default=1)
     p.add_argument("--gamma", type=float, default=1e4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sign-consistency", action=argparse.BooleanOptionalAction,
@@ -114,18 +114,6 @@ _BENCH_CELLS = {
         (ProblemSpec(family="Ex2LowRank", n=400, p=1, q=1, seed=0),
          "inexact-newton", {"eps": 1e-6}),
     ],
-    "tables": [
-        (ProblemSpec(family="Ex1Dense", n=324, seed=0), "newton",
-         {"tol": 1e-12, "line_search": "off"}),
-        (ProblemSpec(family="Ex1Dense", n=324, seed=0), "newton",
-         {"tol": 1e-12, "line_search": "exact"}),
-        (ProblemSpec(family="Ex2Dense", n=500, seed=0), "newton",
-         {"tol": 1e-12, "line_search": "off"}),
-        (ProblemSpec(family="Ex2LowRank", n=10000, p=1, q=1, seed=0),
-         "inexact-newton", {"eps": 1e-6}),
-        (ProblemSpec(family="Ex2LowRank", n=10000, p=1, q=5, seed=0),
-         "inexact-newton", {"eps": 1e-6}),
-    ],
 }
 
 
@@ -152,13 +140,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a problem to disk")
-    _add_problem_args(g, lowrank=False)
+    _add_problem_args(g)
     g.add_argument("--name", default="problem")
     g.add_argument("--out", metavar="DIR")
     g.set_defaults(func=_cmd_generate)
 
     d = sub.add_parser("solve-dense", help="dense solvers")
-    _add_problem_args(d, lowrank=False)
+    _add_problem_args(d)
     d.add_argument("--solver", choices=("fixed-point", "newton"),
                    default="newton")
     d.add_argument("--line-search", choices=("none", "exact"),
@@ -169,7 +157,7 @@ def build_parser():
     d.set_defaults(func=_cmd_solve_dense)
 
     l = sub.add_parser("solve-lowrank", help="factored inexact Newton")
-    _add_problem_args(l, lowrank=True)
+    _add_problem_args(l)
     l.add_argument("--tol", type=float, default=1e-6)
     l.add_argument("--max-outer", type=int, default=30)
     l.add_argument("--max-inner", type=int, default=50)

@@ -37,6 +37,8 @@ __all__ = [
 
 # components up to this order get dense eigvals (about 0.1 s at order 500)
 _DENSE_COMPONENT_MAX = 500
+# iteration budget of ARPACK's largest-magnitude eigensolve
+_ARPACK_MAXITER = 10000
 
 
 def _as_square(M, name="matrix"):
@@ -117,50 +119,24 @@ def tsylv_kron_sparse(D, A):
             + sp.kron(A.T, I, format="csr") @ _commutation_sparse(n))
 
 
-def _power_radius_nonneg(matvec, n, tol=1e-8, max_iter=10000):
-    """Spectral radius of an (entrywise) nonnegative operator by power iteration.
-
-    Returns (rho, converged).  Stagnation of the norm-ratio estimate over a
-    few consecutive steps is the convergence test.
-    """
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    stable = 0
-    for _ in range(max_iter):
-        w = matvec(v)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0, True
-        if abs(nrm - lam) <= tol * max(nrm, 1e-300):
-            stable += 1
-            if stable >= 3:
-                return nrm, True
-        else:
-            stable = 0
-        lam = nrm
-        v = w / nrm
-    return lam, False
-
-
-def _arpack_radius(M, max_iter):
+def _arpack_radius(M):
     """Largest eigenvalue magnitude of sparse M by ARPACK, deterministic start."""
     try:
         vals = spla.eigs(M, k=1, which="LM", v0=np.ones(M.shape[0]),
-                         return_eigenvectors=False, maxiter=max_iter)
+                         return_eigenvectors=False, maxiter=_ARPACK_MAXITER)
     except (spla.ArpackNoConvergence, spla.ArpackError) as e:
         raise ConvergenceError("spectral radius estimate failed: %s" % e) from None
     return float(np.max(np.abs(vals)))
 
 
-def _perron_root(M, tol=1e-8, max_iter=10000):
+def _perron_root(M):
     """Spectral radius of a sparse nonnegative CSR matrix M.
 
     It is the largest over the strongly connected components of M, the
     diagonal blocks of its Frobenius normal form (Berman & Plemmons, 1994).
     Singletons give their diagonal entry, components of at most
-    _DENSE_COMPONENT_MAX nodes a dense eigensolve, and a larger one C the
-    power iteration on the primitive C + I, or ARPACK when that does not
-    converge (raising ConvergenceError if ARPACK fails too).
+    _DENSE_COMPONENT_MAX nodes a dense eigensolve, and a larger one ARPACK
+    (raising ConvergenceError if ARPACK fails).
     """
     labels = csgraph.connected_components(M, connection="strong")[1]
     sizes = np.bincount(labels)
@@ -172,10 +148,8 @@ def _perron_root(M, tol=1e-8, max_iter=10000):
         C = M[idx][:, idx]
         if idx.size <= _DENSE_COMPONENT_MAX:
             rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(C.toarray())))))
-            continue
-        lam, ok = _power_radius_nonneg(lambda v: C @ v + v, idx.size, tol,
-                                       max_iter)
-        rho = max(rho, lam - 1.0 if ok else _arpack_radius(C, max_iter))
+        else:
+            rho = max(rho, _arpack_radius(C))
     return rho
 
 
@@ -218,11 +192,10 @@ def tsylv_oracle_solve(D, A, rhs, cap=200):
     return x.reshape((n, n), order="F")
 
 
-def spectral_radius(M, tol=1e-8, max_iter=10000):
+def spectral_radius(M):
     """Spectral radius of M.
 
-    Dense inputs use a full eigensolve (the iteration tolerance is then
-    irrelevant).  Sparse nonnegative inputs go by strongly connected
+    Dense inputs use a full eigensolve.  Sparse nonnegative inputs go by strongly connected
     components (``_perron_root``); general sparse inputs of order above 2
     through an Arnoldi largest-magnitude eigensolve with a deterministic
     start, smaller ones densely.
@@ -234,9 +207,9 @@ def spectral_radius(M, tol=1e-8, max_iter=10000):
         if M.nnz == 0:
             return 0.0
         if np.all(M.data >= 0):
-            return _perron_root(M, tol, max_iter)
+            return _perron_root(M)
         if M.shape[0] > 2:  # ARPACK's eigs(k=1) needs k < n - 1
-            return _arpack_radius(M, max_iter)
+            return _arpack_radius(M)
         M = M.toarray()
     M = _as_square(M)
     if M.size == 0:

@@ -37,6 +37,8 @@ __all__ = [
     "lr_quadratic_term",
 ]
 
+_RCOND_LIMIT = 1e-14  # smallest capacitance rcond a ShiftedOperator accepts
+
 
 @dataclass(frozen=True)
 class LowRankPair:
@@ -187,13 +189,13 @@ def _as_operator(A):
     return A if isinstance(A, MatrixOperator) else MatrixOperator(A)
 
 
-def smw_solve(A_op, M, N, Y, rcond_limit=1e-14):
+def smw_solve(A_op, M, N, Y):
     """Solve (A - M N^T) Z = Y through the base factorization of A.
 
     One-shot form of :class:`ShiftedOperator`: a capacitance reciprocal
-    condition estimate below rcond_limit raises SingularCapacitanceError.
+    condition estimate below 1e-14 raises SingularCapacitanceError.
     """
-    return ShiftedOperator(A_op, M, N, rcond_limit).solve(Y)
+    return ShiftedOperator(A_op, M, N).solve(Y)
 
 
 class ShiftedOperator:
@@ -203,7 +205,7 @@ class ShiftedOperator:
     low-rank term, so the base factorization is shared across steps.
     """
 
-    def __init__(self, base, M, N, rcond_limit=1e-14):
+    def __init__(self, base, M, N):
         self.base = _as_operator(base)
         self.M = np.asarray(M, dtype=float)
         self.N = np.asarray(N, dtype=float)
@@ -215,7 +217,7 @@ class ShiftedOperator:
             cap = np.eye(self.M.shape[1]) - self.N.T @ self._AinvM
             sv = scipy.linalg.svdvals(cap)
             rcond = float(sv[-1] / (sv[0] + 1e-300)) if sv.size else 0.0
-            if rcond < rcond_limit:
+            if rcond < _RCOND_LIMIT:
                 raise SingularCapacitanceError(
                     "capacitance matrix is singular (rcond=%.2e)" % rcond)
             self._cap_lu = scipy.linalg.lu_factor(cap)

@@ -72,6 +72,8 @@ __all__ = [
 _MAX_HALVINGS = 5
 _FINAL_TAIL = 0.1  # share of eps * ||X||_F the converged iterate may drop
 _SWEEP_TAIL = 0.01  # share of eta_k * rel_k * ||X||_F each sweep may drop
+_SAMPLE = 256  # entries the sign observations read above n = 200
+_SIGN_TOL = 1e-8  # nonnegativity_monitor accepts entries >= -_SIGN_TOL
 
 
 def default_eta_schedule(k):
@@ -122,33 +124,41 @@ def decrease_condition_check(res_old, res_new, lam, alpha):
     return res_new <= (1.0 - lam * alpha) * res_old * (1.0 + 1e-10)
 
 
-def _sampled_entries(X, sample, rng):
-    """Entries of X: all of them up to n = 200, `sample` random ones above."""
+def _sampled_entries(X):
+    """Entries of X: all of them up to n = 200, above that _SAMPLE entries
+    drawn with seed 0, so the same ones for every X of one n."""
     n = X.P1.shape[0]
     if X.rank == 0:
         return np.zeros(1)
     if n <= 200:
         return X.to_dense().ravel()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    rows = rng.integers(0, n, size=sample)
-    cols = rng.integers(0, n, size=sample)
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, n, size=_SAMPLE)
+    cols = rng.integers(0, n, size=_SAMPLE)
     return np.einsum("ij,ij->i", X.P1[rows], X.P2[cols])
 
 
-def nonnegativity_monitor(X, sample=256, tol=1e-8, rng=None):
-    """Entrywise X >= 0 check: dense up to n = 200, sampled above.
+def nonnegativity_monitor(X):
+    """Entrywise X >= -1e-8 check: on every entry up to n = 200, above
+    that on the same 256 fixed-seed entries for every iterate of one n.
 
-    The iterates are only guaranteed nonnegative when the inner residuals
-    are; this observes, it never enforces.
+    So it can miss rare negative entries: on Ex2LowRank n=10000 q=5 it
+    reads True while 0.16% of the formed entries lie below -1e-8; an exact
+    check is an open item of ROADMAP.md.  The iterates are only guaranteed
+    nonnegative when the inner residuals are; this observes, it never
+    enforces.
     """
-    return bool(np.min(_sampled_entries(X, sample, rng)) >= -tol)
+    return bool(np.min(_sampled_entries(X)) >= -_SIGN_TOL)
 
 
-def min_entry_ratio(X, sample=256, rng=None):
+def min_entry_ratio(X):
     """Smallest entry of X over its largest magnitude (0 for X = 0), on the
-    entries nonnegativity_monitor looks at; scale-free, unlike its tol."""
-    vals = _sampled_entries(X, sample, rng)
+    entries nonnegativity_monitor reads (above n = 200 the same 256
+    fixed-seed ones for every iterate of one n); scale-free, unlike its
+    tolerance.  It misses what the monitor misses: Ex2LowRank n=10000 q=5
+    reads +0.039 while 0.16% of the formed entries lie below -1e-8, and an
+    exact check is an open item of ROADMAP.md."""
+    vals = _sampled_entries(X)
     top = np.max(np.abs(vals))
     return float(np.min(vals) / top) if top > 0.0 else 0.0
 

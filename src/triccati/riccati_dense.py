@@ -35,7 +35,7 @@ import numpy as np
 from . import dense_core
 from .errors import SingularOperatorError
 from .reports import IterationRecord, SolveReport, Status
-from .tsylv_dense import TSylvSolver, solve_tsylv_shifted
+from .tsylv_dense import TSylvSolver
 
 __all__ = [
     "TRiccatiProblem",
@@ -279,8 +279,7 @@ def solve_newton(prob, tol=1e-12, max_iter=50, line_search="off",
 
     def step(X, R_k):
         XtB = X.T @ prob.B
-        X_next = solve_tsylv_shifted(prob.D, prob.A, XtB, prob.B @ X,
-                                     -XtB @ X - prob.C)
+        X_next = TSylvSolver(prob.D - XtB, prob.A - prob.B @ X).solve(-XtB @ X - prob.C)
         if line_search == "off":
             return X_next, 1.0
         S = X_next - X
@@ -292,17 +291,17 @@ def solve_newton(prob, tol=1e-12, max_iter=50, line_search="off",
     return _iterate(prob, step, tol, max_iter, keep_iterates, "Newton step")
 
 
-def verify_minimality(prob, X, trials=10000, tol=None):
+def verify_minimality(prob, X):
     """Check X against the minimal nonnegative solution.
 
-    Recomputes the fixed-point limit Y independently (``trials`` caps its
-    iteration budget) and tests X >= 0 and X <= Y entrywise within tol.
+    Recomputes the fixed-point limit Y independently (at most 10000
+    iterations) and tests X >= 0 and X <= Y entrywise within
+    1e-8 * max(1, ||Y||_F).
     """
     X = np.asarray(X, dtype=float)
-    Y, rep = solve_fixed_point(prob, tol=1e-12, max_iter=trials)
+    Y, rep = solve_fixed_point(prob, tol=1e-12, max_iter=10000)
     if rep.status is not Status.CONVERGED:
         return False
-    if tol is None:
-        tol = 1e-8 * max(1.0, float(np.linalg.norm(Y)))
+    tol = 1e-8 * max(1.0, float(np.linalg.norm(Y)))
     return (dense_core.elementwise_leq(np.zeros_like(X), X, tol)
             and dense_core.elementwise_leq(X, Y, tol))

@@ -33,7 +33,7 @@ diagonal blocks, the reciprocal condition number of the small system that
 couples the pair in a block-by-block back-substitution, stacked by block
 sizes and batched through one SVD per chunk.  ``solve`` raises
 :class:`SingularOperatorError` when the smallest lies below
-``rcond_limit``, or when ``dtgsyl`` reports a singular system, and can
+``_RCOND_LIMIT``, or when ``dtgsyl`` reports a singular system, and can
 re-evaluate the residual of the returned X.
 """
 
@@ -46,10 +46,12 @@ from scipy.linalg.lapack import dtgsyl
 from .dense_core import commutation_matrix
 from .errors import SingularOperatorError
 
-__all__ = ["TSylvInfo", "TSylvSolver", "solve_tsylv_dense", "solve_tsylv_shifted"]
+__all__ = ["TSylvInfo", "TSylvSolver", "solve_tsylv_dense"]
 
 # pair systems per batched SVD; bounds the scratch memory of the rcond check
 _CHUNK = 1024
+# smallest pair rcond a solve accepts
+_RCOND_LIMIT = 1e-14
 
 
 @dataclass
@@ -133,7 +135,7 @@ def _min_pair_rcond(R, L, blocks):
 class TSylvSolver:
     """Factor the operator X -> D X + X^T A once, then solve many right-hand sides."""
 
-    def __init__(self, D, A, rcond_limit=1e-14):
+    def __init__(self, D, A):
         D = np.asarray(D, dtype=float)
         A = np.asarray(A, dtype=float)
         if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -143,7 +145,6 @@ class TSylvSolver:
         self.n = D.shape[0]
         self.D = D
         self.A = A
-        self.rcond_limit = rcond_limit
         self.blocks = []
         self.rcond = 1.0
         if not self.n:
@@ -180,7 +181,7 @@ class TSylvSolver:
         if n == 0:
             X = np.zeros((0, 0))
             return (X, TSylvInfo(0.0, 1.0)) if return_info else X
-        if self.rcond < self.rcond_limit:
+        if self.rcond < _RCOND_LIMIT:
             raise SingularOperatorError(
                 "T-Sylvester operator is singular to working precision",
                 rcond=self.rcond)
@@ -214,20 +215,6 @@ class TSylvSolver:
         return X, TSylvInfo(rel, self.rcond)
 
 
-def solve_tsylv_dense(D, A, E, return_info=False, rcond_limit=1e-14):
+def solve_tsylv_dense(D, A, E):
     """One-shot solve of D X + X^T A = E via QZ reduction of (D, A^T)."""
-    return TSylvSolver(D, A, rcond_limit=rcond_limit).solve(E, return_info=return_info)
-
-
-def solve_tsylv_shifted(D, A, U1, U2, E, return_info=False, rcond_limit=1e-14):
-    """Solve (D - U1) X + X^T (A - U2) = E.
-
-    Convenience wrapper for the shifted pencils arising in Newton steps; the
-    residual contract matches :func:`solve_tsylv_dense` on the shifted data.
-    """
-    D = np.asarray(D, dtype=float)
-    A = np.asarray(A, dtype=float)
-    U1 = np.asarray(U1, dtype=float)
-    U2 = np.asarray(U2, dtype=float)
-    return solve_tsylv_dense(D - U1, A - U2, E, return_info=return_info,
-                             rcond_limit=rcond_limit)
+    return TSylvSolver(D, A).solve(E)

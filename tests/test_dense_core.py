@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 import triccati as tr
@@ -134,10 +133,6 @@ def _dense_rho(M):
     return float(np.max(np.abs(np.linalg.eigvals(M.toarray()))))
 
 
-def _no_arpack(*args, **kwargs):
-    raise AssertionError("ARPACK eigs called")
-
-
 class TestStrongComponents:
     """Sparse nonnegative spectral radius from strongly connected components."""
 
@@ -163,15 +158,23 @@ class TestStrongComponents:
         assert U.nnz > 0
         assert tr.spectral_radius(self._permuted(U, 2)) == 0.0
 
-    def test_large_component_takes_power_path(self, monkeypatch):
-        n = 800
+    def test_large_component_matches_eigvals(self):
+        # above _DENSE_COMPONENT_MAX nodes a component goes to ARPACK
+        n, h = 800, 400
         g = np.random.default_rng(12)
-        ring = sp.csr_matrix((np.ones(n), (np.arange(n), np.roll(np.arange(n), -1))),
-                             shape=(n, n))
-        M = (ring + sp.random(n, n, density=5.0 / n, random_state=g,
-                              data_rvs=g.random)).tocsr()
-        assert csgraph.connected_components(M, connection="strong")[0] == 1
-        assert n > dense_core._DENSE_COMPONENT_MAX
-        monkeypatch.setattr(spla, "eigs", _no_arpack)
-        ref = _dense_rho(M)
-        assert abs(tr.spectral_radius(M) - ref) <= 1e-7 * ref
+
+        def ring(m):
+            return sp.csr_matrix((np.ones(m), (np.arange(m), np.roll(np.arange(m), -1))),
+                                 shape=(m, m))
+
+        def noise(m):
+            return sp.random(m, m, density=5.0 / m, random_state=g, data_rvs=g.random)
+
+        primitive = ring(n) + noise(n)
+        # bipartite, so period 2: -rho is an eigenvalue of the same modulus
+        periodic = sp.bmat([[None, ring(h) + noise(h)], [sp.identity(h) + noise(h), None]])
+        for M in (primitive.tocsr(), periodic.tocsr()):
+            assert csgraph.connected_components(M, connection="strong")[0] == 1
+            assert M.shape[0] > dense_core._DENSE_COMPONENT_MAX
+            ref = _dense_rho(M)
+            assert abs(tr.spectral_radius(M) - ref) <= 1e-12 * ref

@@ -1,6 +1,7 @@
-"""Every function and method that perfbench's tracing replaces must exist,
-and every counter it reads must fill, so that a rename in the package fails
-here rather than in a benchmark run."""
+"""Every function and method that perfbench's tracing replaces must be bound
+on its owner itself (``owner.__dict__``, which the tracer reads; inherited
+or aliased names do not count), and every counter it reads must fill, so
+that a rename in the package fails here rather than in a benchmark run."""
 
 import importlib.util
 import pathlib
@@ -21,7 +22,7 @@ def test_every_patch_target_exists():
     patches = _load_spans().PATCHES
     assert patches
     missing = ["%s.%s" % (getattr(owner, "__qualname__", owner), attr)
-               for owner, attr, *_ in patches if not hasattr(owner, attr)]
+               for owner, attr, *_ in patches if attr not in vars(owner)]
     assert missing == []
 
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from triccati.cli import main
+from triccati.cli import build_parser, main
 from triccati.reports import Status
 from triccati.runner import (
     ProblemSpec,
@@ -218,6 +218,13 @@ class TestCLI:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["spec"]["family"] == "File"
+
+    def test_q_default_matches_problem_spec(self):
+        # a generated factored problem is the one solve-lowrank solves
+        parser = build_parser()
+        for cmd in ("generate", "solve-dense", "solve-lowrank"):
+            args = parser.parse_args([cmd, "--family", "ex2-lowrank"])
+            assert args.q == ProblemSpec(family="Ex2LowRank").q == 1
 
     def test_csv_output(self, tmp_path, capsys):
         rc = main(["solve-dense", "--family", "ex2-dense", "--n", "30",

@@ -6,10 +6,11 @@ import pytest
 import scipy.linalg
 
 import triccati as tr
+from triccati import tsylv_dense
 from triccati.dense_core import tsylv_oracle_solve
 from triccati.reports import Status
 from triccati.riccati_dense import TRiccatiProblem, solve_fixed_point
-from triccati.tsylv_dense import TSylvSolver, solve_tsylv_dense, solve_tsylv_shifted
+from triccati.tsylv_dense import TSylvSolver, solve_tsylv_dense
 
 
 def admissible(n, rng):
@@ -254,10 +255,11 @@ class TestOffDiagonalSingularPair:
         assert exc.value.rcond < 1e-14
         assert "dtgsyl" not in str(exc.value)  # caught by the rcond check
 
-    def test_lapack_reports_singular_system(self):
+    def test_lapack_reports_singular_system(self, monkeypatch):
         # with the rcond check switched off the dtgsyl step meets the pair
+        monkeypatch.setattr(tsylv_dense, "_RCOND_LIMIT", 0.0)
         D, A = singular_pair_pencil()
-        solver = TSylvSolver(D, A, rcond_limit=0.0)
+        solver = TSylvSolver(D, A)
         with pytest.raises(tr.SingularOperatorError, match="dtgsyl info"):
             solver.solve(np.ones((10, 10)))
 
@@ -273,35 +275,6 @@ class TestOffDiagonalSingularPair:
         prob = TRiccatiProblem(A=A, B=np.zeros((10, 10)), C=-np.ones((10, 10)), D=D)
         X, report = solve_fixed_point(prob, max_iter=5)
         assert report.warnings[0].startswith("iteration 1:")
-
-
-class TestShiftedInterface:
-    def test_matches_explicit_shift(self):
-        rng = np.random.default_rng(16)
-        n = 10
-        D, A = admissible(n, rng)
-        U1 = 0.05 * rng.standard_normal((n, n))
-        U2 = 0.05 * rng.standard_normal((n, n))
-        E = rng.standard_normal((n, n))
-        X = solve_tsylv_shifted(D, A, U1, U2, E)
-        res = np.linalg.norm((D - U1) @ X + X.T @ (A - U2) - E)
-        assert res <= 1e-9 * max(1.0, np.linalg.norm(E))
-
-    def test_zero_shift_reduces_to_plain(self):
-        rng = np.random.default_rng(17)
-        D, A = admissible(7, rng)
-        E = rng.standard_normal((7, 7))
-        Z = np.zeros((7, 7))
-        assert np.allclose(solve_tsylv_shifted(D, A, Z, Z, E),
-                           solve_tsylv_dense(D, A, E), atol=1e-12)
-
-    def test_scalar_newton_steps(self):
-        # first step from 0: 2x + x = 1; second: (2 - 1/3)x + x(1 - 1/3) = 8/9
-        x1 = solve_tsylv_shifted([[2.0]], [[1.0]], [[0.0]], [[0.0]], [[1.0]])
-        assert abs(x1[0, 0] - 1.0 / 3.0) < 1e-14
-        x2 = solve_tsylv_shifted([[2.0]], [[1.0]], [[1.0 / 3.0]], [[1.0 / 3.0]],
-                                 [[8.0 / 9.0]])
-        assert abs(x2[0, 0] - 8.0 / 21.0) < 1e-14
 
 
 class TestComplexEigenvalueCoverage:

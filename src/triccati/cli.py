@@ -105,22 +105,20 @@ def _cmd_solve_lowrank(args):
     return _finish(run, args, "%s_inexact-newton" % spec.family.lower())
 
 
-_BENCH_CELLS = {
-    "smoke": [
-        (ProblemSpec(family="Ex2Dense", n=100, seed=0), "newton",
-         {"tol": 1e-12, "line_search": "off"}),
-        (ProblemSpec(family="Ex1Dense", n=100, seed=0), "newton",
-         {"tol": 1e-12, "line_search": "exact"}),
-        (ProblemSpec(family="Ex2LowRank", n=400, p=1, q=1, seed=0),
-         "inexact-newton", {"eps": 1e-6}),
-    ],
-}
+_SMOKE_CELLS = [
+    (ProblemSpec(family="Ex2Dense", n=100, seed=0), "newton",
+     {"tol": 1e-12, "line_search": "off"}),
+    (ProblemSpec(family="Ex1Dense", n=100, seed=0), "newton",
+     {"tol": 1e-12, "line_search": "exact"}),
+    (ProblemSpec(family="Ex2LowRank", n=400, p=1, q=1, seed=0),
+     "inexact-newton", {"eps": 1e-6}),
+]
 
 
 def _cmd_bench(args):
     out = args.out or "bench_out"
     worst = 0
-    for i, (spec, solver, config) in enumerate(_BENCH_CELLS[args.suite]):
+    for i, (spec, solver, config) in enumerate(_SMOKE_CELLS):
         run = run_experiment(spec, solver, config)
         tag = "%02d_%s_%s" % (i, spec.family.lower(), solver)
         path = "%s/%s.%s" % (out, tag, args.format)
@@ -167,8 +165,7 @@ def build_parser():
     _add_output_args(l)
     l.set_defaults(func=_cmd_solve_lowrank)
 
-    b = sub.add_parser("bench", help="run a report grid")
-    b.add_argument("--suite", choices=sorted(_BENCH_CELLS), default="smoke")
+    b = sub.add_parser("bench", help="run the smoke grid")
     _add_output_args(b)
     b.set_defaults(func=_cmd_bench)
     return parser

@@ -35,8 +35,8 @@ import scipy.linalg
 from dataclasses import dataclass, field
 
 from .errors import BasisBreakdownError, TRiccatiError
-from .lowrank import (LowRankPair, lr_frobenius_norm, lr_quadratic_term,
-                      svd_cut, zero_pair)
+from .lowrank import (HouseholderQR, LowRankPair, lr_frobenius_norm,
+                      lr_quadratic_term, svd_cut, zero_pair)
 from .tsylv_dense import solve_tsylv_dense
 
 __all__ = [
@@ -121,7 +121,9 @@ class ExtendedKrylovTSylv:
         """Orthogonalize C against Q_prev and internally; strict rank check."""
         orig_scale = max(np.linalg.norm(C), 1e-300)
         C, coeffs = _cgs_against(Q_prev, C)
-        Q, R = np.linalg.qr(C)
+        qr = HouseholderQR(C)
+        R = qr.R
+        Q = qr.apply(np.eye(R.shape[0]))
         sv = scipy.linalg.svdvals(R)
         smax = sv[0] if sv.size else 0.0
         smin = sv[-1] if sv.size else 0.0
@@ -215,7 +217,8 @@ class ExtendedKrylovTSylv:
 
     def extract(self, Y, trunc_tol=1e-12):
         """Lift and recompress: X = V Y W^T as a LowRankPair."""
-        return svd_cut(self.V, Y, self.W, trunc_tol)
+        G1, G2 = svd_cut(Y, trunc_tol)
+        return LowRankPair(self.V @ G1, self.W @ G2)
 
 
 def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, trunc_tol=1e-12,

@@ -1,8 +1,10 @@
 """Factored-form building blocks for large sparse T-Riccati problems.
 
 A low-rank matrix is held as a pair (P1, P2) representing P1 @ P2.T; nothing
-here ever forms an n-by-n dense intermediate.  Norms and inner products go
-through t-by-t Gram matrices, truncation through a QR + small SVD, and
+here ever forms an n-by-n dense intermediate.  Norms, truncation and the
+line-search products go through thin QRs of the factors (``HouseholderQR``,
+LAPACK's recursive Householder QR with Q kept as reflectors) and a small
+core; ``lr_inner_product`` of two pairs through t-by-t Gram matrices; and
 solves with low-rank-corrected operators through the
 Sherman-Morrison-Woodbury identity
 
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import lapack
 import scipy.sparse.linalg as spla
 
 from .errors import SingularCapacitanceError
@@ -24,6 +27,8 @@ from .errors import SingularCapacitanceError
 __all__ = [
     "LowRankPair",
     "zero_pair",
+    "HouseholderQR",
+    "hstack_f",
     "lr_frobenius_norm",
     "lr_inner_product",
     "lr_truncate",
@@ -34,10 +39,12 @@ __all__ = [
     "LowRankTRiccatiProblem",
     "lr_riccati_residual",
     "lr_step_and_Lresidual",
+    "lr_line_search_products",
     "lr_quadratic_term",
 ]
 
 _RCOND_LIMIT = 1e-14  # smallest capacitance rcond a ShiftedOperator accepts
+_QR_BLOCK = 32  # panel width of HouseholderQR's dgeqrt
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,58 @@ def lr_inner_product(M, N):
     return float(np.tensordot(G1, G2.T))
 
 
+class HouseholderQR:
+    """F = Q R for an n-by-k F, tall or wide, by LAPACK's recursive
+    Householder QR (dgeqrt; Elmroth & Gustavson, IBM J. Res. Dev. 44
+    (2000)): the algorithm of ``np.linalg.qr`` with BLAS-3 panels.
+
+    R is min(n, k)-by-k upper trapezoidal.  Q, n-by-min(n, k) with
+    orthonormal columns, is kept as its compact-WY reflectors and only
+    applied (dgemqrt), never formed.
+    """
+
+    def __init__(self, F):
+        n, k = F.shape
+        self.n = n
+        r = min(n, k)
+        if r == 0:
+            self.R = np.zeros((0, k))
+            return
+        a, self._t, info = lapack.dgeqrt(min(_QR_BLOCK, r), F)
+        if info:
+            raise ValueError("dgeqrt: illegal argument %d" % -info)
+        self._v = a[:, :r]  # unit lower trapezoidal reflectors
+        self.R = np.triu(a[:r])
+
+    def _apply(self, C, trans):
+        c, info = lapack.dgemqrt(self._v, self._t, C, trans=trans,
+                                 overwrite_c=1)
+        if info:
+            raise ValueError("dgemqrt: illegal argument %d" % -info)
+        return c
+
+    def apply(self, C):
+        """Q @ C for C with min(n, k) rows; Fortran-ordered n-row result."""
+        out = np.zeros((self.n, C.shape[1]), order="F")
+        out[:C.shape[0]] = C
+        if C.shape[0] == 0:
+            return out
+        return self._apply(out, "N")
+
+    def project(self, Y):
+        """Q.T @ Y for Y with n rows."""
+        r = self.R.shape[0]
+        if r == 0:
+            return np.zeros((0, Y.shape[1]))
+        return self._apply(np.array(Y, order="F"), "T")[:r]
+
+
+def hstack_f(blocks):
+    """np.hstack of column blocks, in Fortran order: the layout dgeqrt
+    copies straight, where a C-ordered factor costs a transposing copy."""
+    return np.concatenate([b.T for b in blocks]).T
+
+
 def lr_frobenius_norm(M):
     """||P1 @ P2.T||_F without forming the product.
 
@@ -94,46 +153,45 @@ def lr_frobenius_norm(M):
     """
     if M.rank == 0:
         return 0.0
-    R1 = np.linalg.qr(M.P1, mode="r")
-    R2 = np.linalg.qr(M.P2, mode="r")
-    return float(np.linalg.norm(R1 @ R2.T))
+    core = HouseholderQR(M.P1).R @ HouseholderQR(M.P2).R.T
+    return float(np.linalg.norm(core))
 
 
 def lr_truncate(M, tol=1e-12, rel_tail=None):
-    """Recompress a pair: economy QR of both factors, then ``svd_cut`` of
-    the small core R1 R2^T (see there for tol and rel_tail).
+    """Recompress a pair: thin QRs P1 = Q1 R1, P2 = Q2 R2, then
+    ``svd_cut`` of the small core R1 R2^T (see there for tol and
+    rel_tail); the reflectors of Q1 and Q2 are applied only to the kept
+    columns, so neither Q is formed.
 
     Returns a pair with orthogonal-times-sqrt-singular-value balanced factors.
     """
     if M.rank == 0:
         return M
-    Q1, R1 = np.linalg.qr(M.P1)
-    Q2, R2 = np.linalg.qr(M.P2)
-    return svd_cut(Q1, R1 @ R2.T, Q2, tol, rel_tail)
+    qr1, qr2 = HouseholderQR(M.P1), HouseholderQR(M.P2)
+    G1, G2 = svd_cut(qr1.R @ qr2.R.T, tol, rel_tail)
+    return LowRankPair(qr1.apply(G1), qr2.apply(G2))
 
 
-def svd_cut(Q1, core, Q2, tol, rel_tail=None):
-    """Q1 @ core @ Q2.T as a balanced pair, for Q1, Q2 with orthonormal
-    columns: SVD of the small core, singular values at or below
-    tol * sigma_max dropped.
+def svd_cut(core, tol, rel_tail=None):
+    """The balanced cut (G1, G2) of a small core, core ~= G1 @ G2.T: SVD
+    of the core, singular values at or below tol * sigma_max dropped, and
+    G1 = U_k sqrt(s_k), G2 = V_k sqrt(s_k) for the kept k (possibly 0).
+    A caller with core = Q1^T M Q2 lifts the cut with Q1 @ G1 and Q2 @ G2.
 
     rel_tail, when given, also drops the longest run of trailing singular
     values whose combined Frobenius norm sqrt(sum s_i^2) is at most
     rel_tail * ||core||_F; that is exactly the Frobenius error of the cut.
     """
-    n1, n2 = Q1.shape[0], Q2.shape[0]
     U, s, Vt = np.linalg.svd(core)
-    if s.size == 0 or s[0] == 0.0:
-        return zero_pair(n1, n2)
-    keep = int(np.sum(s > tol * s[0]))
-    if rel_tail is not None:
-        # tail2[k] = sum_{i >= k} (s_i / s_0)^2, nonincreasing in k
-        tail2 = np.cumsum(((s / s[0]) ** 2)[::-1])[::-1]
-        keep = min(keep, int(np.sum(tail2 > (rel_tail ** 2) * tail2[0])))
-    if keep == 0:
-        return zero_pair(n1, n2)
+    keep = 0
+    if s.size and s[0] > 0.0:
+        keep = int(np.sum(s > tol * s[0]))
+        if rel_tail is not None:
+            # tail2[k] = sum_{i >= k} (s_i / s_0)^2, nonincreasing in k
+            tail2 = np.cumsum(((s / s[0]) ** 2)[::-1])[::-1]
+            keep = min(keep, int(np.sum(tail2 > (rel_tail ** 2) * tail2[0])))
     root = np.sqrt(s[:keep])
-    return LowRankPair(Q1 @ (U[:, :keep] * root), Q2 @ (Vt[:keep].T * root))
+    return U[:, :keep] * root, Vt[:keep].T * root
 
 
 class MatrixOperator:
@@ -313,8 +371,8 @@ def lr_riccati_residual(prob, X):
     """
     P1, P2 = X.P1, X.P2
     XBX = lr_quadratic_term(X, prob.B1, prob.B2)
-    F1 = np.hstack([prob.D.matvec(P1), P2, -XBX.P1, prob.C1.T])
-    F2 = np.hstack([P2, prob.A.rmatvec(P1), XBX.P2, prob.C2.T])
+    F1 = hstack_f([prob.D.matvec(P1), P2, -XBX.P1, prob.C1.T])
+    F2 = hstack_f([P2, prob.A.rmatvec(P1), XBX.P2, prob.C2.T])
     return LowRankPair(F1, F2)
 
 
@@ -323,9 +381,16 @@ def lr_step_and_Lresidual(prob, X, X_tilde, trunc_tol=None):
 
         L = (D - X^T B) X_tilde + X_tilde^T (A - B X) + X^T B X + C,
 
-    both in factored form.  L concatenates the six term-by-term blocks of
-    that sum; either output is optionally recompressed when trunc_tol is
-    given.
+    both in factored form.  L's six terms are grouped by their shared
+    factors, D X~ + X~^T (A - B X) + X^T B (X - X~) + C:
+
+        L1 = [D T1, T2, P2, C1^T]
+        L2 = [T2, A^T T1 - P2 (beta alpha_t^T),
+              (P2 beta - T2 beta_t) alpha^T, C2^T]
+
+    for X = P1 P2^T, X~ = T1 T2^T, alpha = P1^T B1, beta = P1^T B2 and
+    alpha_t, beta_t the same with T1; width 2 t~ + t + q.  Either output
+    is optionally recompressed when trunc_tol is given.
     """
     P1, P2 = X.P1, X.P2
     T1, T2 = X_tilde.P1, X_tilde.P2
@@ -334,27 +399,38 @@ def lr_step_and_Lresidual(prob, X, X_tilde, trunc_tol=None):
     alpha_t = T1.T @ prob.B1
     beta_t = T1.T @ prob.B2
     S = LowRankPair(np.hstack([T1, -P1]), np.hstack([T2, P2]))
-    L1 = np.hstack([
-        prob.D.matvec(T1),        # D X~
-        -P2 @ (alpha @ beta_t.T),  # - X^T B X~
-        T2,                        # X~^T A
-        T2,                        # - X~^T B X
-        P2 @ alpha,                # + X^T B X
-        prob.C1.T,                 # + C
-    ])
-    L2 = np.hstack([
-        T2,
-        T2,
-        prob.A.rmatvec(T1),
-        -P2 @ (beta @ alpha_t.T),
-        P2 @ beta,
-        prob.C2.T,
-    ])
+    L1 = hstack_f([prob.D.matvec(T1), T2, P2, prob.C1.T])
+    L2 = hstack_f([T2,
+                   prob.A.rmatvec(T1) - P2 @ (beta @ alpha_t.T),
+                   (P2 @ beta - T2 @ beta_t) @ alpha.T,
+                   prob.C2.T])
     L = LowRankPair(L1, L2)
     if trunc_tol is not None:
         S = lr_truncate(S, trunc_tol)
         L = lr_truncate(L, trunc_tol)
     return S, L
+
+
+def lr_line_search_products(R, L, SBS):
+    """(||L||_F^2, <R, L>, <L, SBS>), the three line-search products that
+    involve the inner residual L, read off L's own thin QRs.
+
+    With L1 = Q1 R_L1 and L2 = Q2 R_L2, L = Q1 K Q2^T for the small core
+    K = R_L1 R_L2^T, so ||L||^2 = ||K||^2 and <M, L> = <(Q1^T M1)(Q2^T
+    M2)^T, K> for a pair M.  K is formed after the orthogonal reduction,
+    so the error in ||L||^2 scales as eps * ||blocks||^2 * ||L||; the Gram
+    trace sum((L1^T L1) * (L2^T L2)) adds up terms of size ||blocks||^4
+    and, late in the iteration where L is small next to its blocks, is
+    noise (Benner, Heinkenschloss, Saak & Weichelt, Appl. Numer. Math.
+    108 (2016)).
+    """
+    qr1, qr2 = HouseholderQR(L.P1), HouseholderQR(L.P2)
+    K = qr1.R @ qr2.R.T
+
+    def with_L(M):
+        return float(np.vdot(qr1.project(M.P1) @ qr2.project(M.P2).T, K))
+
+    return float(np.vdot(K, K)), with_L(R), with_L(SBS)
 
 
 def lr_quadratic_term(S, B1, B2):

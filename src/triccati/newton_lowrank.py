@@ -15,9 +15,15 @@ quartic
     ||R(X_k + lam*S_k)||_F^2 = ||(1-lam) R_k + lam L - lam^2 S_k^T B S_k||_F^2
 
 over (0, theta_k], where L is the inner-solve residual and theta_k the
-admissibility cap; every accepted step must shrink the residual norm by
-the factor (1 - lam*alpha).  A step that fails the decrease test after
-truncation is retried with halved lam a few times, then the run is
+admissibility cap.  Of the quartic's six products, ||R_k||^2 is the
+square of the residual norm already taken; ||L||^2, <R_k, L> and
+<L, S_k^T B S_k> come from the small core of L in the bases of L's own
+thin QRs (``lr_line_search_products``), because late in the iteration L
+is small next to its blocks and a Gram trace of its factors is rounding
+noise; ||S_k^T B S_k||^2 and <R_k, S_k^T B S_k> are Gram traces of the
+rank-p pair S_k^T B S_k.  Every accepted step must shrink the residual
+norm by the factor (1 - lam*alpha).  A step that fails the decrease test
+after truncation is retried with halved lam a few times, then the run is
 reported as Diverged, and so is an accepted iterate wider than the rank
 cap.  Inner-solver failures (stagnation, basis breakdown, singular
 projected equations) surface as InnerSolveFailed reports carrying the
@@ -48,8 +54,10 @@ from dataclasses import dataclass
 from .krylov import solve_tsylv_krylov
 from .lowrank import (
     LowRankPair,
+    hstack_f,
     lr_frobenius_norm,
     lr_inner_product,
+    lr_line_search_products,
     lr_quadratic_term,
     lr_riccati_residual,
     lr_step_and_Lresidual,
@@ -163,10 +171,14 @@ def min_entry_ratio(X):
     return float(np.min(vals) / top) if top > 0.0 else 0.0
 
 
-def _failure_row(k, res, rel, inner_its, rank, history):
+def _failure_row(k, res, rel, rank, inner):
     return IterationRecord(k=k, residual_norm=res, relative_residual=rel,
-                           step_size=0.0, inner_iterations=inner_its,
-                           iterate_rank=rank, inner_residuals=history)
+                           step_size=0.0, inner_iterations=inner.iterations,
+                           iterate_rank=rank,
+                           inner_residuals=list(inner.residuals),
+                           basis_dim=inner.basis_dim,
+                           inner_message=None if inner.converged
+                           else inner.message)
 
 
 def _recompress_converged(prob, X, res, stop, eps):
@@ -223,7 +235,7 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
     if res <= stop:
         records.append(IterationRecord(k=0, residual_norm=res,
                                        relative_residual=rel,
-                                       iterate_rank=X.rank,
+                                       iterate_rank=X.rank, basis_dim=0,
                                        nonnegative=True, min_entry_ratio=0.0))
         return X, report(Status.CONVERGED)
 
@@ -234,8 +246,7 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
                                        trunc_tol=cfg.trunc_tol)
         mem = max(mem, inner.basis_dim)
         if Xt is None:
-            records.append(_failure_row(k + 1, res, rel, inner.iterations,
-                                        X.rank, list(inner.residuals)))
+            records.append(_failure_row(k + 1, res, rel, X.rank, inner))
             warnings.append("inner solve failed at sweep %d: %s"
                             % (k + 1, inner.message))
             status = Status.INNER_SOLVE_FAILED
@@ -243,13 +254,13 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
 
         S, L = lr_step_and_Lresidual(prob, X, Xt)
         SBS = lr_quadratic_term(S, prob.B1, prob.B2)
-        poly = LineSearchPoly(alpha_k=res * res,
-                              beta_k=lr_inner_product(L, L),
-                              gamma_k=lr_inner_product(R, L),
+        del S  # only S^T B S enters the quartic; free it before L's QRs
+        beta_k, gamma_k, xi_k = lr_line_search_products(R, L, SBS)
+        poly = LineSearchPoly(alpha_k=res * res, beta_k=beta_k,
+                              gamma_k=gamma_k,
                               delta_k=lr_inner_product(SBS, SBS),
-                              eps_k=lr_inner_product(R, SBS),
-                              xi_k=lr_inner_product(L, SBS))
-        del S, L, SBS, R  # the failure rows below need only res
+                              eps_k=lr_inner_product(R, SBS), xi_k=xi_k)
+        del L, SBS, R  # the failure rows below need only res
         theta = compute_theta(poly.alpha_k, poly.delta_k, cfg)
         lam = minimize_quartic(poly, theta)
         if abs(lam - 1.0) <= 1e-8:
@@ -258,8 +269,8 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
         tail = _SWEEP_TAIL * eta_k * rel
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
-            cand = LowRankPair(np.hstack([X.P1, Xt.P1]),
-                               np.hstack([(1.0 - lam) * X.P2, lam * Xt.P2]))
+            cand = LowRankPair(hstack_f([X.P1, Xt.P1]),
+                               hstack_f([(1.0 - lam) * X.P2, lam * Xt.P2]))
             Xn = lr_truncate(cand, tol=cfg.trunc_tol, rel_tail=tail)
             Rn = lr_riccati_residual(prob, Xn)
             res_n = lr_frobenius_norm(Rn)
@@ -268,16 +279,14 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
                 break
             lam *= 0.5
         if not accepted:
-            records.append(_failure_row(k + 1, res, rel, inner.iterations,
-                                        X.rank, list(inner.residuals)))
+            records.append(_failure_row(k + 1, res, rel, X.rank, inner))
             warnings.append("step rejected at sweep %d: no decrease down to "
                             "lam = %.3e" % (k + 1, lam))
             status = Status.DIVERGED
             break
         if Xn.rank > cap:
             rel_n = res_n / c_norm if c_norm > 0.0 else res_n
-            records.append(_failure_row(k + 1, res_n, rel_n, inner.iterations,
-                                        Xn.rank, list(inner.residuals)))
+            records.append(_failure_row(k + 1, res_n, rel_n, Xn.rank, inner))
             warnings.append("iterate rank %d exceeds the configured cap %d "
                             "at sweep %d" % (Xn.rank, cap, k + 1))
             status = Status.DIVERGED
@@ -294,7 +303,7 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
             k=k + 1, residual_norm=res, relative_residual=rel,
             step_size=lam, inner_iterations=inner.iterations,
             iterate_rank=X.rank, rank_before_cut=width,
-            inner_residuals=list(inner.residuals),
+            inner_residuals=list(inner.residuals), basis_dim=inner.basis_dim,
             nonnegative=nonnegativity_monitor(X),
             min_entry_ratio=min_entry_ratio(X)))
         if keep_iterates:

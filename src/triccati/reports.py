@@ -24,8 +24,9 @@ class IterationRecord:
     (1 when no search ran); rank_before_cut is the width of a factored
     iterate before its truncation to iterate_rank; inner_residuals keeps
     the per-expansion history of the inner projected solver when one was
-    used; nonnegative and min_entry_ratio observe the sign of factored
-    iterates.
+    used, basis_dim the order of its last projected equation and
+    inner_message why it failed (on a failure row only); nonnegative and
+    min_entry_ratio observe the sign of factored iterates.
     """
 
     k: int
@@ -38,6 +39,8 @@ class IterationRecord:
     inner_residuals: list | None = None
     nonnegative: bool | None = None
     min_entry_ratio: float | None = None
+    basis_dim: int | None = None
+    inner_message: str | None = None
 
     def to_row(self):
         row = {
@@ -56,6 +59,10 @@ class IterationRecord:
             row["nonnegative"] = bool(self.nonnegative)
         if self.min_entry_ratio is not None:
             row["min_entry_ratio"] = float(self.min_entry_ratio)
+        if self.basis_dim is not None:
+            row["basis_dim"] = int(self.basis_dim)
+        if self.inner_message is not None:
+            row["inner_message"] = self.inner_message
         return row
 
 

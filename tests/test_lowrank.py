@@ -6,12 +6,14 @@ import scipy.sparse as sp
 
 from triccati.errors import SingularCapacitanceError
 from triccati.lowrank import (
+    HouseholderQR,
     LowRankPair,
     LowRankTRiccatiProblem,
     MatrixOperator,
     ShiftedOperator,
     lr_frobenius_norm,
     lr_inner_product,
+    lr_line_search_products,
     lr_quadratic_term,
     lr_riccati_residual,
     lr_step_and_Lresidual,
@@ -130,6 +132,65 @@ class TestTruncate:
         assert np.allclose(c1, c2, rtol=1e-8)
 
 
+def residual_shaped(n=40, t=6, p=1, q=3):
+    """Rank-deficient factors of the residual's shape [D P1, P2, P2 a, C1^T]:
+    the XBX block P2 a lies in the span of the P2 block."""
+    P1 = rng.standard_normal((n, t))
+    P2 = rng.standard_normal((n, t))
+    D = np.diag(3.0 + rng.random(n))
+    a = rng.standard_normal((t, p))
+    return np.hstack([D @ P1, P2, -P2 @ a, rng.random((n, q))])
+
+
+class TestHouseholderQR:
+    """Against np.linalg.qr, the same Householder algorithm unblocked."""
+
+    @pytest.mark.parametrize("shape", [(50, 7), (40, 40), (3, 5), (1, 2),
+                                       (300, 70)])
+    def test_matches_numpy_qr(self, shape):
+        F = rng.standard_normal(shape)
+        Q, R = np.linalg.qr(F)
+        qr = HouseholderQR(F)
+        scale = np.linalg.norm(F)
+        assert qr.R.shape == R.shape
+        assert np.allclose(qr.R, R, rtol=0.0, atol=1e-13 * scale)
+        C = rng.standard_normal((R.shape[0], 4))
+        assert np.allclose(qr.apply(C), Q @ C, rtol=0.0, atol=1e-13 * np.linalg.norm(C))
+        Y = rng.standard_normal((shape[0], 3))
+        assert np.allclose(qr.project(Y), Q.T @ Y, rtol=0.0, atol=1e-13 * np.linalg.norm(Y))
+
+    def test_zero_width(self):
+        qr = HouseholderQR(np.zeros((20, 0)))
+        assert qr.R.shape == (0, 0)
+        assert np.array_equal(qr.apply(np.zeros((0, 3))), np.zeros((20, 3)))
+        assert qr.project(np.ones((20, 3))).shape == (0, 3)
+
+    def test_rank_deficient_residual_factors(self):
+        t = 6
+        F = residual_shaped(t=t)
+        _, R = np.linalg.qr(F)
+        qr = HouseholderQR(F)
+        scale = np.linalg.norm(F)
+        # R is unique on the full-rank leading 2t columns; past the
+        # dependent block its rows depend on rounding noise, in both
+        assert np.allclose(qr.R[:, :2 * t], R[:, :2 * t], rtol=0.0,
+                           atol=1e-13 * scale)
+        assert np.allclose(np.linalg.svd(qr.R, compute_uv=False),
+                           np.linalg.svd(R, compute_uv=False),
+                           rtol=0.0, atol=1e-13 * scale)
+        Q = qr.apply(np.eye(qr.R.shape[0]))
+        assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0.0, atol=1e-13)
+        assert np.allclose(Q @ qr.R, F, rtol=0.0, atol=1e-13 * scale)
+
+    def test_norm_and_truncate_of_wide_factors(self):
+        # n = 1 with two columns: one reflector for two columns
+        M = LowRankPair(np.array([[2.0, -1.0]]), np.array([[1.5, 4.0]]))
+        assert lr_frobenius_norm(M) == pytest.approx(1.0, rel=1e-15)
+        T = lr_truncate(M)
+        assert T.rank == 1
+        assert T.to_dense() == pytest.approx(np.array([[-1.0]]), rel=1e-15)
+
+
 SPECTRUM = np.array([1.0, 1e-3, 1e-6, 1e-9])
 
 
@@ -173,6 +234,68 @@ class TestTruncateTailBudget:
         # the stricter of the two rules decides
         assert lr_truncate(M, tol=1e-4, rel_tail=1e-10).rank == 2
         assert lr_truncate(M, tol=1e-12, rel_tail=1e-5).rank == 2
+
+
+class TestTruncateAccuracy:
+    def test_singular_values_and_orthonormal_factors(self):
+        s = np.array([3.0, 1.0, 0.25, 1e-3, 1e-7])
+        for n, m in [(60, 45), (200, 30)]:
+            M = spectrum_pair(s, n=n, m=m)
+            # two copies of each column make the factors rank deficient
+            M = LowRankPair(np.hstack([M.P1, M.P1]), 0.5 * np.hstack([M.P2, M.P2]))
+            T = lr_truncate(M, tol=1e-12)
+            assert T.rank == s.size
+            # the reference: np.linalg.qr of both factors, SVD of the core
+            R1, R2 = np.linalg.qr(M.P1)[1], np.linalg.qr(M.P2)[1]
+            ref = np.linalg.svd(R1 @ R2.T, compute_uv=False)[:s.size]
+            # balanced factors: column i of each is sqrt(s_i) times a unit vector
+            got = np.linalg.norm(T.P1, axis=0) * np.linalg.norm(T.P2, axis=0)
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-13 * ref[0])
+            assert np.allclose(got, s, rtol=0.0, atol=1e-13 * s[0])
+            for P in (T.P1, T.P2):
+                G = P / np.sqrt(got)
+                assert np.allclose(G.T @ G, np.eye(s.size), rtol=0.0, atol=1e-13)
+
+    def test_residual_shaped_pair(self):
+        F1 = residual_shaped()
+        F2 = residual_shaped()
+        M = LowRankPair(F1, F2)
+        T = lr_truncate(M, tol=1e-14)
+        R1, R2 = np.linalg.qr(F1)[1], np.linalg.qr(F2)[1]
+        want = np.linalg.svd(R1 @ R2.T, compute_uv=False)
+        got = np.linalg.norm(T.P1, axis=0) * np.linalg.norm(T.P2, axis=0)
+        keep = T.rank
+        assert np.allclose(got, want[:keep], rtol=0.0, atol=1e-13 * want[0])
+        assert np.all(want[keep:] <= 1e-14 * want[0] * (1 + 1e-6))
+
+
+class TestLineSearchProducts:
+    def test_match_dense_products(self):
+        R, L, SBS = rand_pair(20, 20, 6), rand_pair(20, 20, 9), rand_pair(20, 20, 2)
+        beta, gamma, xi = lr_line_search_products(R, L, SBS)
+        Ld = L.to_dense()
+        assert beta == pytest.approx(np.sum(Ld * Ld), rel=1e-13)
+        assert gamma == pytest.approx(np.sum(R.to_dense() * Ld), rel=1e-12)
+        assert xi == pytest.approx(np.sum(SBS.to_dense() * Ld), rel=1e-12)
+
+    def test_small_L_of_cancelling_blocks(self):
+        # L = G H^T - G H^T + 1e-9 G E^T from O(1) blocks; the Gram trace
+        # sum((L1^T L1) * (L2^T L2)) adds O(1) terms to get ~1e-18 and is
+        # off by orders of magnitude, the core of L's QRs is not
+        n = 60
+        G = rng.standard_normal((n, 3))
+        H = rng.standard_normal((n, 3))
+        E = rng.standard_normal((n, 3))
+        G, H, E = (M / np.linalg.norm(M) for M in (G, H, E))
+        H2 = -H + 1e-9 * E
+        L = LowRankPair(np.hstack([G, G]), np.hstack([H, H2]))
+        Ld = G @ (H + H2).T  # H + H2 is exact (Sterbenz)
+        R, SBS = rand_pair(n, n, 4), rand_pair(n, n, 2)
+        beta, gamma, xi = lr_line_search_products(R, L, SBS)
+        assert np.linalg.norm(Ld) == pytest.approx(1e-9, rel=0.9)
+        assert beta == pytest.approx(np.sum(Ld * Ld), rel=1e-6, abs=0.0)
+        assert gamma == pytest.approx(np.sum(R.to_dense() * Ld), rel=1e-6, abs=0.0)
+        assert xi == pytest.approx(np.sum(SBS.to_dense() * Ld), rel=1e-6, abs=0.0)
 
 
 class TestMatrixOperator:
@@ -318,6 +441,28 @@ class TestResidualAndStep:
         assert np.allclose(S.to_dense(), Td - Xd, atol=1e-12)
         wantL = (D - Xd.T @ B) @ Td + Td.T @ (A - B @ Xd) + Xd.T @ B @ Xd + C
         assert np.allclose(L.to_dense(), wantL, atol=1e-9)
+
+    def test_grouped_L_equals_six_block_L(self):
+        prob = small_problem(n=30, p=2, q=3, sparse=True)
+        X = rand_pair(30, 30, 4, scale=0.3)
+        Xt = rand_pair(30, 30, 7, scale=0.3)
+        _, L = lr_step_and_Lresidual(prob, X, Xt)
+        P1, P2, T1, T2 = X.P1, X.P2, Xt.P1, Xt.P2
+        alpha, beta = P1.T @ prob.B1, P1.T @ prob.B2
+        alpha_t, beta_t = T1.T @ prob.B1, T1.T @ prob.B2
+        # the term-by-term form: D X~, -X^T B X~, X~^T A, -X~^T B X, X^T B X, C
+        blocks = [
+            (prob.D.matvec(T1), T2),
+            (-P2 @ (alpha @ beta_t.T), T2),
+            (T2, prob.A.rmatvec(T1)),
+            (T2, -P2 @ (beta @ alpha_t.T)),
+            (P2 @ alpha, P2 @ beta),
+            (prob.C1.T, prob.C2.T),
+        ]
+        six = sum(F1 @ F2.T for F1, F2 in blocks)
+        size = max(np.linalg.norm(F1) * np.linalg.norm(F2) for F1, F2 in blocks)
+        assert L.rank == 2 * 7 + 4 + 3
+        assert np.linalg.norm(L.to_dense() - six) <= 1e-14 * size
 
     def test_step_truncation_preserves_value(self):
         prob = small_problem(n=10, p=1, q=1)

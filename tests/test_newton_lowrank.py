@@ -1,6 +1,11 @@
 """Outer factored Newton driver: config contracts, step-length rules, and
 equivalence with the dense solver on desk-size instances."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -156,12 +161,28 @@ class TestMinEntryRatio:
         assert rep.iterations[-1].min_entry_ratio == min_entry_ratio(X)
 
 
+def tight_config():
+    return InexactNewtonConfig(eps=1e-9, eta_schedule=lambda k: 1e-8)
+
+
+def sweep_summary(seeds):
+    """Status and per-sweep (inner iterations, rank, lambda) of the tight
+    n=40 solves of TestSolver.test_matches_dense_newton."""
+    out = []
+    for seed in seeds:
+        _, rep = solve_inexact_newton(make_problem(n=40, seed=seed),
+                                      tight_config())
+        out.append([rep.status.value,
+                    [[r.inner_iterations, r.iterate_rank, r.step_size]
+                     for r in rep.iterations]])
+    return out
+
+
 class TestSolver:
     def test_matches_dense_newton(self):
         for seed in range(3):
             prob = make_problem(n=40, seed=seed)
-            cfg = InexactNewtonConfig(eps=1e-9,
-                                      eta_schedule=lambda k: 1e-8)
+            cfg = tight_config()
             X, rep = solve_inexact_newton(prob, cfg)
             assert rep.status is tr.Status.CONVERGED
             Xd, repd = solve_newton(densify(prob), tol=1e-12)
@@ -267,6 +288,23 @@ class TestSolver:
         assert rep.iterations[-1].iterate_rank > 1
         assert any("cap 1" in w for w in rep.warnings)
 
+    def test_inner_diagnostics_in_trace(self):
+        _, rep = solve_inexact_newton(make_problem(n=40, seed=1),
+                                      tight_config())
+        assert rep.status is tr.Status.CONVERGED
+        rows = rep.trace_rows()
+        dims = [row["basis_dim"] for row in rows]
+        assert all(d > 0 for d in dims) and max(dims) == rep.memory_metric
+        assert all("inner_message" not in row for row in rows)
+        # no expansion allowed: the one sweep fails, and its row says why
+        _, rep = solve_inexact_newton(make_problem(n=40, seed=5),
+                                      InexactNewtonConfig(eps=1e-10, m_max=0))
+        assert rep.status is tr.Status.INNER_SOLVE_FAILED
+        row = rep.trace_rows()[-1]
+        assert row["basis_dim"] > 0
+        assert row["inner_message"] == "m_max reached before tolerance"
+        assert rep.warnings[-1].endswith(row["inner_message"])
+
     def test_step_rejected_after_halvings(self, monkeypatch):
         # a decrease test that never passes: every halving is tried, then
         # the sweep is recorded with step 0 and the report keeps X_0 = 0
@@ -292,6 +330,30 @@ class TestSolver:
         assert X.rank == 0 and rep.solution_rank == 0
         assert rep.final_relative_residual == pytest.approx(1.0, rel=1e-12)
         assert rep.min_step_size is None
+
+
+class TestThreadRobustness:
+    def test_one_blas_thread_takes_the_same_steps(self):
+        # the discrete decisions (status, sweeps, ranks, inner counts) must
+        # not hinge on how BLAS splits its sums; run the tight solves again
+        # in one child process with a single OpenBLAS thread
+        here = pathlib.Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+        code = ("import json, sys; sys.path.insert(0, %r); "
+                "import test_newton_lowrank as t; "
+                "print(json.dumps(t.sweep_summary(range(3))))" % str(here))
+        child = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=600)
+        assert child.returncode == 0, child.stderr
+        theirs = json.loads(child.stdout.splitlines()[-1])
+        ours = sweep_summary(range(3))
+        for (status, rows), (status1, rows1) in zip(ours, theirs):
+            assert status == status1 == "Converged"
+            assert [r[:2] for r in rows] == [r[:2] for r in rows1]
+            assert np.allclose([r[2] for r in rows], [r[2] for r in rows1],
+                               rtol=0.0, atol=1e-8)
 
 
 class TestSweepTruncation:

@@ -235,7 +235,7 @@ class TestCLI:
         assert rows and "rel_res" in rows[0]
 
     def test_bench_smoke(self, tmp_path, capsys):
-        rc = main(["bench", "--suite", "smoke", "--out", str(tmp_path)])
+        rc = main(["bench", "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("Converged") == 3

@@ -28,16 +28,23 @@ block then follows from R_II Y_II + Y_II^T L_II^T = G, a division or a
 factorization, so a solve is one LAPACK call per diagonal block.
 
 The operator is singular when two eigenvalues of the pencil multiply to 1
-(or one equals -1).  The factorization computes, for every pair of
-diagonal blocks, the reciprocal condition number of the small system that
-couples the pair in a block-by-block back-substitution, stacked by block
-sizes and batched through one SVD per chunk.  ``solve`` raises
-:class:`SingularOperatorError` when the smallest lies below
-``_RCOND_LIMIT``, or when ``dtgsyl`` reports a singular system, and can
-re-evaluate the residual of the returned X.
+(or one equals -1).  Every diagonal block, and every pair of them, has a
+small system that couples it in a block-by-block back-substitution; the
+operator counts as singular when the smallest reciprocal condition number
+(rcond) of those systems lies below ``_RCOND_LIMIT``.  The factorization
+decides only that: scalar systems by their closed forms, the others stacked
+by block sizes in chunks, where one batched Cholesky of each Gram matrix,
+shifted by the limit and a rounding margin, certifies nearly all of them,
+and only those it cannot certify (rcond below about 1e-7) go through an
+SVD.  The exact minimum, an SVD of every system, is computed when
+``TSylvSolver.rcond`` is first read.  ``solve`` raises
+:class:`SingularOperatorError` when the operator counts as singular, or
+when ``dtgsyl`` reports a singular system, and can re-evaluate the
+residual of the returned X.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -48,7 +55,8 @@ from .errors import SingularOperatorError
 
 __all__ = ["TSylvInfo", "TSylvSolver", "solve_tsylv_dense"]
 
-# pair systems per batched SVD; bounds the scratch memory of the rcond check
+# pair systems per batched Cholesky screen or SVD; bounds the scratch memory
+# of the singularity decision and of the exact rcond
 _CHUNK = 1024
 # smallest pair rcond a solve accepts
 _RCOND_LIMIT = 1e-14
@@ -56,6 +64,9 @@ _RCOND_LIMIT = 1e-14
 
 @dataclass
 class TSylvInfo:
+    """Relative residual of a returned X, re-evaluated, and the exact smallest
+    pair rcond (:attr:`TSylvSolver.rcond`)."""
+
     relative_residual: float
     rcond_estimate: float
 
@@ -104,19 +115,47 @@ def _svd_rcond(M):
     return sv[:, -1] / (sv[:, 0] + 1e-300)
 
 
-def _min_pair_rcond(R, L, blocks):
-    """Smallest reciprocal condition number over the diagonal blocks and all
-    pairs of them: closed forms for scalar blocks, SVDs otherwise."""
+def _certified(M, limit):
+    """Mask of the stacked k-by-k systems M whose rcond provably is at least limit.
+
+    Each M is scaled by a power of two, which is exact, to a largest entry in
+    [1/2, 1), so that nothing that matters underflows or overflows.  Then
+    t = trace(M^T M) = ||M||_F^2 bounds sigma_max^2, and forming G = M^T M,
+    shifting its diagonal and a Cholesky that runs to completion each move G
+    by at most about (k+1) eps t in the 2-norm (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., ch. 3 and 10).  So a Cholesky of
+    G - tau I with tau = (limit^2 + 4 (k+1) eps) t that finds every pivot
+    positive proves sigma_min^2 > limit^2 sigma_max^2.
+    """
+    k = M.shape[-1]
+    _, e = np.frexp(np.abs(M).max(axis=(1, 2)))
+    M = np.ldexp(M, -e[:, None, None])
+    # G[i, j] holds entry (i, j) of every Gram matrix, contiguous over the stack
+    G = np.matmul(M.transpose(0, 2, 1), M).transpose(1, 2, 0).copy()
+    d = np.arange(k)
+    G[d, d] -= (limit * limit + 4 * (k + 1) * np.finfo(float).eps) * G[d, d].sum(axis=0)
+    ok = np.ones(M.shape[0], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(k):
+            ok &= G[j, j] > 0
+            c = G[j + 1:, j] / np.sqrt(np.where(ok, G[j, j], 1.0))
+            G[j + 1:, j + 1:] -= c[:, None] * c[None, :]
+    return ok
+
+
+def _pair_batches(R, L, blocks):
+    """The small systems of the diagonal blocks and of all pairs of them, in
+    chunks: the rcond of scalar ones in closed form (1-D), the matrices of
+    the others stacked (3-D)."""
     starts = np.array([s for s, _ in blocks])
     sizes = np.array([e - s for s, e in blocks])
     st = {a: starts[sizes == a] for a in (1, 2)}
     idx = {a: st[a][:, None] + np.arange(a) for a in (1, 2)}
     rd = {a: R[idx[a][:, :, None], idx[a][:, None, :]] for a in (1, 2)}
     ld = {a: L[idx[a][:, :, None], idx[a][:, None, :]] for a in (1, 2)}
-    found = [1.0]
     r, l = rd[1][:, 0, 0], ld[1][:, 0, 0]
-    found.append(np.abs(r + l) / (np.abs(r) + np.abs(l) + 1e-300))
-    found.append(_svd_rcond(_diag_systems(rd[2], ld[2])))
+    yield np.abs(r + l) / (np.abs(r) + np.abs(l) + 1e-300)
+    yield _diag_systems(rd[2], ld[2])
     for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
         p, q = np.nonzero(st[a][:, None] < st[b][None, :])
         for c in range(0, p.size, _CHUNK):
@@ -124,16 +163,37 @@ def _min_pair_rcond(R, L, blocks):
             if a == b == 1:
                 r1, r2 = rd[1][pc, 0, 0], rd[1][qc, 0, 0]
                 l1, l2 = ld[1][pc, 0, 0], ld[1][qc, 0, 0]
-                found.append(np.abs(r1 * r2 - l1 * l2)
-                             / (r1 * r1 + r2 * r2 + l1 * l1 + l2 * l2 + 1e-300))
+                yield (np.abs(r1 * r2 - l1 * l2)
+                       / (r1 * r1 + r2 * r2 + l1 * l1 + l2 * l2 + 1e-300))
             else:
-                found.append(_svd_rcond(_pair_systems(
-                    rd[a][pc], ld[a][pc], rd[b][qc], ld[b][qc])))
-    return float(min(np.min(f, initial=1.0) for f in found))
+                yield _pair_systems(rd[a][pc], ld[a][pc], rd[b][qc], ld[b][qc])
+
+
+def _min_pair_rcond(R, L, blocks):
+    """Smallest reciprocal condition number over the diagonal blocks and all
+    pairs of them: closed forms for scalar blocks, SVDs otherwise."""
+    return float(min(np.min(f if f.ndim == 1 else _svd_rcond(f), initial=1.0)
+                     for f in _pair_batches(R, L, blocks)))
+
+
+def _any_pair_below(R, L, blocks, limit):
+    """Whether ``_min_pair_rcond(R, L, blocks) < limit``, with SVDs only for
+    the systems that :func:`_certified` leaves open."""
+    for f in _pair_batches(R, L, blocks):
+        if f.ndim == 3:
+            f = _svd_rcond(f[~_certified(f, limit)])
+        if np.any(f < limit):
+            return True
+    return False
 
 
 class TSylvSolver:
-    """Factor the operator X -> D X + X^T A once, then solve many right-hand sides."""
+    """Factor the operator X -> D X + X^T A once, then solve many right-hand sides.
+
+    The factorization also decides whether the operator is singular (see
+    the module docstring); the exact smallest pair rcond, ``rcond``, costs
+    an SVD per pair of diagonal blocks and is computed only when read.
+    """
 
     def __init__(self, D, A):
         D = np.asarray(D, dtype=float)
@@ -146,13 +206,13 @@ class TSylvSolver:
         self.D = D
         self.A = A
         self.blocks = []
-        self.rcond = 1.0
+        self._singular = False
         if not self.n:
             return
         R, L, Q, Z = scipy.linalg.qz(D, A.T, output="real")
         self.R, self.L, self.Q, self.Z = R, L, Q, Z
         self.blocks = _quasi_blocks(R)
-        self.rcond = _min_pair_rcond(R, L, self.blocks)
+        self._singular = _any_pair_below(R, L, self.blocks, _RCOND_LIMIT)
         # per block: the right-hand pencil of its dtgsyl step in Schur form,
         # (B, E) with L_II^T = Qb B Zb^T, R_II^T = Qb E Zb^T, and the LU
         # factors of its diagonal system
@@ -167,12 +227,19 @@ class TSylvSolver:
                 lu = scipy.linalg.lu_factor(_diag_systems(Rii, Lii))
                 self._steps.append((B, E, Qb, Zb, lu))
 
+    @cached_property
+    def rcond(self):
+        """Smallest reciprocal condition number among the diagonal-block pair
+        systems, computed on first read and then kept."""
+        return _min_pair_rcond(self.R, self.L, self.blocks) if self.n else 1.0
+
     def solve(self, E, return_info=False):
         """Solve D X + X^T A = E.
 
         With return_info=True also returns :class:`TSylvInfo` carrying the
-        re-evaluated relative residual and the smallest reciprocal condition
-        number among the diagonal-block pair systems.
+        re-evaluated relative residual and ``rcond``, the exact smallest
+        reciprocal condition number among the diagonal-block pair systems
+        (computed on the first such call).
         """
         E = np.asarray(E, dtype=float)
         if E.shape != (self.n, self.n):
@@ -181,7 +248,7 @@ class TSylvSolver:
         if n == 0:
             X = np.zeros((0, 0))
             return (X, TSylvInfo(0.0, 1.0)) if return_info else X
-        if self.rcond < _RCOND_LIMIT:
+        if self._singular:
             raise SingularOperatorError(
                 "T-Sylvester operator is singular to working precision",
                 rcond=self.rcond)

@@ -1,6 +1,8 @@
 """QZ-based solver for D X + X^T A = E against the brute-force oracle
 and against a block-pair back-substitution on the same QZ factors."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,8 +10,9 @@ import scipy.linalg
 import triccati as tr
 from triccati import tsylv_dense
 from triccati.dense_core import tsylv_oracle_solve
+from triccati.generators import generate_ex2_dense
 from triccati.reports import Status
-from triccati.riccati_dense import TRiccatiProblem, solve_fixed_point
+from triccati.riccati_dense import TRiccatiProblem, solve_fixed_point, solve_newton
 from triccati.tsylv_dense import TSylvSolver, solve_tsylv_dense
 
 
@@ -133,6 +136,48 @@ def singular_pair_pencil(lam7=0.5):
     return D, At.T
 
 
+def reciprocal_pair_pencil(delta):
+    """n = 8, triangular D and A^T with two 2x2 blocks whose eigenvalues,
+    3 exp(+-0.6i) and (1 + delta)/3 exp(-+0.6i), multiply to 1 + delta: at
+    delta = 0 the 8x8 system of that block pair is singular."""
+    rng = np.random.default_rng(5)
+    n = 8
+    D = np.triu(rng.standard_normal((n, n)), 1)
+    np.fill_diagonal(D, 2.0 + np.arange(n))
+    At = np.eye(n) + 0.3 * np.triu(rng.standard_normal((n, n)), 1)
+    rot = lambda th: np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    D[0:2, 0:2] = 3.0 * rot(0.6)
+    D[2:4, 2:4] = np.diag([1.5, 2.5])
+    D[4:6, 4:6] = (1.0 + delta) / 3.0 * rot(-0.6)
+    At[0, 1] = At[4, 5] = 0.0
+    return D, At.T
+
+
+def near_singular_pencils():
+    # the lam7 pair of singular_pair_pencil is scalar-scalar (closed form);
+    # the reciprocal pair is an 8x8 system, which meets the Cholesky screen
+    for j in range(2, 16):
+        for sign in (1.0, -1.0):
+            yield singular_pair_pencil(0.5 * (1.0 + sign * 10.0 ** -j))
+            yield reciprocal_pair_pencil(sign * 10.0 ** -j)
+
+
+def pair_loop_cases(make):
+    # the pencils and right-hand sides of TestAgainstPairLoop
+    rng = np.random.default_rng(18)
+    for trial in range(12):
+        n = int(rng.integers(2, 61))
+        D, A = make(n, rng)
+        yield trial, n, D, A, rng.standard_normal((n, n))
+
+
+def general_pencil(n, rng):
+    return rng.standard_normal((n, n)), rng.standard_normal((n, n))
+
+
+PAIR_LOOP_MAKERS = [general_pencil, rotation_structured]
+
+
 class TestAgainstOracle:
     def test_random_admissible_instances(self):
         rng = np.random.default_rng(11)
@@ -217,17 +262,10 @@ class TestSingularity:
 class TestAgainstPairLoop:
     # the sweep and the pair loop share the QZ factors; only the
     # back-substitution differs, so both agree to near working precision
-    @pytest.mark.parametrize("make", [
-        lambda n, rng: (rng.standard_normal((n, n)), rng.standard_normal((n, n))),
-        rotation_structured,
-    ], ids=["general", "rotation"])
+    @pytest.mark.parametrize("make", PAIR_LOOP_MAKERS, ids=["general", "rotation"])
     def test_solution_and_rcond_match(self, make):
-        rng = np.random.default_rng(18)
         two_by_two = 0
-        for trial in range(12):
-            n = int(rng.integers(2, 61))
-            D, A = make(n, rng)
-            E = rng.standard_normal((n, n))
+        for trial, n, D, A, E in pair_loop_cases(make):
             solver = TSylvSolver(D, A)
             two_by_two += sum(e - s == 2 for s, e in solver.blocks)
             X, info = solver.solve(E, return_info=True)
@@ -289,3 +327,98 @@ class TestComplexEigenvalueCoverage:
         X = solve_tsylv_dense(D, A, E)
         res = np.linalg.norm(D @ X + X.T @ A - E)
         assert res <= 1e-9 * np.linalg.norm(E)
+
+
+def screen_stacks():
+    """Stacks of small systems for the Cholesky screen: random k-by-k
+    matrices with rcond 10^-u (u uniform on [0, 17]) scaled by 2^-600 to
+    2^600, pair and diagonal systems of random blocks, and the 3-D batches
+    of the near-singular pencils."""
+    rng = np.random.default_rng(21)
+    count = 400
+    for k in (4, 8):
+        U = np.linalg.qr(rng.standard_normal((count, k, k)))[0]
+        V = np.linalg.qr(rng.standard_normal((count, k, k)))[0]
+        u = rng.uniform(0.0, 17.0, count)
+        frac = rng.random((count, k))
+        frac[:, 0], frac[:, -1] = 0.0, 1.0
+        sv = 10.0 ** -(u[:, None] * frac)
+        scale = 2.0 ** rng.integers(-600, 601, count)
+        yield (U * sv[:, None, :]) @ V.transpose(0, 2, 1) * scale[:, None, None]
+    blk = lambda m: rng.standard_normal((500, m, m))
+    for a, b in ((1, 2), (2, 1), (2, 2)):
+        yield tsylv_dense._pair_systems(blk(a), blk(a), blk(b), blk(b))
+    yield tsylv_dense._diag_systems(blk(2), blk(2))
+    for D, A in near_singular_pencils():
+        solver = TSylvSolver(D, A)
+        yield from (f for f in tsylv_dense._pair_batches(solver.R, solver.L, solver.blocks)
+                    if f.ndim == 3)
+
+
+class TestPairScreen:
+    @pytest.mark.parametrize("floor", [1e-3, 1e-8, 1e-14])
+    def test_certified_systems_meet_the_floor(self, floor):
+        certified = 0
+        for M in screen_stacks():
+            ok = tsylv_dense._certified(M, floor)
+            rcond = tsylv_dense._svd_rcond(M)
+            assert np.all(rcond[ok] >= floor)
+            # and the screen is not idle: clearly well-conditioned systems pass
+            k = M.shape[-1]
+            assert np.all(ok[rcond >= max(1.01 * np.sqrt(k) * floor, 1e-6)])
+            certified += int(ok.sum())
+        assert certified > 0
+
+
+class TestSingularityDecision:
+    def test_solve_raises_iff_exact_minimum_below_limit(self):
+        cases = [(D, A, E) for make in PAIR_LOOP_MAKERS
+                 for _, _, D, A, E in pair_loop_cases(make)]
+        cases += [(D, A, np.ones(D.shape)) for D, A in near_singular_pencils()]
+        raised = 0
+        for D, A, E in cases:
+            solver = TSylvSolver(D, A)
+            exact = tsylv_dense._min_pair_rcond(solver.R, solver.L, solver.blocks)
+            if exact < tsylv_dense._RCOND_LIMIT:
+                with pytest.raises(tr.SingularOperatorError) as exc:
+                    solver.solve(E)
+                assert exc.value.rcond == exact
+                raised += 1
+            else:
+                solver.solve(E)
+        assert 8 <= raised < len(cases)
+
+
+class TestLazyRcond:
+    def test_newton_never_computes_the_exact_minimum(self, monkeypatch):
+        prob = generate_ex2_dense(60, seed=0)[0]
+
+        def run():
+            X, report = solve_newton(prob, line_search="exact")
+            d = report.to_dict()
+            del d["wall_time_s"]
+            return X.tobytes(), json.dumps(d), report.status
+
+        expected = run()
+
+        def refuse(*args):
+            raise AssertionError("exact pair-rcond minimum computed")
+
+        monkeypatch.setattr(tsylv_dense, "_min_pair_rcond", refuse)
+        assert run() == expected
+        assert expected[2] == Status.CONVERGED
+
+    def test_rcond_is_computed_once(self, monkeypatch):
+        calls = []
+        exact = tsylv_dense._min_pair_rcond
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(tsylv_dense, "_min_pair_rcond", counted)
+        solver = TSylvSolver(*singular_pair_pencil(lam7=0.6))
+        solver.solve(np.ones((10, 10)))
+        assert calls == []
+        assert solver.rcond == solver.rcond > 0
+        assert len(calls) == 1

@@ -48,7 +48,6 @@ from .lowrank import (
     lr_riccati_residual,
     lr_step_and_Lresidual,
     lr_truncate,
-    smw_solve,
     zero_pair,
 )
 from .krylov import ExtendedKrylovTSylv, InnerReport, solve_tsylv_krylov

@@ -99,8 +99,7 @@ def _cmd_solve_dense(args):
 def _cmd_solve_lowrank(args):
     spec = _spec_from_args(args)
     config = {"eps": args.tol, "eta_bar": args.eta_bar, "alpha": args.alpha,
-              "max_outer": args.max_outer, "m_max": args.max_inner,
-              "trunc_tol": args.trunc_tol}
+              "max_outer": args.max_outer, "m_max": args.max_inner}
     run = run_experiment(spec, "inexact-newton", config)
     return _finish(run, args, "%s_inexact-newton" % spec.family.lower())
 
@@ -161,7 +160,6 @@ def build_parser():
     l.add_argument("--max-inner", type=int, default=50)
     l.add_argument("--eta-bar", type=float, default=0.5)
     l.add_argument("--alpha", type=float, default=0.1)
-    l.add_argument("--trunc-tol", type=float, default=1e-12)
     _add_output_args(l)
     l.set_defaults(func=_cmd_solve_lowrank)
 

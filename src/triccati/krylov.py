@@ -93,7 +93,6 @@ class ExtendedKrylovTSylv:
         self._fwd = np.arange(kf)
         self._inv = np.arange(kf, kf + ki)
         self.ell = kf + ki
-        self.exhausted = False
         if self.ell == 0:
             raise BasisBreakdownError("no seed column survived orthogonalization")
         self.DV = dhat.matvec(self.V)
@@ -147,7 +146,7 @@ class ExtendedKrylovTSylv:
         collapsing into span(W), which marks the pair construction as
         saturated.  The space is left unchanged then.
         """
-        if self.ell >= self.n or self.exhausted:
+        if self.ell >= self.n:
             return False
         Qf = np.zeros((self.n, 0))
         if self._fwd.size:
@@ -166,7 +165,6 @@ class ExtendedKrylovTSylv:
         except BasisBreakdownError:
             # the new directions are only marginally outside the space and
             # their images carry nothing new: saturated, stop expanding
-            self.exhausted = True
             return False
         self.absorb(Qn, DVn, Wn, Ucol, Qf.shape[1])
         return True
@@ -215,14 +213,14 @@ class ExtendedKrylovTSylv:
         self.W = np.hstack([self.W, Wn])
         self.ell += b
 
-    def extract(self, Y, trunc_tol=1e-12):
-        """Lift and recompress: X = V Y W^T as a LowRankPair."""
-        G1, G2 = svd_cut(Y, trunc_tol)
+    def extract(self, Y):
+        """Lift and recompress: X = V Y W^T as a LowRankPair, with the
+        singular values of Y below the truncation floor dropped."""
+        G1, G2 = svd_cut(Y)
         return LowRankPair(self.V @ G1, self.W @ G2)
 
 
-def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, trunc_tol=1e-12,
-                       monitor=None):
+def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
     """Solve the Newton-step equation at iterate X by extended Krylov projection.
 
     Each of at most m_max passes solves the projected equation, tests its
@@ -255,7 +253,7 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, trunc_tol=1e-12,
             if monitor is not None:
                 monitor(eng, m, Y, res)
             if res <= tol_abs:
-                pair = eng.extract(Y, trunc_tol)
+                pair = eng.extract(Y)
                 return pair, InnerReport(True, m, residuals, eng.ell, tol_abs)
             if m < m_max and not eng.stage():
                 return None, InnerReport(

@@ -33,7 +33,6 @@ __all__ = [
     "lr_inner_product",
     "lr_truncate",
     "svd_cut",
-    "smw_solve",
     "MatrixOperator",
     "ShiftedOperator",
     "LowRankTRiccatiProblem",
@@ -44,6 +43,8 @@ __all__ = [
 ]
 
 _RCOND_LIMIT = 1e-14  # smallest capacitance rcond a ShiftedOperator accepts
+# truncation floor relative to sigma_max: what svd_cut drops when given no tol
+_TRUNC_TOL = 1e-12
 _QR_BLOCK = 32  # panel width of HouseholderQR's dgeqrt
 
 
@@ -157,11 +158,11 @@ def lr_frobenius_norm(M):
     return float(np.linalg.norm(core))
 
 
-def lr_truncate(M, tol=1e-12, rel_tail=None):
+def lr_truncate(M, tol=None, rel_tail=None):
     """Recompress a pair: thin QRs P1 = Q1 R1, P2 = Q2 R2, then
-    ``svd_cut`` of the small core R1 R2^T (see there for tol and
-    rel_tail); the reflectors of Q1 and Q2 are applied only to the kept
-    columns, so neither Q is formed.
+    ``svd_cut`` of the small core R1 R2^T (see there for tol, by default
+    the floor ``_TRUNC_TOL``, and rel_tail); the reflectors of Q1 and Q2
+    are applied only to the kept columns, so neither Q is formed.
 
     Returns a pair with orthogonal-times-sqrt-singular-value balanced factors.
     """
@@ -172,9 +173,10 @@ def lr_truncate(M, tol=1e-12, rel_tail=None):
     return LowRankPair(qr1.apply(G1), qr2.apply(G2))
 
 
-def svd_cut(core, tol, rel_tail=None):
+def svd_cut(core, tol=None, rel_tail=None):
     """The balanced cut (G1, G2) of a small core, core ~= G1 @ G2.T: SVD
-    of the core, singular values at or below tol * sigma_max dropped, and
+    of the core, singular values at or below tol * sigma_max dropped (tol
+    None means the floor ``_TRUNC_TOL``, read at each call), and
     G1 = U_k sqrt(s_k), G2 = V_k sqrt(s_k) for the kept k (possibly 0).
     A caller with core = Q1^T M Q2 lifts the cut with Q1 @ G1 and Q2 @ G2.
 
@@ -182,6 +184,8 @@ def svd_cut(core, tol, rel_tail=None):
     values whose combined Frobenius norm sqrt(sum s_i^2) is at most
     rel_tail * ||core||_F; that is exactly the Frobenius error of the cut.
     """
+    if tol is None:
+        tol = _TRUNC_TOL
     U, s, Vt = np.linalg.svd(core)
     keep = 0
     if s.size and s[0] > 0.0:
@@ -195,19 +199,15 @@ def svd_cut(core, tol, rel_tail=None):
 
 
 class MatrixOperator:
-    """Sparse or dense square operator with cached direct factorization.
+    """Square operator held as a CSC matrix, with a cached sparse LU.
 
-    Provides products and solves with the matrix and its transpose; the
+    A dense or other sparse input is converted to CSC once.  Provides
+    products and solves with the matrix and its transpose; the ``splu``
     factorization is computed on first use and reused afterwards.
     """
 
     def __init__(self, A):
-        if sp.issparse(A):
-            self.A = A.tocsc()
-            self._sparse = True
-        else:
-            self.A = np.asarray(A, dtype=float)
-            self._sparse = False
+        self.A = sp.csc_matrix(A, dtype=float)
         if self.A.shape[0] != self.A.shape[1]:
             raise ValueError("operator must be square")
         self.n = self.A.shape[0]
@@ -221,43 +221,26 @@ class MatrixOperator:
 
     def _factor(self):
         if self._lu is None:
-            if self._sparse:
-                self._lu = spla.splu(self.A)
-            else:
-                self._lu = scipy.linalg.lu_factor(self.A)
+            self._lu = spla.splu(self.A)
         return self._lu
 
     def solve(self, Y):
-        lu = self._factor()
-        if self._sparse:
-            return lu.solve(np.asarray(Y))
-        return scipy.linalg.lu_solve(lu, Y)
+        return self._factor().solve(np.asarray(Y))
 
     def solve_t(self, Y):
-        lu = self._factor()
-        if self._sparse:
-            return lu.solve(np.asarray(Y), trans="T")
-        return scipy.linalg.lu_solve(lu, Y, trans=1)
+        return self._factor().solve(np.asarray(Y), trans="T")
 
     def to_dense(self):
-        return self.A.toarray() if self._sparse else self.A
+        return self.A.toarray()
 
 
 def _as_operator(A):
     return A if isinstance(A, MatrixOperator) else MatrixOperator(A)
 
 
-def smw_solve(A_op, M, N, Y):
-    """Solve (A - M N^T) Z = Y through the base factorization of A.
-
-    One-shot form of :class:`ShiftedOperator`: a capacitance reciprocal
-    condition estimate below 1e-14 raises SingularCapacitanceError.
-    """
-    return ShiftedOperator(A_op, M, N).solve(Y)
-
-
 class ShiftedOperator:
-    """base - M @ N.T with SMW solves; capacitance data is precomputed once.
+    """base - M @ N.T with SMW solves; capacitance data is precomputed once,
+    and a capacitance rcond below 1e-14 raises SingularCapacitanceError.
 
     Used for the Newton-shifted coefficients: shifts enter only through the
     low-rank term, so the base factorization is shared across steps.
@@ -376,7 +359,7 @@ def lr_riccati_residual(prob, X):
     return LowRankPair(F1, F2)
 
 
-def lr_step_and_Lresidual(prob, X, X_tilde, trunc_tol=None):
+def lr_step_and_Lresidual(prob, X, X_tilde):
     """Step direction S = X_tilde - X and the inner residual
 
         L = (D - X^T B) X_tilde + X_tilde^T (A - B X) + X^T B X + C,
@@ -389,8 +372,8 @@ def lr_step_and_Lresidual(prob, X, X_tilde, trunc_tol=None):
               (P2 beta - T2 beta_t) alpha^T, C2^T]
 
     for X = P1 P2^T, X~ = T1 T2^T, alpha = P1^T B1, beta = P1^T B2 and
-    alpha_t, beta_t the same with T1; width 2 t~ + t + q.  Either output
-    is optionally recompressed when trunc_tol is given.
+    alpha_t, beta_t the same with T1; width 2 t~ + t + q.  Neither output
+    is recompressed; a caller that wants a cut calls ``lr_truncate``.
     """
     P1, P2 = X.P1, X.P2
     T1, T2 = X_tilde.P1, X_tilde.P2
@@ -404,11 +387,7 @@ def lr_step_and_Lresidual(prob, X, X_tilde, trunc_tol=None):
                    prob.A.rmatvec(T1) - P2 @ (beta @ alpha_t.T),
                    (P2 @ beta - T2 @ beta_t) @ alpha.T,
                    prob.C2.T])
-    L = LowRankPair(L1, L2)
-    if trunc_tol is not None:
-        S = lr_truncate(S, trunc_tol)
-        L = lr_truncate(L, trunc_tol)
-    return S, L
+    return S, LowRankPair(L1, L2)
 
 
 def lr_line_search_products(R, L, SBS):

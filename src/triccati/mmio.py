@@ -25,7 +25,7 @@ _LOWRANK_ROLES = ("A", "D", "B1", "B2", "C1", "C2")
 
 def _write_matrix(path, M):
     if isinstance(M, MatrixOperator):
-        M = M.A  # the wrapped matrix, sparse or dense
+        M = M.A  # the wrapped CSC matrix
     if sp.issparse(M):
         scipy.io.mmwrite(str(path), M.tocoo())
     else:
@@ -68,13 +68,20 @@ def load_problem(manifest_path):
     mpath = pathlib.Path(manifest_path)
     with open(mpath) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest %s is not a JSON object" % mpath)
     kind = manifest.get("kind")
     files = manifest.get("files", {})
+    if not isinstance(files, dict):
+        raise ValueError("manifest %s: 'files' is not a JSON object" % mpath)
     base = mpath.parent
 
     def _load(role):
         if role not in files:
             raise ValueError("manifest %s lacks the %r entry" % (mpath, role))
+        if not isinstance(files[role], str):
+            raise ValueError("manifest %s: the %r entry is not a file name"
+                             % (mpath, role))
         return _read_matrix(base / files[role])
 
     if kind == "dense":

@@ -33,11 +33,12 @@ Rank control has two stages, both set by the accuracy asked for rather
 than by where rounding noise crosses a fixed cutoff.  Every accepted
 iterate of sweep k is cut with a tail budget tied to the forcing term:
 the trailing singular values whose combined Frobenius norm is at most
-0.01 * eta_k * (||R_k|| / ||C||) * ||X||_F are dropped, with trunc_tol *
-sigma_max as a floor below that.  That error is a small share of what
-the inexact inner solve already leaves, so the iterates stay as narrow as
-the sweep's accuracy allows, and the sufficient-decrease test still
-guards every cut step (Feitzinger, Hylla & Sachs, SIMAX 31 (2009);
+0.01 * eta_k * (||R_k|| / ||C||) * ||X||_F are dropped, with the fixed
+truncation floor 1e-12 * sigma_max (``lowrank._TRUNC_TOL``) below that.
+That error is a small share of what the inexact inner solve already
+leaves, so the iterates stay as narrow as the sweep's accuracy allows,
+and the sufficient-decrease test still guards every cut step
+(Feitzinger, Hylla & Sachs, SIMAX 31 (2009);
 Benner, Heinkenschloss, Saak & Weichelt, Appl. Numer. Math. 108 (2016)).
 The iterate that meets the stopping test ||R|| <= eps ||C|| is then cut
 once more to eps: the trailing singular values whose combined Frobenius
@@ -93,11 +94,10 @@ class InexactNewtonConfig:
     """Knobs for the outer iteration.
 
     eta_schedule maps the 0-based outer index to a forcing value; it is
-    clamped into (0, eta_bar] before use.  trunc_tol is the truncation
-    floor relative to sigma_max; each sweep cuts further to a share of its
-    forcing term, and the converged iterate to eps (see the module
-    docstring).  rank_cap = None means 4*(p+q)*m_max, the widest iterate
-    the inner spaces could produce.
+    clamped into (0, eta_bar] before use.  Each sweep cuts its iterate to a
+    share of its forcing term, above a fixed floor, and the converged
+    iterate to eps (see the module docstring).  rank_cap = None means
+    4*(p+q)*m_max, the widest iterate the inner spaces could produce.
     """
 
     eps: float = 1e-6
@@ -106,7 +106,6 @@ class InexactNewtonConfig:
     eta_schedule: object = None
     max_outer: int = 30
     m_max: int = 50
-    trunc_tol: float = 1e-12
     rank_cap: int = None
 
     def __post_init__(self):
@@ -242,8 +241,7 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
     status = Status.MAX_ITERATIONS
     for k in range(cfg.max_outer):
         eta_k = cfg.eta(k)
-        Xt, inner = solve_tsylv_krylov(prob, X, eta_k * res, m_max=cfg.m_max,
-                                       trunc_tol=cfg.trunc_tol)
+        Xt, inner = solve_tsylv_krylov(prob, X, eta_k * res, m_max=cfg.m_max)
         mem = max(mem, inner.basis_dim)
         if Xt is None:
             records.append(_failure_row(k + 1, res, rel, X.rank, inner))
@@ -271,7 +269,7 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
         for _ in range(_MAX_HALVINGS + 1):
             cand = LowRankPair(hstack_f([X.P1, Xt.P1]),
                                hstack_f([(1.0 - lam) * X.P2, lam * Xt.P2]))
-            Xn = lr_truncate(cand, tol=cfg.trunc_tol, rel_tail=tail)
+            Xn = lr_truncate(cand, rel_tail=tail)
             Rn = lr_riccati_residual(prob, Xn)
             res_n = lr_frobenius_norm(Rn)
             if decrease_condition_check(res, res_n, lam, cfg.alpha):

@@ -39,11 +39,9 @@ and only those it cannot certify (rcond below about 1e-7) go through an
 SVD.  The exact minimum, an SVD of every system, is computed when
 ``TSylvSolver.rcond`` is first read.  ``solve`` raises
 :class:`SingularOperatorError` when the operator counts as singular, or
-when ``dtgsyl`` reports a singular system, and can re-evaluate the
-residual of the returned X.
+when ``dtgsyl`` reports a singular system.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,22 +51,13 @@ from scipy.linalg.lapack import dtgsyl
 from .dense_core import commutation_matrix
 from .errors import SingularOperatorError
 
-__all__ = ["TSylvInfo", "TSylvSolver", "solve_tsylv_dense"]
+__all__ = ["TSylvSolver", "solve_tsylv_dense"]
 
 # pair systems per batched Cholesky screen or SVD; bounds the scratch memory
 # of the singularity decision and of the exact rcond
 _CHUNK = 1024
 # smallest pair rcond a solve accepts
 _RCOND_LIMIT = 1e-14
-
-
-@dataclass
-class TSylvInfo:
-    """Relative residual of a returned X, re-evaluated, and the exact smallest
-    pair rcond (:attr:`TSylvSolver.rcond`)."""
-
-    relative_residual: float
-    rcond_estimate: float
 
 
 def _quasi_blocks(R):
@@ -203,8 +192,6 @@ class TSylvSolver:
         if A.shape != D.shape:
             raise ValueError("A must match the shape of D")
         self.n = D.shape[0]
-        self.D = D
-        self.A = A
         self.blocks = []
         self._singular = False
         if not self.n:
@@ -233,21 +220,14 @@ class TSylvSolver:
         systems, computed on first read and then kept."""
         return _min_pair_rcond(self.R, self.L, self.blocks) if self.n else 1.0
 
-    def solve(self, E, return_info=False):
-        """Solve D X + X^T A = E.
-
-        With return_info=True also returns :class:`TSylvInfo` carrying the
-        re-evaluated relative residual and ``rcond``, the exact smallest
-        reciprocal condition number among the diagonal-block pair systems
-        (computed on the first such call).
-        """
+    def solve(self, E):
+        """Solve D X + X^T A = E."""
         E = np.asarray(E, dtype=float)
         if E.shape != (self.n, self.n):
             raise ValueError("right-hand side must be %d-by-%d" % (self.n, self.n))
         n = self.n
         if n == 0:
-            X = np.zeros((0, 0))
-            return (X, TSylvInfo(0.0, 1.0)) if return_info else X
+            return np.zeros((0, 0))
         if self._singular:
             raise SingularOperatorError(
                 "T-Sylvester operator is singular to working precision",
@@ -273,13 +253,7 @@ class TSylvSolver:
                 Y[I, I] = G / (R[s, s] + L[s, s])
             else:
                 Y[I, I] = scipy.linalg.lu_solve(lu, G.ravel(order="F")).reshape(2, 2, order="F")
-        X = self.Z @ Y @ self.Q.T
-        if not return_info:
-            return X
-        en = np.linalg.norm(E)
-        res = np.linalg.norm(self.D @ X + X.T @ self.A - E)
-        rel = res / en if en > 0 else res
-        return X, TSylvInfo(rel, self.rcond)
+        return self.Z @ Y @ self.Q.T
 
 
 def solve_tsylv_dense(D, A, E):

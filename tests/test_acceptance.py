@@ -33,7 +33,6 @@ from triccati.lowrank import (
     lr_riccati_residual,
     lr_step_and_Lresidual,
     lr_truncate,
-    smw_solve,
     zero_pair,
 )
 from triccati.newton_lowrank import InexactNewtonConfig, solve_inexact_newton
@@ -314,10 +313,12 @@ def test_10_memory_discipline():
     nrm = lr_frobenius_norm(X)
     R = lr_riccati_residual(prob, X)
     Rt = lr_truncate(R, tol=1e-10)
-    S, L = lr_step_and_Lresidual(prob, X, Y, trunc_tol=1e-12)
+    S, L = lr_step_and_Lresidual(prob, X, Y)
+    S = lr_truncate(S, tol=1e-12)
+    L = lr_truncate(L, tol=1e-12)
     Q = lr_quadratic_term(S, prob.B1, prob.B2)
     op = MatrixOperator(D)
-    Z = smw_solve(op, X.P1, X.P2, rng.random((n, 3)))
+    Z = ShiftedOperator(op, X.P1, X.P2).solve(rng.random((n, 3)))
     sh = ShiftedOperator(op, X.P1, X.P2)
     V = sh.solve(rng.random((n, 3)))
     Vt = sh.solve_t(rng.random((n, 3)))

@@ -86,7 +86,7 @@ class TestOracle:
 
     def test_sparse_path_above_dense_cutoff(self):
         rng = np.random.default_rng(5)
-        n = 50  # n > 40 exercises the sparse Kronecker branch
+        n = 50
         D = np.diag(3.0 + rng.random(n))
         A = -0.1 * rng.random((n, n)) / n
         X = rng.standard_normal((n, n))
@@ -95,9 +95,9 @@ class TestOracle:
         assert np.allclose(Y, X, atol=1e-8)
 
     def test_refuses_oversize(self):
-        n = 60
+        n = 201
         with pytest.raises(ValueError):
-            tsylv_oracle_solve(np.eye(n), np.eye(n), np.eye(n), cap=50)
+            tsylv_oracle_solve(np.eye(n), np.eye(n), np.eye(n))
 
     def test_singular_operator_raises(self):
         D = np.zeros((2, 2))

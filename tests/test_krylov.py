@@ -267,5 +267,5 @@ class TestEngineDirect:
         eng.stage()
         Y = eng.solve_reduced()
         # extract truncates: tiny singular values of Y dropped
-        pair = eng.extract(Y, trunc_tol=1e-10)
+        pair = eng.extract(Y)
         assert pair.rank <= Y.shape[1]

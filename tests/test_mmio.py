@@ -1,6 +1,7 @@
 """Round-tripping problems through Matrix Market files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,18 @@ class TestErrors:
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(ValueError):
             load_problem(mpath)
+
+    @pytest.mark.parametrize("manifest", [
+        [{"kind": "dense", "files": {}}],
+        {"kind": "dense", "files": ["A", "B", "C", "D"]},
+        {"kind": "dense",
+         "files": {"A": 7, "B": "b.mtx", "C": "c.mtx", "D": "d.mtx"}},
+    ], ids=["not-an-object", "files-not-an-object", "entry-not-a-string"])
+    def test_malformed_manifest(self, tmp_path, manifest):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            load_problem(bad)
 
     def test_wrong_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):

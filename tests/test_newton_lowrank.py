@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 import triccati as tr
-from triccati import newton_lowrank
+from triccati import lowrank, newton_lowrank
 from triccati.generators import generate_ex1_lowrank, generate_ex2_lowrank
 from triccati.lowrank import (
     LowRankPair,
@@ -250,20 +250,41 @@ class TestSolver:
         assert rep.warnings
         assert rep.iterations[-1].step_size == 0.0
 
-    def test_final_rank_independent_of_truncation_floor(self):
+    def test_final_rank_independent_of_truncation_floor(self, monkeypatch):
         # the per-sweep floor sits at rounding level; the converged iterate
         # is recompressed to eps, so halving or doubling the floor must not
         # move the reported rank
         prob, _ = generate_ex2_lowrank(200, p=1, q=5, seed=0)
         ranks = []
         for floor in (5e-13, 1e-12, 2e-12):
-            cfg = InexactNewtonConfig(eps=1e-6, trunc_tol=floor)
+            monkeypatch.setattr(lowrank, "_TRUNC_TOL", floor)
+            cfg = InexactNewtonConfig(eps=1e-6)
             X, rep = solve_inexact_newton(prob, cfg)
             assert rep.status is tr.Status.CONVERGED
             res = lr_frobenius_norm(lr_riccati_residual(prob, X))
             assert res <= cfg.eps * prob.c_norm()
             ranks.append(rep.solution_rank)
         assert ranks[0] == ranks[1] == ranks[2]
+
+    def test_dense_coefficients_solve_like_sparse_ones(self):
+        # MatrixOperator stores a dense A or D as CSC: same LU, same run
+        prob, _ = generate_ex2_lowrank(200, p=1, q=5, seed=0)
+        dense = LowRankTRiccatiProblem(
+            A=prob.A.to_dense(), D=prob.D.to_dense(), B1=prob.B1,
+            B2=prob.B2, C1=prob.C1, C2=prob.C2)
+        (Xs, rs), (Xd, rd) = (solve_inexact_newton(p) for p in (prob, dense))
+        assert rs.status is rd.status is tr.Status.CONVERGED
+        assert len(rs.iterations) == len(rd.iterations)
+        for a, b in zip(rs.trace_rows(), rd.trace_rows()):
+            assert sorted(a) == sorted(b)
+            for key, va in a.items():
+                if isinstance(va, (float, list)):
+                    assert np.allclose(va, b[key], rtol=1e-12, atol=0.0), key
+                else:
+                    assert va == b[key], key
+        for fs, fd in ((Xs.P1, Xd.P1), (Xs.P2, Xd.P2)):
+            assert fs.shape == fd.shape
+            assert np.max(np.abs(fs - fd)) <= 1e-12 * np.max(np.abs(fs))
 
     def test_report_describes_recompressed_iterate(self):
         prob, _ = generate_ex2_lowrank(200, p=1, q=5, seed=0)

@@ -122,6 +122,9 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"key\(s\): eps \("):
             run_experiment(ProblemSpec(family="Ex2Dense", n=10), "newton",
                            {"eps": 1e-10})
+        # the truncation floor is a fixed constant, not a setting
+        with pytest.raises(ValueError, match=r"key\(s\): trunc_tol \("):
+            run_experiment(spec, "inexact-newton", {"trunc_tol": 1e-12})
 
     def test_unknown_solver(self):
         spec = ProblemSpec(family="Ex2Dense", n=10)
@@ -208,6 +211,18 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main(["solve-dense", "--family", "nope"])
         assert exc.value.code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-lowrank", "--family", "ex2-lowrank",
+                  "--trunc-tol", "1e-10"])
+        assert exc.value.code == 1
+
+    def test_malformed_manifest_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(["not", "a", "manifest"]))
+        rc = main(["solve-dense", "--problem", str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.json" in err
 
     def test_generate_then_solve_file(self, tmp_path, capsys):
         rc = main(["generate", "--family", "ex2-dense", "--n", "25",

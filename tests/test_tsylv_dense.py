@@ -16,6 +16,10 @@ from triccati.riccati_dense import TRiccatiProblem, solve_fixed_point, solve_new
 from triccati.tsylv_dense import TSylvSolver, solve_tsylv_dense
 
 
+def relative_residual(D, A, X, E):
+    return np.linalg.norm(D @ X + X.T @ A - E) / np.linalg.norm(E)
+
+
 def admissible(n, rng):
     D = np.diag(2.0 + rng.random(n)) - 0.5 * rng.random((n, n)) / n
     A = -0.5 * rng.random((n, n)) / n
@@ -206,9 +210,10 @@ class TestAgainstOracle:
         rng = np.random.default_rng(13)
         D, A = admissible(8, rng)
         solver = TSylvSolver(D, A)
-        X, info = solver.solve(rng.standard_normal((8, 8)), return_info=True)
-        assert info.relative_residual <= 1e-10
-        assert info.rcond_estimate > 0
+        E = rng.standard_normal((8, 8))
+        X = solver.solve(E)
+        assert relative_residual(D, A, X, E) <= 1e-10
+        assert solver.rcond > 0
 
 
 class TestLinearity:
@@ -268,11 +273,11 @@ class TestAgainstPairLoop:
         for trial, n, D, A, E in pair_loop_cases(make):
             solver = TSylvSolver(D, A)
             two_by_two += sum(e - s == 2 for s, e in solver.blocks)
-            X, info = solver.solve(E, return_info=True)
+            X = solver.solve(E)
             X_ref, rcond_ref = pair_loop_reference(solver, E)
             assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref), \
                 f"trial {trial} n={n}"
-            assert abs(info.rcond_estimate - rcond_ref) <= 1e-10 * rcond_ref, \
+            assert abs(solver.rcond - rcond_ref) <= 1e-10 * rcond_ref, \
                 f"trial {trial} n={n}"
         assert two_by_two >= 50
 
@@ -281,8 +286,8 @@ class TestOffDiagonalSingularPair:
     def test_nonsingular_neighbour_solves(self):
         D, A = singular_pair_pencil(lam7=0.6)
         E = np.ones((10, 10))
-        X, info = TSylvSolver(D, A).solve(E, return_info=True)
-        assert info.relative_residual <= 1e-12
+        X = TSylvSolver(D, A).solve(E)
+        assert relative_residual(D, A, X, E) <= 1e-12
 
     def test_solve_raises(self):
         D, A = singular_pair_pencil()

@@ -21,10 +21,9 @@ from .dense_core import (
     commutation_matrix,
     elementwise_leq,
     spectral_radius,
-    tsylv_kron_matrix,
     tsylv_oracle_solve,
 )
-from .tsylv_dense import TSylvSolver, solve_tsylv_dense
+from .tsylv_dense import TSylvSolver
 from .reports import IterationRecord, SolveReport, Status
 from .riccati_dense import (
     LineSearchPoly,

@@ -42,8 +42,6 @@ def _add_problem_args(p):
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--gamma", type=float, default=1e4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sign-consistency", action=argparse.BooleanOptionalAction,
-                   default=True)
 
 
 def _add_output_args(p):
@@ -57,8 +55,7 @@ def _spec_from_args(args):
     if not args.family:
         raise ValueError("need --family or --problem")
     return ProblemSpec(family=_FAMILY_BY_FLAG[args.family], n=args.n,
-                       p=args.p, q=args.q, gamma=args.gamma, seed=args.seed,
-                       sign_consistency=args.sign_consistency)
+                       p=args.p, q=args.q, gamma=args.gamma, seed=args.seed)
 
 
 def _finish(run, args, tag):

@@ -27,7 +27,6 @@ from .errors import ConvergenceError, SingularOperatorError
 __all__ = [
     "elementwise_leq",
     "commutation_matrix",
-    "tsylv_kron_matrix",
     "tsylv_kron_sparse",
     "tsylv_oracle_solve",
     "spectral_radius",
@@ -43,7 +42,7 @@ _ARPACK_MAXITER = 10000
 _ORACLE_MAX_N = 200
 
 
-def _as_square(M, name="matrix"):
+def _as_square(M, name):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("%s must be square, got shape %r" % (name, M.shape))
@@ -72,8 +71,6 @@ def elementwise_leq(M, N, tol=None):
         tol = default_order_tol(M, N)
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    if M.size == 0:
-        return True
     return bool(np.all(N - M >= -tol))
 
 
@@ -101,16 +98,9 @@ def _commutation_sparse(n):
                          shape=(n * n, n * n))
 
 
-def tsylv_kron_matrix(D, A):
-    """Dense matrix of X -> D X + X^T A on column-major vec(X).
-
-    The result is n^2-by-n^2; intended for desk-scale verification only.
-    """
-    return tsylv_kron_sparse(_as_square(D, "D"), _as_square(A, "A")).toarray()
-
-
 def tsylv_kron_sparse(D, A):
-    """Sparse form of ``tsylv_kron_matrix`` (n^3-scale storage, not n^4)."""
+    """Sparse n^2-by-n^2 matrix of X -> D X + X^T A on column-major vec(X)
+    (n^3-scale storage, not n^4)."""
     D = sp.csr_matrix(D) if not sp.issparse(D) else D.tocsr()
     A = sp.csr_matrix(A) if not sp.issparse(A) else A.tocsr()
     if D.shape[0] != D.shape[1] or D.shape != A.shape:
@@ -121,16 +111,6 @@ def tsylv_kron_sparse(D, A):
             + sp.kron(A.T, I, format="csr") @ _commutation_sparse(n))
 
 
-def _arpack_radius(M):
-    """Largest eigenvalue magnitude of sparse M by ARPACK, deterministic start."""
-    try:
-        vals = spla.eigs(M, k=1, which="LM", v0=np.ones(M.shape[0]),
-                         return_eigenvectors=False, maxiter=_ARPACK_MAXITER)
-    except (spla.ArpackNoConvergence, spla.ArpackError) as e:
-        raise ConvergenceError("spectral radius estimate failed: %s" % e) from None
-    return float(np.max(np.abs(vals)))
-
-
 def _perron_root(M):
     """Spectral radius of a sparse nonnegative CSR matrix M.
 
@@ -138,7 +118,7 @@ def _perron_root(M):
     diagonal blocks of its Frobenius normal form (Berman & Plemmons, 1994).
     Singletons give their diagonal entry, components of at most
     _DENSE_COMPONENT_MAX nodes a dense eigensolve, and a larger one ARPACK
-    (raising ConvergenceError if ARPACK fails).
+    from a deterministic start (raising ConvergenceError if ARPACK fails).
     """
     labels = csgraph.connected_components(M, connection="strong")[1]
     sizes = np.bincount(labels)
@@ -149,9 +129,16 @@ def _perron_root(M):
         idx = order[ends[c] - sizes[c]:ends[c]]
         C = M[idx][:, idx]
         if idx.size <= _DENSE_COMPONENT_MAX:
-            rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(C.toarray())))))
+            vals = np.linalg.eigvals(C.toarray())
         else:
-            rho = max(rho, _arpack_radius(C))
+            try:
+                vals = spla.eigs(C, k=1, which="LM", v0=np.ones(idx.size),
+                                 return_eigenvectors=False,
+                                 maxiter=_ARPACK_MAXITER)
+            except (spla.ArpackNoConvergence, spla.ArpackError) as e:
+                raise ConvergenceError(
+                    "spectral radius estimate failed: %s" % e) from None
+        rho = max(rho, float(np.max(np.abs(vals))))
     return rho
 
 
@@ -188,25 +175,14 @@ def tsylv_oracle_solve(D, A, rhs):
 
 
 def spectral_radius(M):
-    """Spectral radius of M.
-
-    Dense inputs use a full eigensolve.  Sparse nonnegative inputs go by strongly connected
-    components (``_perron_root``); general sparse inputs of order above 2
-    through an Arnoldi largest-magnitude eigensolve with a deterministic
-    start, smaller ones densely.
-    """
-    if sp.issparse(M):
-        M = M.tocsr()
-        if M.shape[0] != M.shape[1]:
-            raise ValueError("matrix must be square")
-        if M.nnz == 0:
-            return 0.0
-        if np.all(M.data >= 0):
-            return _perron_root(M)
-        if M.shape[0] > 2:  # ARPACK's eigs(k=1) needs k < n - 1
-            return _arpack_radius(M)
-        M = M.toarray()
-    M = _as_square(M)
-    if M.size == 0:
+    """Spectral radius of a square sparse nonnegative matrix M, the largest
+    over its strongly connected components (``_perron_root``).  Any other
+    input (dense, non-square, a negative or NaN entry) raises ValueError."""
+    if not (sp.issparse(M) and M.shape[0] == M.shape[1]):
+        raise ValueError("spectral_radius needs a square sparse matrix")
+    M = M.tocsr()
+    if M.nnz == 0:
         return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
+    if not np.all(M.data >= 0):
+        raise ValueError("matrix must be entrywise nonnegative")
+    return _perron_root(M)

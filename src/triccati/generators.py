@@ -16,12 +16,11 @@ Two constructions recur throughout the test battery:
   random matrices and keeps every coefficient factored.
 
 All randomness flows through numpy's seeded Generator with uniform [0,1)
-draws; identical seeds reproduce problems bitwise.  `sign_consistency`
-negates one C factor so the product C1^T C2 is entrywise nonpositive, as
-the nonnegativity theory expects; it is on by default and recorded by the
-caller.  `generate_admissible_dense` makes small instances that provably
-satisfy the solvability conditions (dominant Z-structure in the linear
-part, B >= 0, C <= 0), the workhorse for property tests.
+draws; identical seeds reproduce problems bitwise.  The factored families
+negate C2, so C = C1^T C2 <= 0 as the nonnegativity theory expects.
+`generate_admissible_dense` makes small instances that provably satisfy
+the solvability conditions (dominant Z-structure in the linear part,
+B >= 0, C <= 0), the workhorse for property tests.
 """
 
 import math
@@ -91,20 +90,17 @@ def generate_ex1_dense(n, gamma=1e4, seed=0):
     return prob, meta
 
 
-def generate_ex1_lowrank(n, p=1, q=5, gamma=1e4, seed=0, sign_consistency=True):
+def generate_ex1_lowrank(n, p=1, q=5, gamma=1e4, seed=0):
     """Convection-diffusion linear part with thin unit-norm random factors."""
     D, A = _convection_diffusion(n, gamma)
     rng = np.random.default_rng(seed)
     B1 = _unit_norm(rng.random((n, p)))
     B2 = _unit_norm(rng.random((n, p)))
     C1 = _unit_norm(rng.random((q, n)))
-    C2 = _unit_norm(rng.random((q, n)))
-    if sign_consistency:
-        C2 = -C2
+    C2 = -_unit_norm(rng.random((q, n)))
     prob = LowRankTRiccatiProblem(A=A, D=D, B1=B1, B2=B2, C1=C1, C2=C2)
     meta = {"family": "Ex1LowRank", "n": n, "p": p, "q": q, "gamma": gamma,
-            "seed": seed, "sign_consistency": sign_consistency,
-            "discretization": "centered differences"}
+            "seed": seed, "discretization": "centered differences"}
     return prob, meta
 
 
@@ -130,7 +126,7 @@ def generate_ex2_dense(n, seed=0):
     return prob, meta
 
 
-def generate_ex2_lowrank(n, p=1, q=1, seed=0, sign_consistency=True):
+def generate_ex2_lowrank(n, p=1, q=1, seed=0):
     """Shifted sparse random linear part with unit-norm factored B and C.
 
     D = F + (rho(F)+1) I and A = G + (rho(G)+20) I for nonnegative sparse
@@ -150,12 +146,9 @@ def generate_ex2_lowrank(n, p=1, q=1, seed=0, sign_consistency=True):
     B1 = _unit_norm(rng.random((n, p)))
     B2 = _unit_norm(rng.random((n, p)))
     C1 = _unit_norm(rng.random((q, n)))
-    C2 = _unit_norm(rng.random((q, n)))
-    if sign_consistency:
-        C2 = -C2
+    C2 = -_unit_norm(rng.random((q, n)))
     prob = LowRankTRiccatiProblem(A=A, D=D, B1=B1, B2=B2, C1=C1, C2=C2)
-    meta = {"family": "Ex2LowRank", "n": n, "p": p, "q": q, "seed": seed,
-            "sign_consistency": sign_consistency}
+    meta = {"family": "Ex2LowRank", "n": n, "p": p, "q": q, "seed": seed}
     return prob, meta
 
 

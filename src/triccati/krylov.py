@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from .errors import BasisBreakdownError, TRiccatiError
 from .lowrank import (HouseholderQR, LowRankPair, lr_frobenius_norm,
                       lr_quadratic_term, svd_cut, zero_pair)
-from .tsylv_dense import solve_tsylv_dense
+from .tsylv_dense import TSylvSolver
 
 __all__ = [
     "InnerReport",
@@ -171,7 +171,7 @@ class ExtendedKrylovTSylv:
 
     def solve_reduced(self):
         """Solve T Y + Y^T K = -G1 G2^T on the active space."""
-        return solve_tsylv_dense(self.T, self.U.T, -self.G1 @ self.G2.T)
+        return TSylvSolver(self.T, self.U.T).solve(-self.G1 @ self.G2.T)
 
     def residual_norm(self, Y):
         """Frobenius norm of the lifted residual of X = V Y W^T, from

@@ -75,13 +75,9 @@ class LowRankPair:
     def to_dense(self):
         return self.P1 @ self.P2.T
 
-    def scaled(self, c):
-        return LowRankPair(self.P1, c * self.P2)
 
-
-def zero_pair(n, m=None):
-    m = n if m is None else m
-    return LowRankPair(np.zeros((n, 0)), np.zeros((m, 0)))
+def zero_pair(n):
+    return LowRankPair(np.zeros((n, 0)), np.zeros((n, 0)))
 
 
 def lr_inner_product(M, N):
@@ -289,12 +285,6 @@ class ShiftedOperator:
             return Z0
         corr = scipy.linalg.lu_solve(self._cap_lu, self.M.T @ Z0, trans=1)
         return Z0 + self._AtinvN @ corr
-
-    def to_dense(self):
-        out = self.base.to_dense()
-        if not self._trivial:
-            out = out - self.M @ self.N.T
-        return out
 
 
 class LowRankTRiccatiProblem:

@@ -283,7 +283,7 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
             status = Status.DIVERGED
             break
         if Xn.rank > cap:
-            rel_n = res_n / c_norm if c_norm > 0.0 else res_n
+            rel_n = res_n / c_norm
             records.append(_failure_row(k + 1, res_n, rel_n, Xn.rank, inner))
             warnings.append("iterate rank %d exceeds the configured cap %d "
                             "at sweep %d" % (Xn.rank, cap, k + 1))
@@ -295,7 +295,7 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
         X, R, res = Xn, Rn, res_n
         if res <= stop:
             X, res = _recompress_converged(prob, X, res, stop, cfg.eps)
-        rel = res / c_norm if c_norm > 0.0 else res
+        rel = res / c_norm
         min_lam = lam if min_lam is None else min(min_lam, lam)
         records.append(IterationRecord(
             k=k + 1, residual_norm=res, relative_residual=rel,

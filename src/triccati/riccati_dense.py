@@ -73,21 +73,21 @@ class TRiccatiProblem:
     def n(self):
         return self.A.shape[0]
 
-    def check_assumption1(self, tol=None):
+    def check_assumption1(self):
         """Audit the structural hypotheses: B >= 0, C <= 0, and the matrix K
         of the linear operator X -> D X + X^T A on vec(X) being a
         nonsingular M-matrix.  Returns a dict of findings.
 
         For n >= 2 every entry of A and every off-diagonal entry of D lands
         alone off the diagonal of K, so K is a Z-matrix exactly when
-        offdiag(D) <= 0 and A <= 0 within tol; for n = 1, K = D + A.  A
-        Z-matrix K is a nonsingular M-matrix iff x = K^{-1} 1 > 0 (Berman &
-        Plemmons, 1994, ch. 6), and then x >= 1 / diag(K) by the Neumann
-        series.  So one solve of D X + X^T A = 1 1^T decides, with
-        diag(K)_ij = D_ii + [i=j] A_ii; K itself is never formed.
+        offdiag(D) <= 0 and A <= 0 within ``default_order_tol`` of all four
+        coefficients; for n = 1, K = D + A.  A Z-matrix K is a nonsingular
+        M-matrix iff x = K^{-1} 1 > 0 (Berman & Plemmons, 1994, ch. 6), and
+        then x >= 1 / diag(K) by the Neumann series.  So one solve of
+        D X + X^T A = 1 1^T decides, with diag(K)_ij = D_ii + [i=j] A_ii;
+        K itself is never formed.
         """
-        if tol is None:
-            tol = dense_core.default_order_tol(self.A, self.B, self.C, self.D)
+        tol = dense_core.default_order_tol(self.A, self.B, self.C, self.D)
         zero = np.zeros_like(self.A)
         audit = {
             "b_nonnegative": dense_core.elementwise_leq(zero, self.B, tol),
@@ -140,10 +140,6 @@ class LineSearchPoly:
     def __call__(self, lam):
         c4, c3, c2, c1, c0 = self.coefficients()
         return np.polyval([c4, c3, c2, c1, c0], lam)
-
-    def derivative(self, lam):
-        c4, c3, c2, c1, _ = self.coefficients()
-        return np.polyval([4.0 * c4, 3.0 * c3, 2.0 * c2, c1], lam)
 
 
 def line_search_poly(R_k, L_next, SBS):

@@ -38,7 +38,6 @@ class ProblemSpec:
     q: int = 1
     gamma: float = 1e4
     seed: int = 0
-    sign_consistency: bool = True
     path: str = None  # File family: manifest location
 
     def __post_init__(self):
@@ -58,19 +57,19 @@ class ProblemSpec:
 def build_problem(spec):
     """Instantiate (problem, metadata) for a spec."""
     f = spec.family
+    if f != "File" and spec.n < 1:
+        raise ValueError("%s needs n >= 1, got n=%d" % (f, spec.n))
     if f == "Ex1Dense":
         return generators.generate_ex1_dense(spec.n, gamma=spec.gamma,
                                              seed=spec.seed)
     if f == "Ex1LowRank":
         return generators.generate_ex1_lowrank(
-            spec.n, p=spec.p, q=spec.q, gamma=spec.gamma, seed=spec.seed,
-            sign_consistency=spec.sign_consistency)
+            spec.n, p=spec.p, q=spec.q, gamma=spec.gamma, seed=spec.seed)
     if f == "Ex2Dense":
         return generators.generate_ex2_dense(spec.n, seed=spec.seed)
     if f == "Ex2LowRank":
         return generators.generate_ex2_lowrank(
-            spec.n, p=spec.p, q=spec.q, seed=spec.seed,
-            sign_consistency=spec.sign_consistency)
+            spec.n, p=spec.p, q=spec.q, seed=spec.seed)
     prob = mmio.load_problem(spec.path)
     return prob, {"family": "File", "path": str(spec.path)}
 
@@ -134,11 +133,12 @@ def _audit_problem(prob):
     return prob.check_assumption1()
 
 
-# solver name -> (solve function, what takes the config keys)
+# solver name -> (solve function, what takes the config keys, problem class)
 _SOLVERS = {
-    "fixed-point": (solve_fixed_point, solve_fixed_point),
-    "newton": (solve_newton, solve_newton),
-    "inexact-newton": (solve_inexact_newton, InexactNewtonConfig),
+    "fixed-point": (solve_fixed_point, solve_fixed_point, TRiccatiProblem),
+    "newton": (solve_newton, solve_newton, TRiccatiProblem),
+    "inexact-newton": (solve_inexact_newton, InexactNewtonConfig,
+                       LowRankTRiccatiProblem),
 }
 
 
@@ -147,18 +147,22 @@ def run_experiment(spec, solver, config=None):
     whether the solve converged.
 
     config holds keyword arguments of the dense solver, or the fields of
-    InexactNewtonConfig; a key that is neither raises ValueError.
+    InexactNewtonConfig; a key that is neither raises ValueError, and so
+    does a problem whose class the solver does not take.
     """
     config = dict(config or {})
     if solver not in _SOLVERS:
         raise ValueError("unknown solver %r" % (solver,))
-    solve, takes = _SOLVERS[solver]
+    solve, takes, kind = _SOLVERS[solver]
     keys = [k for k in inspect.signature(takes).parameters if k != "prob"]
     unknown = sorted(set(config) - set(keys))
     if unknown:
         raise ValueError("unknown %s config key(s): %s (expected some of %s)"
                          % (solver, ", ".join(unknown), ", ".join(keys)))
     prob, meta = build_problem(spec)
+    if not isinstance(prob, kind):
+        raise ValueError("solver %r takes a %s, got a %s"
+                         % (solver, kind.__name__, type(prob).__name__))
     x_exact = meta.pop("X_exact", None)
     if takes is solve:
         X, rep = solve(prob, **config)

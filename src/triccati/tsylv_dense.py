@@ -51,7 +51,7 @@ from scipy.linalg.lapack import dtgsyl
 from .dense_core import commutation_matrix
 from .errors import SingularOperatorError
 
-__all__ = ["TSylvSolver", "solve_tsylv_dense"]
+__all__ = ["TSylvSolver"]
 
 # pair systems per batched Cholesky screen or SVD; bounds the scratch memory
 # of the singularity decision and of the exact rcond
@@ -254,8 +254,3 @@ class TSylvSolver:
             else:
                 Y[I, I] = scipy.linalg.lu_solve(lu, G.ravel(order="F")).reshape(2, 2, order="F")
         return self.Z @ Y @ self.Q.T
-
-
-def solve_tsylv_dense(D, A, E):
-    """One-shot solve of D X + X^T A = E via QZ reduction of (D, A^T)."""
-    return TSylvSolver(D, A).solve(E)

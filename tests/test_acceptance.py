@@ -44,7 +44,7 @@ from triccati.riccati_dense import (
     solve_fixed_point,
     solve_newton,
 )
-from triccati.tsylv_dense import solve_tsylv_dense
+from triccati.tsylv_dense import TSylvSolver
 from triccati.dense_core import tsylv_oracle_solve
 
 GOLD = (3.0 - np.sqrt(5.0)) / 2.0
@@ -91,7 +91,7 @@ def test_02_oracle_equivalence():
         prob = generate_admissible_dense(n, seed=i)
         rng = np.random.default_rng(1000 + i)
         E = rng.standard_normal((n, n))
-        X1 = solve_tsylv_dense(prob.D, prob.A, E)
+        X1 = TSylvSolver(prob.D, prob.A).solve(E)
         X2 = tsylv_oracle_solve(prob.D, prob.A, E)
         worst_lin = max(worst_lin,
                         np.linalg.norm(X1 - X2) / np.linalg.norm(X2))

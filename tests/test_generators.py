@@ -67,12 +67,10 @@ class TestEx1:
         assert prob.p == 2 and prob.q == 3
 
     def test_sign_consistency_flag(self):
-        on, _ = generate_ex1_lowrank(16, seed=5, sign_consistency=True)
-        off, _ = generate_ex1_lowrank(16, seed=5, sign_consistency=False)
-        assert np.all(on.C1.T @ on.C2 <= 0)
-        assert np.any(off.C1.T @ off.C2 > 0)
-        assert np.allclose(on.C1, off.C1)
-        assert np.allclose(on.C2, -off.C2)
+        # both factored families build C = C1^T C2 <= 0
+        for prob, _ in (generate_ex1_lowrank(16, seed=5),
+                        generate_ex2_lowrank(16, q=3, seed=5)):
+            assert np.all(prob.C1.T @ prob.C2 <= 0)
 
     def test_determinism(self):
         a, _ = generate_ex1_lowrank(25, seed=11)

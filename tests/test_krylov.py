@@ -9,7 +9,7 @@ from triccati.lowrank import (LowRankPair, LowRankTRiccatiProblem,
                               lr_quadratic_term, zero_pair)
 from triccati.newton_lowrank import solve_inexact_newton
 from triccati.reports import Status
-from triccati.tsylv_dense import solve_tsylv_dense
+from triccati.tsylv_dense import TSylvSolver
 
 rng = np.random.default_rng(11)
 
@@ -43,7 +43,7 @@ class TestAgainstDense:
         for seed in range(4):
             prob = make_problem(n=40, p=1, q=1, seed=seed)
             Dd, Ad, rhs = dense_inner_data(prob, zero_pair(prob.n))
-            want = solve_tsylv_dense(Dd, Ad, -rhs)
+            want = TSylvSolver(Dd, Ad).solve(-rhs)
             tol = 1e-10 * np.linalg.norm(rhs)
             Xt, rep = solve_tsylv_krylov(prob, zero_pair(prob.n), tol)
             assert rep.converged, rep.message
@@ -55,7 +55,7 @@ class TestAgainstDense:
         prob = make_problem(n=36, p=2, q=1, seed=5)
         X = LowRankPair(0.05 * rng.random((36, 2)), 0.05 * rng.random((36, 2)))
         Dd, Ad, rhs = dense_inner_data(prob, X)
-        want = solve_tsylv_dense(Dd, Ad, -rhs)
+        want = TSylvSolver(Dd, Ad).solve(-rhs)
         tol = 1e-10 * np.linalg.norm(rhs)
         Xt, rep = solve_tsylv_krylov(prob, X, tol)
         assert rep.converged, rep.message
@@ -139,7 +139,7 @@ class TestSmallSpaceBehaviour:
         # n small enough that the seed block already spans everything
         prob = make_problem(n=8, p=1, q=1, seed=1, sparse=False)
         Dd, Ad, rhs = dense_inner_data(prob, zero_pair(8))
-        want = solve_tsylv_dense(Dd, Ad, -rhs)
+        want = TSylvSolver(Dd, Ad).solve(-rhs)
         Xt, rep = solve_tsylv_krylov(prob, zero_pair(8),
                                      1e-11 * np.linalg.norm(rhs))
         assert rep.converged

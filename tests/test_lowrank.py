@@ -60,13 +60,9 @@ class TestPairBasics:
         with pytest.raises(ValueError):
             LowRankPair(np.ones((4, 2)), np.ones((4, 3)))
 
-    def test_scaled(self):
-        M = rand_pair(5, 5, 2)
-        assert np.allclose(M.scaled(-2.0).to_dense(), -2.0 * M.to_dense())
-
     def test_zero_pair(self):
-        Z = zero_pair(7, 3)
-        assert Z.shape == (7, 3) and Z.rank == 0
+        Z = zero_pair(7)
+        assert Z.shape == (7, 7) and Z.rank == 0
         assert lr_frobenius_norm(Z) == 0.0
         assert np.allclose(Z.to_dense(), 0.0)
 
@@ -356,7 +352,7 @@ class TestShiftedOperator:
         assert np.allclose(op.rmatvec(Y), dense.T @ Y)
         assert np.allclose(dense @ op.solve(Y), Y, atol=1e-9)
         assert np.allclose(dense.T @ op.solve_t(Y), Y, atol=1e-9)
-        assert np.allclose(op.to_dense(), dense)
+        assert np.allclose(op.matvec(np.eye(n)), dense)
 
     def test_trivial_shift(self):
         n = 6
@@ -364,7 +360,7 @@ class TestShiftedOperator:
         op = ShiftedOperator(base, np.zeros((n, 0)), np.zeros((n, 0)))
         Y = rng.standard_normal((n, 2))
         assert np.allclose(base @ op.solve(Y), Y, atol=1e-12)
-        assert np.allclose(op.to_dense(), base)
+        assert np.allclose(op.matvec(np.eye(n)), base)
 
     def test_one_factorization_serves_transpose(self):
         # transpose solve must be consistent with the same capacitance data
@@ -409,8 +405,8 @@ class TestProblemContainer:
         Xd = X.to_dense()
         dhat, ahat = prob.shifted_coefficients(
             lr_quadratic_term(X, prob.B1, prob.B2))
-        assert np.allclose(dhat.to_dense(), D - Xd.T @ B)
-        assert np.allclose(ahat.to_dense(), A - B @ Xd)
+        assert np.allclose(dhat.matvec(np.eye(10)), D - Xd.T @ B)
+        assert np.allclose(ahat.matvec(np.eye(10)), A - B @ Xd)
 
 
 class TestResidualAndStep:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -131,6 +132,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(spec, "gauss-seidel")
 
+    def test_wrong_problem_kind(self):
+        dense = ProblemSpec(family="Ex2Dense", n=10)
+        with pytest.raises(ValueError, match=r"'inexact-newton' takes a "
+                           r"LowRankTRiccatiProblem, got a TRiccatiProblem"):
+            run_experiment(dense, "inexact-newton")
+        factored = ProblemSpec(family="Ex2LowRank", n=50)
+        for solver in ("newton", "fixed-point"):
+            with pytest.raises(ValueError, match=r"'%s' takes a TRiccatiProblem, "
+                               r"got a LowRankTRiccatiProblem" % solver):
+                run_experiment(factored, solver)
+
 
 class TestEmitReport:
     def test_csv_rows_match_trace(self, tmp_path):
@@ -187,7 +199,7 @@ class TestCLI:
         assert rc == 0
         printed = capsys.readouterr().out.strip()
         assert printed.endswith(".json")
-        data = json.loads(open(printed).read())
+        data = json.loads(pathlib.Path(printed).read_text())
         assert data["status"] == "Converged"
 
     def test_solve_dense_stdout_json(self, capsys):
@@ -224,6 +236,33 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "bad.json" in err
 
+    @pytest.mark.parametrize("family, cmd, solver", [
+        ("ex2-dense", "solve-lowrank", "inexact-newton"),
+        ("ex2-lowrank", "solve-dense", "newton")])
+    def test_wrong_problem_kind_exits_one(self, tmp_path, capsys, family, cmd,
+                                          solver):
+        rc = main(["generate", "--family", family, "--n", "16",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = capsys.readouterr().out.strip()
+        for source in (["--family", family, "--n", "16"],
+                       ["--problem", manifest]):
+            rc = main([cmd] + source)
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "'%s'" % solver in err
+
+    @pytest.mark.parametrize("family", ["ex1-dense", "ex1-lowrank",
+                                        "ex2-dense", "ex2-lowrank"])
+    def test_empty_problem_exits_one(self, capsys, family):
+        cmd = "solve-lowrank" if family.endswith("lowrank") else "solve-dense"
+        for argv in ([cmd, "--family", family, "--n", "0"],
+                     ["generate", "--family", family, "--n", "0"]):
+            rc = main(argv)
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "n=0" in err
+
     def test_generate_then_solve_file(self, tmp_path, capsys):
         rc = main(["generate", "--family", "ex2-dense", "--n", "25",
                    "--name", "cell", "--out", str(tmp_path)])
@@ -246,7 +285,8 @@ class TestCLI:
                    "--format", "csv", "--out", str(tmp_path)])
         assert rc == 0
         path = capsys.readouterr().out.strip()
-        rows = list(csv.DictReader(open(path)))
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
         assert rows and "rel_res" in rows[0]
 
     def test_bench_smoke(self, tmp_path, capsys):

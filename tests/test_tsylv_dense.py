@@ -13,7 +13,7 @@ from triccati.dense_core import tsylv_oracle_solve
 from triccati.generators import generate_ex2_dense
 from triccati.reports import Status
 from triccati.riccati_dense import TRiccatiProblem, solve_fixed_point, solve_newton
-from triccati.tsylv_dense import TSylvSolver, solve_tsylv_dense
+from triccati.tsylv_dense import TSylvSolver
 
 
 def relative_residual(D, A, X, E):
@@ -189,7 +189,7 @@ class TestAgainstOracle:
             n = int(rng.integers(1, 21))
             D, A = admissible(n, rng)
             E = rng.standard_normal((n, n))
-            X = solve_tsylv_dense(D, A, E)
+            X = TSylvSolver(D, A).solve(E)
             Y = tsylv_oracle_solve(D, A, E)
             denom = max(1.0, np.linalg.norm(Y))
             assert np.linalg.norm(X - Y) <= 1e-10 * denom, f"trial {trial} n={n}"
@@ -202,7 +202,7 @@ class TestAgainstOracle:
             D = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
             A = rng.standard_normal((n, n))
             E = rng.standard_normal((n, n))
-            X = solve_tsylv_dense(D, A, E)
+            X = TSylvSolver(D, A).solve(E)
             res = np.linalg.norm(D @ X + X.T @ A - E)
             assert res <= 1e-9 * max(1.0, np.linalg.norm(E))
 
@@ -231,15 +231,15 @@ class TestLinearity:
     def test_zero_rhs_gives_zero(self):
         rng = np.random.default_rng(15)
         D, A = admissible(6, rng)
-        X = solve_tsylv_dense(D, A, np.zeros((6, 6)))
+        X = TSylvSolver(D, A).solve(np.zeros((6, 6)))
         assert np.allclose(X, 0.0, atol=1e-12)
 
 
 class TestScalarAndSmall:
     def test_scalar(self):
         # d x + x a = e -> x = e/(d+a)
-        X = solve_tsylv_dense(np.array([[2.0]]), np.array([[1.0]]),
-                              np.array([[6.0]]))
+        X = TSylvSolver(np.array([[2.0]]),
+                        np.array([[1.0]])).solve(np.array([[6.0]]))
         assert abs(X[0, 0] - 2.0) < 1e-14
 
     def test_two_by_two_exact(self):
@@ -247,7 +247,7 @@ class TestScalarAndSmall:
         A = np.array([[-1.0, 0.0], [0.0, -0.5]])
         X_true = np.array([[1.0, -2.0], [0.5, 4.0]])
         E = D @ X_true + X_true.T @ A
-        X = solve_tsylv_dense(D, A, E)
+        X = TSylvSolver(D, A).solve(E)
         assert np.allclose(X, X_true, atol=1e-12)
 
 
@@ -255,13 +255,13 @@ class TestSingularity:
     def test_singular_pencil_raises(self):
         # d = 1, a = -1: operator x -> x - x = 0
         with pytest.raises(tr.SingularOperatorError):
-            solve_tsylv_dense(np.array([[1.0]]), np.array([[-1.0]]),
-                              np.array([[1.0]]))
+            TSylvSolver(np.array([[1.0]]),
+                        np.array([[-1.0]])).solve(np.array([[1.0]]))
 
     def test_structurally_singular_2x2(self):
         # D = I, A = -I makes every diagonal pair sum to zero
         with pytest.raises(tr.SingularOperatorError):
-            solve_tsylv_dense(np.eye(2), -np.eye(2), np.ones((2, 2)))
+            TSylvSolver(np.eye(2), -np.eye(2)).solve(np.ones((2, 2)))
 
 
 class TestAgainstPairLoop:
@@ -329,7 +329,7 @@ class TestComplexEigenvalueCoverage:
         D = np.kron(np.eye(3), 3.0 * rot)
         A = 0.2 * rng.standard_normal((6, 6))
         E = rng.standard_normal((6, 6))
-        X = solve_tsylv_dense(D, A, E)
+        X = TSylvSolver(D, A).solve(E)
         res = np.linalg.norm(D @ X + X.T @ A - E)
         assert res <= 1e-9 * np.linalg.norm(E)
 

@@ -42,7 +42,6 @@ from .lowrank import (
     ShiftedOperator,
     lr_frobenius_norm,
     lr_inner_product,
-    lr_line_search_products,
     lr_quadratic_term,
     lr_riccati_residual,
     lr_step_and_Lresidual,

@@ -25,6 +25,18 @@ _FAMILY_BY_FLAG = {
 }
 
 
+# problem flag -> its default, and the flags each source reads; a flag the
+# source does not read is an error, not silently dropped
+_PROBLEM_FLAGS = {"n": 100, "p": 1, "q": 1, "gamma": 1e4, "seed": 0}
+_READS = {
+    "Ex1Dense": ("n", "gamma", "seed"),
+    "Ex1LowRank": ("n", "p", "q", "gamma", "seed"),
+    "Ex2Dense": ("n", "seed"),
+    "Ex2LowRank": ("n", "p", "q", "seed"),
+    "File": (),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # usage errors must exit 1 (2 is reserved for non-convergence)
     def error(self, message):
@@ -37,11 +49,10 @@ def _add_problem_args(p):
                    help="manifest of a saved problem (overrides --family)")
     p.add_argument("--family", choices=sorted(_FAMILY_BY_FLAG),
                    help="generated problem family")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--gamma", type=float, default=1e4)
-    p.add_argument("--seed", type=int, default=0)
+    for flag, default in _PROBLEM_FLAGS.items():
+        p.add_argument("--" + flag, type=type(default),
+                       help="default %g; only for families that read it"
+                       % default)
 
 
 def _add_output_args(p):
@@ -51,11 +62,21 @@ def _add_output_args(p):
 
 def _spec_from_args(args):
     if args.problem:
-        return ProblemSpec(family="File", path=args.problem)
-    if not args.family:
+        family = "File"
+    elif args.family:
+        family = _FAMILY_BY_FLAG[args.family]
+    else:
         raise ValueError("need --family or --problem")
-    return ProblemSpec(family=_FAMILY_BY_FLAG[args.family], n=args.n,
-                       p=args.p, q=args.q, gamma=args.gamma, seed=args.seed)
+    given = {f: getattr(args, f) for f in _PROBLEM_FLAGS
+             if getattr(args, f) is not None}
+    unread = ["--" + f for f in given if f not in _READS[family]]
+    if unread:
+        source = "--problem" if family == "File" else "family " + family
+        raise ValueError("%s does not read %s" % (source, ", ".join(unread)))
+    if family == "File":
+        return ProblemSpec(family="File", path=args.problem)
+    values = {f: given.get(f, _PROBLEM_FLAGS[f]) for f in _READS[family]}
+    return ProblemSpec(family=family, **values)
 
 
 def _finish(run, args, tag):

@@ -16,7 +16,12 @@ the equation to
 where Ahat^T V = W U is maintained exactly by construction.  The norm of
 the lifted residual of X_m = V Y W^T then needs tall-skinny products only:
 ``ExtendedKrylovTSylv.residual_norm`` evaluates it through ||F Y|| with
-F = Dhat V - W T (its docstring says why no shortcut is taken).
+F = Dhat V - W T (its docstring says why no shortcut is taken).  The same
+split gives the residual of the cut solution itself in the form
+Lambda W^T (``ExtendedKrylovTSylv.extract``): a converged solve hands it
+to the outer iteration, whose line search reads its products from the
+n-by-l factor Lambda and the orthonormal W without forming or
+factorizing anything wider.
 
 Orthogonalization is block classical Gram-Schmidt with one
 re-orthogonalization pass.  Candidate columns that have numerically
@@ -51,12 +56,28 @@ _BREAKDOWN_TOL = 1e-12
 
 @dataclass
 class InnerReport:
+    """How one inner solve went.
+
+    residuals is the lifted-residual norm after each projected solve and
+    basis_dim the order of the last one.  residual, set only when the
+    solve converged, is the lifted residual of the returned (cut) solution
+    as a LowRankPair (Lambda, W) with orthonormal W (see
+    ``ExtendedKrylovTSylv.extract``).  dropped_cols counts the candidate
+    columns, seed included, that fell into the space already built and
+    were dropped; capacitance_rcond is the smaller of the two SMW
+    capacitance rconds of the shifted coefficients (1.0 at X = 0), None
+    when they were not built.
+    """
+
     converged: bool
     iterations: int
     residuals: list = field(default_factory=list)
     basis_dim: int = 0
     tol: float = 0.0
     message: str = ""
+    residual: LowRankPair | None = None
+    dropped_cols: int = 0
+    capacitance_rcond: float | None = None
 
 
 def _cgs_against(Q, C):
@@ -83,6 +104,7 @@ class ExtendedKrylovTSylv:
         self._rhs1 = rhs1
         self._rhs2 = rhs2
         n = self.n
+        self.dropped_cols = 0
 
         # seed the two chains; dependent seed columns are dropped by pivoted QR
         fwd_raw = ahat.solve_t(H)
@@ -106,14 +128,18 @@ class ExtendedKrylovTSylv:
     built_dim = property(lambda self: self.ell)  # order of the space built
 
     def _pivot_orth(self, C, Q_prev):
+        """Orthonormal basis of the part of C outside span(Q_prev), by
+        pivoted QR; the columns it drops are added to dropped_cols."""
         C, _ = _cgs_against(Q_prev, C)
-        if C.shape[1] == 0:
+        k = 0
+        if C.shape[1]:
+            Q, R, _ = scipy.linalg.qr(C, mode="economic", pivoting=True)
+            d = np.abs(np.diag(R))
+            if d.size and d[0] > 1e-14 * max(1.0, np.linalg.norm(C)):
+                k = int(np.sum(d > _BREAKDOWN_TOL * d[0]))
+        self.dropped_cols += C.shape[1] - k
+        if k == 0:
             return np.zeros((self.n, 0)), 0
-        Q, R, _ = scipy.linalg.qr(C, mode="economic", pivoting=True)
-        d = np.abs(np.diag(R))
-        if d.size == 0 or d[0] <= 1e-14 * max(1.0, np.linalg.norm(C)):
-            return np.zeros((self.n, 0)), 0
-        k = int(np.sum(d > _BREAKDOWN_TOL * d[0]))
         return Q[:, :k], k
 
     def _block_qr(self, C, Q_prev, what):
@@ -190,10 +216,18 @@ class ExtendedKrylovTSylv:
         nearly dependent.  Evaluating F Y directly keeps the value honest
         at every stage, saturated or not, at one extra tall product.
         """
+        red, FY = self._split(Y)
+        return float(np.hypot(np.linalg.norm(red), np.linalg.norm(FY)))
+
+    def _split(self, Y):
+        """(red, F Y) for X = V Y W^T: the reduced residual
+        T Y + Y^T U^T + G1 G2^T and F Y = Dhat V Y - W T Y, so that the
+        lifted residual is (W red + F Y) W^T."""
         TY = self.T @ Y
         red = TY + Y.T @ self.U.T + self.G1 @ self.G2.T
-        FY = self.DV @ Y - self.W @ TY
-        return float(np.hypot(np.linalg.norm(red), np.linalg.norm(FY)))
+        FY = self.DV @ Y
+        FY -= self.W @ TY
+        return red, FY
 
     def absorb(self, Qn, DVn, Wn, Ucol, bf):
         """Append the block pair (Qn, Wn), whose first bf columns of Qn
@@ -214,10 +248,25 @@ class ExtendedKrylovTSylv:
         self.ell += b
 
     def extract(self, Y):
-        """Lift and recompress: X = V Y W^T as a LowRankPair, with the
-        singular values of Y below the truncation floor dropped."""
+        """Lift and recompress Y, and the lifted residual of the result.
+
+        Returns (pair, L).  pair is X = V Yc W^T as a LowRankPair, where
+        Yc = G1 G2^T is Y with its singular values below the truncation
+        floor dropped.  L is the lifted residual of that pair,
+        Dhat X + X^T Ahat + rhs1 rhs2^T, as LowRankPair(Lambda, W): by the
+        split of ``residual_norm``,
+
+            Lambda = W (T Yc + Yc^T U^T + G1p G2p^T) + (Dhat V Yc - W T Yc)
+
+        with G1p, G2p the projected right-hand-side factors, and W keeps
+        orthonormal columns, so ||L|| = ||Lambda|| and
+        <M1 M2^T, L> = <M1^T Lambda, M2^T W> for any pair.
+        """
         G1, G2 = svd_cut(Y)
-        return LowRankPair(self.V @ G1, self.W @ G2)
+        red, lam = self._split(G1 @ G2.T)
+        lam += self.W @ red  # in place: one n-by-l array fewer at the peak
+        return (LowRankPair(self.V @ G1, self.W @ G2),
+                LowRankPair(lam, self.W))
 
 
 def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
@@ -226,12 +275,13 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
     Each of at most m_max passes solves the projected equation, tests its
     lifted-residual norm against tol_abs (absolute), and only then grows
     the space.  Returns (solution_pair_or_None, InnerReport), whose
-    basis_dim is the order of the last projected equation.  The pair is
-    None when the tolerance was not met within m_max passes or before
-    saturation, or when a numerical failure (singular shifted coefficient,
-    degenerate seed, singular reduced equation) stopped the solve; the
-    message then names the error class and the residuals are those
-    collected before the failure.
+    basis_dim is the order of the last projected equation and whose
+    residual is the solution's lifted residual (see ``InnerReport``).  The
+    pair is None when the tolerance was not met within m_max passes or
+    before saturation, or when a numerical failure (singular shifted
+    coefficient, degenerate seed, singular reduced equation) stopped the
+    solve; the message then names the error class and the residuals are
+    those collected before the failure.
     """
     XBX = lr_quadratic_term(X, prob.B1, prob.B2)
     rhs1 = np.hstack([prob.C1.T, XBX.P1])
@@ -239,11 +289,20 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
     rhs_norm = lr_frobenius_norm(LowRankPair(rhs1, rhs2))
     if rhs_norm == 0.0:
         return zero_pair(prob.n), InnerReport(True, 0, [0.0], 0, tol_abs,
-                                              "zero right-hand side")
+                                              "zero right-hand side",
+                                              residual=zero_pair(prob.n))
     residuals = []
     eng = None
+    rcond = None
+
+    def report(converged, m, message="", residual=None):
+        return InnerReport(converged, m, residuals, eng.ell if eng else 0,
+                           tol_abs, message, residual,
+                           eng.dropped_cols if eng else 0, rcond)
+
     try:
         dhat, ahat = prob.shifted_coefficients(XBX)
+        rcond = min(dhat.rcond, ahat.rcond)
         H = np.hstack([prob.C1.T, prob.C2.T, XBX.P1, XBX.P2])
         eng = ExtendedKrylovTSylv(dhat, ahat, H, rhs1, rhs2)
         for m in range(1, m_max + 1):
@@ -253,16 +312,13 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
             if monitor is not None:
                 monitor(eng, m, Y, res)
             if res <= tol_abs:
-                pair = eng.extract(Y)
-                return pair, InnerReport(True, m, residuals, eng.ell, tol_abs)
+                pair, L = eng.extract(Y)
+                return pair, report(True, m, residual=L)
             if m < m_max and not eng.stage():
-                return None, InnerReport(
-                    False, m, residuals, eng.ell, tol_abs,
-                    "space exhausted at dimension %d before tolerance"
-                    % eng.ell)
+                return None, report(
+                    False, m, "space exhausted at dimension %d before "
+                    "tolerance" % eng.ell)
     except TRiccatiError as e:
-        return None, InnerReport(False, len(residuals), residuals,
-                                 eng.ell if eng else 0, tol_abs,
-                                 "%s: %s" % (type(e).__qualname__, e))
-    return None, InnerReport(False, m_max, residuals, eng.ell, tol_abs,
-                             "m_max reached before tolerance")
+        return None, report(False, len(residuals),
+                            "%s: %s" % (type(e).__qualname__, e))
+    return None, report(False, m_max, "m_max reached before tolerance")

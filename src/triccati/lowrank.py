@@ -1,12 +1,12 @@
 """Factored-form building blocks for large sparse T-Riccati problems.
 
 A low-rank matrix is held as a pair (P1, P2) representing P1 @ P2.T; nothing
-here ever forms an n-by-n dense intermediate.  Norms, truncation and the
-line-search products go through thin QRs of the factors (``HouseholderQR``,
-LAPACK's recursive Householder QR with Q kept as reflectors) and a small
-core; ``lr_inner_product`` of two pairs through t-by-t Gram matrices; and
-solves with low-rank-corrected operators through the
-Sherman-Morrison-Woodbury identity
+here ever forms an n-by-n dense intermediate.  Norms and truncation go
+through thin QRs of the factors (``HouseholderQR``, LAPACK's recursive
+Householder QR with Q kept as reflectors) and a small core;
+``lr_inner_product`` of two pairs through t-by-t Gram matrices; and solves
+with low-rank-corrected operators through the Sherman-Morrison-Woodbury
+identity
 
     (A - M N^T)^{-1} = A^{-1} + A^{-1} M (I - N^T A^{-1} M)^{-1} N^T A^{-1}.
 
@@ -38,7 +38,6 @@ __all__ = [
     "LowRankTRiccatiProblem",
     "lr_riccati_residual",
     "lr_step_and_Lresidual",
-    "lr_line_search_products",
     "lr_quadratic_term",
 ]
 
@@ -236,7 +235,9 @@ def _as_operator(A):
 
 class ShiftedOperator:
     """base - M @ N.T with SMW solves; capacitance data is precomputed once,
-    and a capacitance rcond below 1e-14 raises SingularCapacitanceError.
+    its rcond (sigma_min / sigma_max of I - N^T base^{-1} M; 1.0 without a
+    correction) is kept as ``rcond``, and an rcond below 1e-14 raises
+    SingularCapacitanceError.
 
     Used for the Newton-shifted coefficients: shifts enter only through the
     low-rank term, so the base factorization is shared across steps.
@@ -248,15 +249,16 @@ class ShiftedOperator:
         self.N = np.asarray(N, dtype=float)
         self.n = self.base.n
         self._trivial = self.M.size == 0 or self.N.size == 0
+        self.rcond = 1.0
         if not self._trivial:
             self._AinvM = self.base.solve(self.M)
             self._AtinvN = self.base.solve_t(self.N)
             cap = np.eye(self.M.shape[1]) - self.N.T @ self._AinvM
             sv = scipy.linalg.svdvals(cap)
-            rcond = float(sv[-1] / (sv[0] + 1e-300)) if sv.size else 0.0
-            if rcond < _RCOND_LIMIT:
+            self.rcond = float(sv[-1] / (sv[0] + 1e-300)) if sv.size else 0.0
+            if self.rcond < _RCOND_LIMIT:
                 raise SingularCapacitanceError(
-                    "capacitance matrix is singular (rcond=%.2e)" % rcond)
+                    "capacitance matrix is singular (rcond=%.2e)" % self.rcond)
             self._cap_lu = scipy.linalg.lu_factor(cap)
 
     def matvec(self, Y):
@@ -364,6 +366,11 @@ def lr_step_and_Lresidual(prob, X, X_tilde):
     for X = P1 P2^T, X~ = T1 T2^T, alpha = P1^T B1, beta = P1^T B2 and
     alpha_t, beta_t the same with T1; width 2 t~ + t + q.  Neither output
     is recompressed; a caller that wants a cut calls ``lr_truncate``.
+
+    This is the explicit-form reference for L.  The solver does not call
+    it: ``solve_tsylv_krylov`` returns L already in the form Lambda W^T
+    with orthonormal W (``ExtendedKrylovTSylv.extract``), from which the
+    line search reads its products.
     """
     P1, P2 = X.P1, X.P2
     T1, T2 = X_tilde.P1, X_tilde.P2
@@ -378,28 +385,6 @@ def lr_step_and_Lresidual(prob, X, X_tilde):
                    (P2 @ beta - T2 @ beta_t) @ alpha.T,
                    prob.C2.T])
     return S, LowRankPair(L1, L2)
-
-
-def lr_line_search_products(R, L, SBS):
-    """(||L||_F^2, <R, L>, <L, SBS>), the three line-search products that
-    involve the inner residual L, read off L's own thin QRs.
-
-    With L1 = Q1 R_L1 and L2 = Q2 R_L2, L = Q1 K Q2^T for the small core
-    K = R_L1 R_L2^T, so ||L||^2 = ||K||^2 and <M, L> = <(Q1^T M1)(Q2^T
-    M2)^T, K> for a pair M.  K is formed after the orthogonal reduction,
-    so the error in ||L||^2 scales as eps * ||blocks||^2 * ||L||; the Gram
-    trace sum((L1^T L1) * (L2^T L2)) adds up terms of size ||blocks||^4
-    and, late in the iteration where L is small next to its blocks, is
-    noise (Benner, Heinkenschloss, Saak & Weichelt, Appl. Numer. Math.
-    108 (2016)).
-    """
-    qr1, qr2 = HouseholderQR(L.P1), HouseholderQR(L.P2)
-    K = qr1.R @ qr2.R.T
-
-    def with_L(M):
-        return float(np.vdot(qr1.project(M.P1) @ qr2.project(M.P2).T, K))
-
-    return float(np.vdot(K, K)), with_L(R), with_L(SBS)
 
 
 def lr_quadratic_term(S, B1, B2):

@@ -16,14 +16,21 @@ quartic
 
 over (0, theta_k], where L is the inner-solve residual and theta_k the
 admissibility cap.  Of the quartic's six products, ||R_k||^2 is the
-square of the residual norm already taken; ||L||^2, <R_k, L> and
-<L, S_k^T B S_k> come from the small core of L in the bases of L's own
-thin QRs (``lr_line_search_products``), because late in the iteration L
-is small next to its blocks and a Gram trace of its factors is rounding
-noise; ||S_k^T B S_k||^2 and <R_k, S_k^T B S_k> are Gram traces of the
-rank-p pair S_k^T B S_k.  Every accepted step must shrink the residual
-norm by the factor (1 - lam*alpha).  A step that fails the decrease test
-after truncation is retried with halved lam a few times, then the run is
+square of the residual norm already taken.  ||L||^2, <R_k, L> and
+<L, S_k^T B S_k> come from the form L = Lambda W^T in which the inner
+solve returns L, with W the orthonormal basis it built
+(``ExtendedKrylovTSylv.extract``): ||L||^2 = ||Lambda||^2 and
+<M1 M2^T, L> = <M1^T Lambda, M2^T W>, with no QR and without L's
+explicit factors (``lr_step_and_Lresidual``) of width 2 t~ + t + q.
+Lambda carries an absolute error of about eps ||D|| ||Xt||, as the QR
+core of those factors did, so late in the iteration, where L is small
+next to its blocks, the products keep their accuracy where a Gram trace
+of the explicit factors would be rounding noise (Benner, Heinkenschloss,
+Saak & Weichelt, Appl. Numer. Math. 108 (2016)).  ||S_k^T B S_k||^2 and
+<R_k, S_k^T B S_k> are Gram traces of the rank-p pair S_k^T B S_k.  Every
+accepted step must shrink the residual norm by the factor
+(1 - lam*alpha).  A step that fails the decrease test after truncation
+is retried with halved lam a few times, then the run is
 reported as Diverged, and so is an accepted iterate wider than the rank
 cap.  Inner-solver failures (stagnation, basis breakdown, singular
 projected equations) surface as InnerSolveFailed reports carrying the
@@ -58,10 +65,9 @@ from .lowrank import (
     hstack_f,
     lr_frobenius_norm,
     lr_inner_product,
-    lr_line_search_products,
     lr_quadratic_term,
     lr_riccati_residual,
-    lr_step_and_Lresidual,
+    lr_step_and_Lresidual,  # unused here; bound for perfbench's PATCHES
     lr_truncate,
     zero_pair,
 )
@@ -176,6 +182,8 @@ def _failure_row(k, res, rel, rank, inner):
                            iterate_rank=rank,
                            inner_residuals=list(inner.residuals),
                            basis_dim=inner.basis_dim,
+                           dropped_cols=inner.dropped_cols,
+                           capacitance_rcond=inner.capacitance_rcond,
                            inner_message=None if inner.converged
                            else inner.message)
 
@@ -250,15 +258,18 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
             status = Status.INNER_SOLVE_FAILED
             break
 
-        S, L = lr_step_and_Lresidual(prob, X, Xt)
+        S = LowRankPair(np.hstack([Xt.P1, -X.P1]), np.hstack([Xt.P2, X.P2]))
         SBS = lr_quadratic_term(S, prob.B1, prob.B2)
-        del S  # only S^T B S enters the quartic; free it before L's QRs
-        beta_k, gamma_k, xi_k = lr_line_search_products(R, L, SBS)
-        poly = LineSearchPoly(alpha_k=res * res, beta_k=beta_k,
-                              gamma_k=gamma_k,
-                              delta_k=lr_inner_product(SBS, SBS),
-                              eps_k=lr_inner_product(R, SBS), xi_k=xi_k)
-        del L, SBS, R  # the failure rows below need only res
+        Lam, W = inner.residual.P1, inner.residual.P2  # L = Lam W^T
+        poly = LineSearchPoly(
+            alpha_k=res * res, beta_k=float(np.vdot(Lam, Lam)),
+            gamma_k=float(np.vdot(R.P1.T @ Lam, R.P2.T @ W)),
+            delta_k=lr_inner_product(SBS, SBS),
+            eps_k=lr_inner_product(R, SBS),
+            xi_k=float(np.vdot(SBS.P1.T @ Lam, SBS.P2.T @ W)))
+        # only the quartic reads L, S and R; the failure rows need only res
+        inner.residual = None
+        del S, SBS, R, Lam, W
         theta = compute_theta(poly.alpha_k, poly.delta_k, cfg)
         lam = minimize_quartic(poly, theta)
         if abs(lam - 1.0) <= 1e-8:
@@ -302,6 +313,8 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
             step_size=lam, inner_iterations=inner.iterations,
             iterate_rank=X.rank, rank_before_cut=width,
             inner_residuals=list(inner.residuals), basis_dim=inner.basis_dim,
+            dropped_cols=inner.dropped_cols,
+            capacitance_rcond=inner.capacitance_rcond,
             nonnegative=nonnegativity_monitor(X),
             min_entry_ratio=min_entry_ratio(X)))
         if keep_iterates:

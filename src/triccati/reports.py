@@ -24,9 +24,11 @@ class IterationRecord:
     (1 when no search ran); rank_before_cut is the width of a factored
     iterate before its truncation to iterate_rank; inner_residuals keeps
     the per-expansion history of the inner projected solver when one was
-    used, basis_dim the order of its last projected equation and
-    inner_message why it failed (on a failure row only); nonnegative and
-    min_entry_ratio observe the sign of factored iterates.
+    used, basis_dim the order of its last projected equation,
+    dropped_cols the candidate columns it dropped, capacitance_rcond the
+    smaller rcond of its two SMW capacitance matrices, and inner_message
+    why it failed (on a failure row only); nonnegative and min_entry_ratio
+    observe the sign of factored iterates.
     """
 
     k: int
@@ -40,6 +42,8 @@ class IterationRecord:
     nonnegative: bool | None = None
     min_entry_ratio: float | None = None
     basis_dim: int | None = None
+    dropped_cols: int | None = None
+    capacitance_rcond: float | None = None
     inner_message: str | None = None
 
     def to_row(self):
@@ -61,6 +65,10 @@ class IterationRecord:
             row["min_entry_ratio"] = float(self.min_entry_ratio)
         if self.basis_dim is not None:
             row["basis_dim"] = int(self.basis_dim)
+        if self.dropped_cols is not None:
+            row["dropped_cols"] = int(self.dropped_cols)
+        if self.capacitance_rcond is not None:
+            row["capacitance_rcond"] = float(self.capacitance_rcond)
         if self.inner_message is not None:
             row["inner_message"] = self.inner_message
         return row

@@ -59,6 +59,8 @@ def build_problem(spec):
     f = spec.family
     if f != "File" and spec.n < 1:
         raise ValueError("%s needs n >= 1, got n=%d" % (f, spec.n))
+    if f != "File" and spec.seed < 0:
+        raise ValueError("%s needs seed >= 0, got seed=%d" % (f, spec.seed))
     if f == "Ex1Dense":
         return generators.generate_ex1_dense(spec.n, gamma=spec.gamma,
                                              seed=spec.seed)

@@ -2,11 +2,12 @@
 instances small enough to lift everything."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from triccati.krylov import ExtendedKrylovTSylv, solve_tsylv_krylov
 from triccati.lowrank import (LowRankPair, LowRankTRiccatiProblem,
-                              lr_quadratic_term, zero_pair)
+                              ShiftedOperator, lr_quadratic_term, zero_pair)
 from triccati.newton_lowrank import solve_inexact_newton
 from triccati.reports import Status
 from triccati.tsylv_dense import TSylvSolver
@@ -71,6 +72,63 @@ class TestAgainstDense:
         assert rep.tol == tol
         assert rep.basis_dim >= Xt.rank
         assert rep.residuals[-1] <= tol
+
+
+class TestInnerResidual:
+    """A converged solve returns its solution's lifted residual as
+    (Lambda, W) with orthonormal W; a failed one returns none."""
+
+    def test_matches_dense_residual_of_solution(self):
+        prob = make_problem(n=36, p=2, q=1, seed=5)
+        X = LowRankPair(0.05 * rng.random((36, 2)), 0.05 * rng.random((36, 2)))
+        Dd, Ad, rhs = dense_inner_data(prob, X)
+        Xt, rep = solve_tsylv_krylov(prob, X, 1e-3 * np.linalg.norm(rhs))
+        assert rep.converged
+        Lam, W = rep.residual.P1, rep.residual.P2
+        assert W.shape[1] == rep.basis_dim
+        assert np.allclose(W.T @ W, np.eye(W.shape[1]), rtol=0.0, atol=1e-13)
+        Xtd = Xt.to_dense()
+        want = Dd @ Xtd + Xtd.T @ Ad + rhs
+        err = np.linalg.norm(Lam @ W.T - want)
+        assert err <= 1e-12 * np.linalg.norm(rhs)
+        assert np.linalg.norm(Lam) == pytest.approx(np.linalg.norm(want),
+                                                    rel=1e-9)
+
+    @pytest.mark.parametrize("m_max", [0, 1])
+    def test_none_after_failure(self, m_max):
+        prob = make_problem(n=64, p=1, q=2, seed=4)
+        Xt, rep = solve_tsylv_krylov(prob, zero_pair(64),
+                                     1e-14 * prob.c_norm(), m_max=m_max)
+        assert Xt is None and not rep.converged
+        assert rep.residual is None
+
+
+class TestDiagnostics:
+    def test_dropped_cols_and_capacitance_rcond(self):
+        # at X = 0 the X^T B X columns of the seed are zero and dropped, and
+        # the capacitance matrices are identities
+        prob = make_problem(n=40, p=2, q=1, seed=3)
+        Xt, rep = solve_tsylv_krylov(prob, zero_pair(40),
+                                     1e-10 * prob.c_norm())
+        assert rep.converged
+        assert rep.dropped_cols >= 2 * 2 and rep.capacitance_rcond == 1.0
+        X = LowRankPair(0.5 * rng.random((40, 2)), 0.5 * rng.random((40, 2)))
+        XBX = lr_quadratic_term(X, prob.B1, prob.B2)
+        dhat, ahat = prob.shifted_coefficients(XBX)
+        _, rep = solve_tsylv_krylov(prob, X, 1e-10 * prob.c_norm())
+        assert isinstance(rep.dropped_cols, int) and rep.dropped_cols >= 0
+        assert rep.capacitance_rcond == min(dhat.rcond, ahat.rcond) < 1.0
+
+    def test_rcond_of_shifted_operator(self):
+        n = 20
+        base = np.diag(1.0 + np.arange(n))
+        M, N = rng.random((n, 2)), rng.random((n, 2))
+        op = ShiftedOperator(base, M, N)
+        cap = np.eye(2) - N.T @ np.linalg.solve(base, M)
+        sv = np.linalg.svd(cap, compute_uv=False)
+        assert op.rcond == pytest.approx(sv[-1] / sv[0], rel=1e-12)
+        assert ShiftedOperator(base, np.zeros((n, 0)),
+                               np.zeros((n, 0))).rcond == 1.0
 
 
 class TestResidualFormula:
@@ -267,5 +325,5 @@ class TestEngineDirect:
         eng.stage()
         Y = eng.solve_reduced()
         # extract truncates: tiny singular values of Y dropped
-        pair = eng.extract(Y)
+        pair, _ = eng.extract(Y)
         assert pair.rank <= Y.shape[1]

@@ -13,7 +13,6 @@ from triccati.lowrank import (
     ShiftedOperator,
     lr_frobenius_norm,
     lr_inner_product,
-    lr_line_search_products,
     lr_quadratic_term,
     lr_riccati_residual,
     lr_step_and_Lresidual,
@@ -262,35 +261,6 @@ class TestTruncateAccuracy:
         keep = T.rank
         assert np.allclose(got, want[:keep], rtol=0.0, atol=1e-13 * want[0])
         assert np.all(want[keep:] <= 1e-14 * want[0] * (1 + 1e-6))
-
-
-class TestLineSearchProducts:
-    def test_match_dense_products(self):
-        R, L, SBS = rand_pair(20, 20, 6), rand_pair(20, 20, 9), rand_pair(20, 20, 2)
-        beta, gamma, xi = lr_line_search_products(R, L, SBS)
-        Ld = L.to_dense()
-        assert beta == pytest.approx(np.sum(Ld * Ld), rel=1e-13)
-        assert gamma == pytest.approx(np.sum(R.to_dense() * Ld), rel=1e-12)
-        assert xi == pytest.approx(np.sum(SBS.to_dense() * Ld), rel=1e-12)
-
-    def test_small_L_of_cancelling_blocks(self):
-        # L = G H^T - G H^T + 1e-9 G E^T from O(1) blocks; the Gram trace
-        # sum((L1^T L1) * (L2^T L2)) adds O(1) terms to get ~1e-18 and is
-        # off by orders of magnitude, the core of L's QRs is not
-        n = 60
-        G = rng.standard_normal((n, 3))
-        H = rng.standard_normal((n, 3))
-        E = rng.standard_normal((n, 3))
-        G, H, E = (M / np.linalg.norm(M) for M in (G, H, E))
-        H2 = -H + 1e-9 * E
-        L = LowRankPair(np.hstack([G, G]), np.hstack([H, H2]))
-        Ld = G @ (H + H2).T  # H + H2 is exact (Sterbenz)
-        R, SBS = rand_pair(n, n, 4), rand_pair(n, n, 2)
-        beta, gamma, xi = lr_line_search_products(R, L, SBS)
-        assert np.linalg.norm(Ld) == pytest.approx(1e-9, rel=0.9)
-        assert beta == pytest.approx(np.sum(Ld * Ld), rel=1e-6, abs=0.0)
-        assert gamma == pytest.approx(np.sum(R.to_dense() * Ld), rel=1e-6, abs=0.0)
-        assert xi == pytest.approx(np.sum(SBS.to_dense() * Ld), rel=1e-6, abs=0.0)
 
 
 class TestMatrixOperator:

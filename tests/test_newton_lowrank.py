@@ -326,6 +326,25 @@ class TestSolver:
         assert row["inner_message"] == "m_max reached before tolerance"
         assert rep.warnings[-1].endswith(row["inner_message"])
 
+    @pytest.mark.parametrize("q", [1, 5])
+    def test_dropped_cols_and_capacitance_rcond_in_trace(self, q):
+        # lowrank-sparse-style instances; the keys go in the JSON rows only
+        prob, _ = generate_ex2_lowrank(400, p=1, q=q, seed=0)
+        _, rep = solve_inexact_newton(prob, InexactNewtonConfig(eps=1e-6))
+        assert rep.status is tr.Status.CONVERGED
+        rows = rep.trace_rows()
+        for row in rows:
+            assert isinstance(row["dropped_cols"], int)
+            assert row["dropped_cols"] >= 0
+            assert 0.0 < row["capacitance_rcond"] <= 1.0
+        # sweep 1 runs at X = 0: identity capacitances, zero seed columns
+        assert rows[0]["capacitance_rcond"] == 1.0
+        assert rows[0]["dropped_cols"] >= 2 * prob.p
+        _, rep = solve_inexact_newton(prob, InexactNewtonConfig(m_max=0))
+        assert rep.status is tr.Status.INNER_SOLVE_FAILED
+        row = rep.trace_rows()[-1]
+        assert row["capacitance_rcond"] == 1.0 and row["dropped_cols"] >= 0
+
     def test_step_rejected_after_halvings(self, monkeypatch):
         # a decrease test that never passes: every halving is tried, then
         # the sweep is recorded with step 0 and the report keeps X_0 = 0
@@ -351,6 +370,69 @@ class TestSolver:
         assert X.rank == 0 and rep.solution_rank == 0
         assert rep.final_relative_residual == pytest.approx(1.0, rel=1e-12)
         assert rep.min_step_size is None
+
+
+def _dense_products(prob, X, Xt):
+    """Dense ||R||, ||L||, ||S^T B S|| and (||L||^2, <R, L>, <L, S^T B S>)
+    at iterate X and inner solution Xt, L formed from its definition."""
+    D, A = prob.D.to_dense(), prob.A.to_dense()
+    B, C = prob.B1 @ prob.B2.T, prob.C1.T @ prob.C2
+    Xd, Xtd = X.to_dense(), Xt.to_dense()
+    R = D @ Xd + Xd.T @ A - Xd.T @ B @ Xd + C
+    L = (D - Xd.T @ B) @ Xtd + Xtd.T @ (A - B @ Xd) + Xd.T @ B @ Xd + C
+    S = Xtd - Xd
+    SBS = S.T @ B @ S
+    norms = [np.linalg.norm(M) for M in (R, L, SBS)]
+    return norms, (np.sum(L * L), np.sum(R * L), np.sum(SBS * L))
+
+
+class TestLineSearchFromInnerResidual:
+    """The quartic's three products of the inner residual L are read from
+    the (Lambda, W) form the inner solve returns; checked at every sweep
+    against L formed densely from D, A, B, C, X and Xt."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("make", [
+        lambda s: generate_ex1_lowrank(100, p=1, q=2, gamma=100, seed=s)[0],
+        lambda s: generate_ex2_lowrank(200, p=1, q=5, seed=s)[0]],
+        ids=["ex1", "ex2"])
+    def test_products_match_dense_L(self, monkeypatch, make, seed):
+        prob = make(seed)
+        sweeps = []
+        inner = newton_lowrank.solve_tsylv_krylov
+        quartic = newton_lowrank.minimize_quartic
+
+        def spy_inner(prob, X, *args, **kwargs):
+            Xt, rep = inner(prob, X, *args, **kwargs)
+            sweeps.append({"X": X, "Xt": Xt})
+            return Xt, rep
+
+        def spy_quartic(poly, theta):
+            lam = quartic(poly, theta)
+            sweeps[-1].update(poly=poly, theta=theta, lam=lam)
+            return lam
+
+        monkeypatch.setattr(newton_lowrank, "solve_tsylv_krylov", spy_inner)
+        monkeypatch.setattr(newton_lowrank, "minimize_quartic", spy_quartic)
+        _, rep = solve_inexact_newton(prob, InexactNewtonConfig(eps=1e-8))
+        assert rep.status is tr.Status.CONVERGED
+        assert len(sweeps) == len(rep.iterations) >= 3
+        ratios = []
+        for sw in sweeps:
+            poly = sw["poly"]
+            (nR, nL, nS), (beta, gamma, xi) = _dense_products(
+                prob, sw["X"], sw["Xt"])
+            ratios.append(nL / nR)
+            assert abs(poly.beta_k - beta) <= 1e-5 * beta
+            assert abs(poly.gamma_k - gamma) <= 1e-5 * nR * nL
+            assert abs(poly.xi_k - xi) <= 1e-5 * nS * nL
+            ref = tr.LineSearchPoly(alpha_k=poly.alpha_k, beta_k=beta,
+                                    gamma_k=gamma, delta_k=poly.delta_k,
+                                    eps_k=poly.eps_k, xi_k=xi)
+            assert abs(sw["lam"] - quartic(ref, sw["theta"])) <= 1e-8
+        # the late sweeps reach an L small next to R, where the products
+        # of L's explicit factors would cancel
+        assert min(ratios) <= 1e-2
 
 
 class TestThreadRobustness:

@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from triccati.cli import build_parser, main
+from triccati.cli import _spec_from_args, build_parser, main
 from triccati.reports import Status
 from triccati.runner import (
     ProblemSpec,
@@ -278,7 +278,50 @@ class TestCLI:
         parser = build_parser()
         for cmd in ("generate", "solve-dense", "solve-lowrank"):
             args = parser.parse_args([cmd, "--family", "ex2-lowrank"])
-            assert args.q == ProblemSpec(family="Ex2LowRank").q == 1
+            q = _spec_from_args(args).q
+            assert q == ProblemSpec(family="Ex2LowRank").q == 1
+
+    @pytest.mark.parametrize("family, reads, unread", [
+        ("ex1-dense", {"n": 12, "gamma": 50.0, "seed": 3}, ["p", "q"]),
+        ("ex1-lowrank", {"n": 12, "p": 2, "q": 3, "gamma": 50.0, "seed": 3},
+         []),
+        ("ex2-dense", {"n": 12, "seed": 3}, ["p", "q", "gamma"]),
+        ("ex2-lowrank", {"n": 12, "p": 2, "q": 3, "seed": 3}, ["gamma"])])
+    def test_problem_flags_a_family_does_not_read(self, capsys, family,
+                                                  reads, unread):
+        argv = ["generate", "--family", family]
+        for flag, value in reads.items():
+            argv += ["--" + flag, str(value)]
+        spec = _spec_from_args(build_parser().parse_args(argv))
+        assert {f: getattr(spec, f) for f in reads} == reads
+        name = spec.family
+        for flag in unread:
+            for cmd in ("generate", "solve-dense", "solve-lowrank"):
+                rc = main([cmd, "--family", family, "--n", "8",
+                           "--" + flag, "2"])
+                assert rc == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error:")
+                assert "--" + flag in err and name in err
+
+    def test_problem_flags_with_a_manifest(self, tmp_path, capsys):
+        rc = main(["generate", "--family", "ex2-dense", "--n", "8",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = capsys.readouterr().out.strip()
+        rc = main(["solve-dense", "--problem", manifest, "--seed", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed" in err
+        assert "--problem" in err
+
+    def test_negative_seed_exits_one(self, capsys):
+        for argv in (["solve-dense", "--family", "ex2-dense", "--n", "4"],
+                     ["generate", "--family", "ex1-lowrank", "--n", "4"]):
+            rc = main(argv + ["--seed", "-1"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "seed=-1" in err
 
     def test_csv_output(self, tmp_path, capsys):
         rc = main(["solve-dense", "--family", "ex2-dense", "--n", "30",

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .reports import Status
-from .runner import ProblemSpec, emit_report, run_experiment
+from .runner import READS, ProblemSpec, emit_report, run_experiment
 
 _FAMILY_BY_FLAG = {
     "ex1-dense": "Ex1Dense",
@@ -25,16 +25,9 @@ _FAMILY_BY_FLAG = {
 }
 
 
-# problem flag -> its default, and the flags each source reads; a flag the
-# source does not read is an error, not silently dropped
+# problem flag -> its default; a flag the source does not read (runner's
+# READS) is an error, not silently dropped
 _PROBLEM_FLAGS = {"n": 100, "p": 1, "q": 1, "gamma": 1e4, "seed": 0}
-_READS = {
-    "Ex1Dense": ("n", "gamma", "seed"),
-    "Ex1LowRank": ("n", "p", "q", "gamma", "seed"),
-    "Ex2Dense": ("n", "seed"),
-    "Ex2LowRank": ("n", "p", "q", "seed"),
-    "File": (),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,13 +62,13 @@ def _spec_from_args(args):
         raise ValueError("need --family or --problem")
     given = {f: getattr(args, f) for f in _PROBLEM_FLAGS
              if getattr(args, f) is not None}
-    unread = ["--" + f for f in given if f not in _READS[family]]
+    unread = ["--" + f for f in given if f not in READS[family]]
     if unread:
         source = "--problem" if family == "File" else "family " + family
         raise ValueError("%s does not read %s" % (source, ", ".join(unread)))
     if family == "File":
         return ProblemSpec(family="File", path=args.problem)
-    values = {f: given.get(f, _PROBLEM_FLAGS[f]) for f in _READS[family]}
+    values = {f: given.get(f, _PROBLEM_FLAGS[f]) for f in READS[family]}
     return ProblemSpec(family=family, **values)
 
 

@@ -24,14 +24,17 @@ n-by-l factor Lambda and the orthonormal W without forming or
 factorizing anything wider.
 
 Orthogonalization is block classical Gram-Schmidt with one
-re-orthogonalization pass.  Candidate columns that have numerically
-fallen into the current space are dropped; when nothing genuinely new
-survives (on either side) the space is treated as invariant, the lifted
-residual is then evaluated honestly from its factored form, and the
-caller decides whether that is convergence or stagnation.  Only a
-degenerate seed -- no seed column left, or the first block's image
-collapsing under an effectively singular coefficient -- raises
-BasisBreakdownError, which ``solve_tsylv_krylov`` reports as a failure.
+re-orthogonalization pass.  The engine starts from the empty space, and
+the seed is its first growth: every growth orthogonalizes the candidates
+of both chains against the space built so far, drops the columns that
+have numerically fallen into it, and appends the survivors together with
+their W image.  When nothing genuinely new survives (on either side)
+``ExtendedKrylovTSylv.stage`` returns False and leaves the space as it
+was; the lifted residual is then evaluated honestly from its factored
+form, and the caller decides whether that is convergence or stagnation.
+Only the seed raises BasisBreakdownError -- when no seed column
+survives, or when its W image collapses under an effectively singular
+coefficient -- and ``solve_tsylv_krylov`` reports that as a failure.
 """
 
 import numpy as np
@@ -40,8 +43,8 @@ import scipy.linalg
 from dataclasses import dataclass, field
 
 from .errors import BasisBreakdownError, TRiccatiError
-from .lowrank import (HouseholderQR, LowRankPair, lr_frobenius_norm,
-                      lr_quadratic_term, svd_cut, zero_pair)
+from .lowrank import (HouseholderQR, LowRankPair, hstack_f, svd_cut,
+                      lr_frobenius_norm, lr_quadratic_term, zero_pair)
 from .tsylv_dense import TSylvSolver
 
 __all__ = [
@@ -63,9 +66,11 @@ class InnerReport:
     solve converged, is the lifted residual of the returned (cut) solution
     as a LowRankPair (Lambda, W) with orthonormal W (see
     ``ExtendedKrylovTSylv.extract``).  dropped_cols counts the candidate
-    columns, seed included, that fell into the space already built and
-    were dropped; capacitance_rcond is the smaller of the two SMW
-    capacitance rconds of the shifted coefficients (1.0 at X = 0), None
+    columns that fell into the space already built and were dropped, over
+    the seed (the first growth, from the empty space) and every stage;
+    basis_dim and dropped_cols read 0 when the seed raised.
+    capacitance_rcond is the smaller of the two SMW capacitance rconds of
+    the shifted coefficients (1.0 at X = 0; see ``ShiftedOperator``), None
     when they were not built.
     """
 
@@ -85,8 +90,6 @@ def _cgs_against(Q, C):
 
     Returns (C_orth, coeffs) with C = Q @ coeffs + C_orth.
     """
-    if Q.shape[1] == 0:
-        return C.copy(), np.zeros((0, C.shape[1]))
     P = Q.T @ C
     C = C - Q @ P
     P2 = Q.T @ C
@@ -95,35 +98,29 @@ def _cgs_against(Q, C):
 
 
 class ExtendedKrylovTSylv:
-    """Joint (V, W) extended Krylov bases for one shifted equation."""
+    """Joint (V, W) extended Krylov bases for one shifted equation.
+
+    Starts from the empty space and grows it by the seed
+    [Ahat^{-T} H, Dhat^{-1} H] through ``_grow``, as ``stage`` grows it
+    later; raises BasisBreakdownError when no seed column survives or
+    the seed's W image collapses.
+    """
 
     def __init__(self, dhat, ahat, H, rhs1, rhs2):
         self.dhat = dhat
         self.ahat = ahat
-        self.n = H.shape[0]
+        self.n = n = H.shape[0]
         self._rhs1 = rhs1
         self._rhs2 = rhs2
-        n = self.n
         self.dropped_cols = 0
-
-        # seed the two chains; dependent seed columns are dropped by pivoted QR
-        fwd_raw = ahat.solve_t(H)
-        inv_raw = dhat.solve(H)
-        Qf, kf = self._pivot_orth(fwd_raw, np.zeros((n, 0)))
-        Qi, ki = self._pivot_orth(inv_raw, Qf)
-        self.V = np.hstack([Qf, Qi])
-        self._fwd = np.arange(kf)
-        self._inv = np.arange(kf, kf + ki)
-        self.ell = kf + ki
-        if self.ell == 0:
+        # the empty space; the seed is its first growth
+        self.V = self.DV = self.W = np.zeros((n, 0))
+        self.T = self.U = np.zeros((0, 0))
+        self.G1, self.G2 = rhs1[:0], rhs2[:0]
+        self._fwd = self._inv = np.arange(0)
+        self.ell = 0
+        if not self._grow(ahat.solve_t(H), dhat.solve(H), "W basis seed"):
             raise BasisBreakdownError("no seed column survived orthogonalization")
-        self.DV = dhat.matvec(self.V)
-        self.W, Rw = self._block_qr(ahat.rmatvec(self.V),
-                                    np.zeros((n, 0)), "W basis seed")
-        self.U = Rw
-        self.T = self.W.T @ self.DV
-        self.G1 = self.W.T @ rhs1
-        self.G2 = self.W.T @ rhs2
 
     built_dim = property(lambda self: self.ell)  # order of the space built
 
@@ -131,69 +128,67 @@ class ExtendedKrylovTSylv:
         """Orthonormal basis of the part of C outside span(Q_prev), by
         pivoted QR; the columns it drops are added to dropped_cols."""
         C, _ = _cgs_against(Q_prev, C)
+        Q, R, _ = scipy.linalg.qr(C, mode="economic", pivoting=True)
+        d = np.abs(np.diag(R))
         k = 0
-        if C.shape[1]:
-            Q, R, _ = scipy.linalg.qr(C, mode="economic", pivoting=True)
-            d = np.abs(np.diag(R))
-            if d.size and d[0] > 1e-14 * max(1.0, np.linalg.norm(C)):
-                k = int(np.sum(d > _BREAKDOWN_TOL * d[0]))
+        if d.size and d[0] > 1e-14 * max(1.0, np.linalg.norm(C)):
+            k = int(np.sum(d > _BREAKDOWN_TOL * d[0]))
         self.dropped_cols += C.shape[1] - k
-        if k == 0:
-            return np.zeros((self.n, 0)), 0
-        return Q[:, :k], k
+        return Q[:, :k]
 
     def _block_qr(self, C, Q_prev, what):
         """Orthogonalize C against Q_prev and internally; strict rank check."""
         orig_scale = max(np.linalg.norm(C), 1e-300)
         C, coeffs = _cgs_against(Q_prev, C)
         qr = HouseholderQR(C)
-        R = qr.R
-        Q = qr.apply(np.eye(R.shape[0]))
-        sv = scipy.linalg.svdvals(R)
-        smax = sv[0] if sv.size else 0.0
-        smin = sv[-1] if sv.size else 0.0
-        if smax <= 1e-14 * orig_scale:
+        sv = scipy.linalg.svdvals(qr.R)
+        if sv[0] <= 1e-14 * orig_scale:
             raise BasisBreakdownError(
                 "%s: block vanished after orthogonalization" % what)
-        if smin <= _BREAKDOWN_TOL * smax:
+        if sv[-1] <= _BREAKDOWN_TOL * sv[0]:
             raise BasisBreakdownError(
                 "%s: new block is rank deficient "
-                "(sigma_min/sigma_max = %.2e)" % (what, smin / smax))
-        return Q, (np.vstack([coeffs, R]) if Q_prev.shape[1] else R)
+                "(sigma_min/sigma_max = %.2e)" % (what, sv[-1] / sv[0]))
+        return qr.apply(np.eye(qr.R.shape[0])), np.vstack([coeffs, qr.R])
+
+    def _grow(self, cand_f, cand_i, what):
+        """Orthogonalize the forward- and inverse-chain candidates against
+        the space and each other, and absorb what survives with its W
+        image.  Returns False, leaving the space unchanged, when no
+        candidate column survives; raises BasisBreakdownError (naming
+        what) when the W image of the survivors collapses."""
+        Qf = self._pivot_orth(cand_f, self.V)
+        Qi = self._pivot_orth(cand_i, hstack_f([self.V, Qf]))
+        Qn = np.hstack([Qf, Qi])
+        if Qn.shape[1] == 0:
+            return False
+        DVn = self.dhat.matvec(Qn)
+        Wn, Ucol = self._block_qr(self.ahat.rmatvec(Qn), self.W, what)
+        self.absorb(Qn, DVn, Wn, Ucol, Qf.shape[1])
+        return True
 
     def stage(self):
-        """Build the next block pair of V and W and absorb it.
+        """Grow the space by the next block pair of V and W.
 
-        Candidate columns that have (numerically) fallen into the current
-        space are dropped chain-by-chain; a chain with no surviving
-        columns stops advancing.  Returns True when the space grew; False
-        when no genuinely new direction exists -- invariant space, the
-        whole of R^n spanned, or the W image of the surviving candidates
-        collapsing into span(W), which marks the pair construction as
-        saturated.  The space is left unchanged then.
+        The candidates continue each chain from its last block; columns
+        that have (numerically) fallen into the current space are dropped
+        chain by chain, and a chain with no surviving columns stops
+        advancing.  Returns True when the space grew; False, leaving it
+        unchanged, when no genuinely new direction exists -- invariant
+        space, the whole of R^n spanned, or the W image of the surviving
+        candidates collapsing into span(W), which marks the pair
+        construction as saturated.  Never raises BasisBreakdownError.
         """
         if self.ell >= self.n:
             return False
-        Qf = np.zeros((self.n, 0))
-        if self._fwd.size:
-            cand_f = self.ahat.solve_t(self.dhat.matvec(self.V[:, self._fwd]))
-            Qf, _ = self._pivot_orth(cand_f, self.V)
-        Qi = np.zeros((self.n, 0))
-        if self._inv.size:
-            cand_i = self.dhat.solve(self.ahat.rmatvec(self.V[:, self._inv]))
-            Qi, _ = self._pivot_orth(cand_i, np.hstack([self.V, Qf]))
-        Qn = np.hstack([Qf, Qi])
-        if Qn.shape[1] == 0:
-            return False  # invariant subspace: nothing new to add
-        DVn = self.dhat.matvec(Qn)
+        cand_f = self.ahat.solve_t(self.dhat.matvec(self.V[:, self._fwd]))
+        cand_i = self.dhat.solve(self.ahat.rmatvec(self.V[:, self._inv]))
         try:
-            Wn, Ucol = self._block_qr(self.ahat.rmatvec(Qn), self.W, "W basis")
+            return self._grow(cand_f, cand_i, "W basis")
         except BasisBreakdownError:
             # the new directions are only marginally outside the space and
             # their images carry nothing new: saturated, stop expanding
             return False
-        self.absorb(Qn, DVn, Wn, Ucol, Qf.shape[1])
-        return True
 
     def solve_reduced(self):
         """Solve T Y + Y^T K = -G1 G2^T on the active space."""
@@ -237,14 +232,15 @@ class ExtendedKrylovTSylv:
         self._inv = np.arange(self.ell + bf, self.ell + b)
         self.T = np.block([[self.T, self.W.T @ DVn],
                            [Wn.T @ self.DV, Wn.T @ DVn]])
-        self.V = np.hstack([self.V, Qn])
+        # V and W keep their QR blocks' Fortran order: contiguous columns
+        self.V = hstack_f([self.V, Qn])
         self.DV = np.hstack([self.DV, DVn])
         lw = self.U.shape[0]
         self.U = np.block([[self.U, Ucol[:lw]],
                            [np.zeros((b, self.U.shape[1])), Ucol[lw:]]])
         self.G1 = np.vstack([self.G1, Wn.T @ self._rhs1])
         self.G2 = np.vstack([self.G2, Wn.T @ self._rhs2])
-        self.W = np.hstack([self.W, Wn])
+        self.W = hstack_f([self.W, Wn])
         self.ell += b
 
     def extract(self, Y):

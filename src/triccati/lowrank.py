@@ -126,13 +126,6 @@ class HouseholderQR:
             return out
         return self._apply(out, "N")
 
-    def project(self, Y):
-        """Q.T @ Y for Y with n rows."""
-        r = self.R.shape[0]
-        if r == 0:
-            return np.zeros((0, Y.shape[1]))
-        return self._apply(np.array(Y, order="F"), "T")[:r]
-
 
 def hstack_f(blocks):
     """np.hstack of column blocks, in Fortran order: the layout dgeqrt
@@ -147,8 +140,6 @@ def lr_frobenius_norm(M):
     which stays accurate for residual pairs whose product nearly cancels
     — the Gram-trick square loses those to roundoff.
     """
-    if M.rank == 0:
-        return 0.0
     core = HouseholderQR(M.P1).R @ HouseholderQR(M.P2).R.T
     return float(np.linalg.norm(core))
 
@@ -161,8 +152,6 @@ def lr_truncate(M, tol=None, rel_tail=None):
 
     Returns a pair with orthogonal-times-sqrt-singular-value balanced factors.
     """
-    if M.rank == 0:
-        return M
     qr1, qr2 = HouseholderQR(M.P1), HouseholderQR(M.P2)
     G1, G2 = svd_cut(qr1.R @ qr2.R.T, tol, rel_tail)
     return LowRankPair(qr1.apply(G1), qr2.apply(G2))
@@ -234,10 +223,12 @@ def _as_operator(A):
 
 
 class ShiftedOperator:
-    """base - M @ N.T with SMW solves; capacitance data is precomputed once,
-    its rcond (sigma_min / sigma_max of I - N^T base^{-1} M; 1.0 without a
-    correction) is kept as ``rcond``, and an rcond below 1e-14 raises
-    SingularCapacitanceError.
+    """base - M @ N.T with SMW solves; the capacitance I - K, with
+    K = N^T base^{-1} M, is factored once.  Its rcond, kept as ``rcond``,
+    is sigma_min(I - K) / (1 + ||K||_2): it falls to roundoff level when
+    I - K cancels, whatever its order (a scalar 1 - k included), and
+    reads 1.0 for K = 0 and for a zero-width correction.  An rcond below
+    1e-14 raises SingularCapacitanceError.
 
     Used for the Newton-shifted coefficients: shifts enter only through the
     low-rank term, so the base factorization is shared across steps.
@@ -248,43 +239,33 @@ class ShiftedOperator:
         self.M = np.asarray(M, dtype=float)
         self.N = np.asarray(N, dtype=float)
         self.n = self.base.n
-        self._trivial = self.M.size == 0 or self.N.size == 0
-        self.rcond = 1.0
-        if not self._trivial:
-            self._AinvM = self.base.solve(self.M)
-            self._AtinvN = self.base.solve_t(self.N)
-            cap = np.eye(self.M.shape[1]) - self.N.T @ self._AinvM
-            sv = scipy.linalg.svdvals(cap)
-            self.rcond = float(sv[-1] / (sv[0] + 1e-300)) if sv.size else 0.0
-            if self.rcond < _RCOND_LIMIT:
-                raise SingularCapacitanceError(
-                    "capacitance matrix is singular (rcond=%.2e)" % self.rcond)
-            self._cap_lu = scipy.linalg.lu_factor(cap)
+        self._AinvM = self.base.solve(self.M)
+        self._AtinvN = self.base.solve_t(self.N)
+        K = self.N.T @ self._AinvM
+        cap = np.eye(K.shape[0]) - K
+        k_norm = np.max(scipy.linalg.svdvals(K), initial=0.0)
+        # sigma_min(I - K) <= 1 + ||K||: the initial only fills an empty cap
+        smin = np.min(scipy.linalg.svdvals(cap), initial=1.0 + k_norm)
+        self.rcond = float(smin / (1.0 + k_norm))
+        if self.rcond < _RCOND_LIMIT:
+            raise SingularCapacitanceError(
+                "capacitance matrix is singular (rcond=%.2e)" % self.rcond)
+        self._cap_lu = scipy.linalg.lu_factor(cap)
 
     def matvec(self, Y):
-        out = self.base.matvec(Y)
-        if not self._trivial:
-            out = out - self.M @ (self.N.T @ Y)
-        return out
+        return self.base.matvec(Y) - self.M @ (self.N.T @ Y)
 
     def rmatvec(self, Y):
-        out = self.base.rmatvec(Y)
-        if not self._trivial:
-            out = out - self.N @ (self.M.T @ Y)
-        return out
+        return self.base.rmatvec(Y) - self.N @ (self.M.T @ Y)
 
     def solve(self, Y):
         Z0 = self.base.solve(np.asarray(Y, dtype=float))
-        if self._trivial:
-            return Z0
         corr = scipy.linalg.lu_solve(self._cap_lu, self.N.T @ Z0)
         return Z0 + self._AinvM @ corr
 
     def solve_t(self, Y):
         # (base - M N^T)^T = base^T - N M^T; its capacitance is the transpose
         Z0 = self.base.solve_t(np.asarray(Y, dtype=float))
-        if self._trivial:
-            return Z0
         corr = scipy.linalg.lu_solve(self._cap_lu, self.M.T @ Z0, trans=1)
         return Z0 + self._AtinvN @ corr
 

@@ -141,8 +141,6 @@ def _sampled_entries(X):
     """Entries of X: all of them up to n = 200, above that _SAMPLE entries
     drawn with seed 0, so the same ones for every X of one n."""
     n = X.P1.shape[0]
-    if X.rank == 0:
-        return np.zeros(1)
     if n <= 200:
         return X.to_dense().ravel()
     rng = np.random.default_rng(0)
@@ -176,16 +174,18 @@ def min_entry_ratio(X):
     return float(np.min(vals) / top) if top > 0.0 else 0.0
 
 
-def _failure_row(k, res, rel, rank, inner):
+def _row(k, res, rel, rank, inner, **outcome):
+    """The record of sweep k; outcome holds its step length and, for an
+    accepted sweep, the width before the cut and the sign observations."""
     return IterationRecord(k=k, residual_norm=res, relative_residual=rel,
-                           step_size=0.0, inner_iterations=inner.iterations,
+                           inner_iterations=inner.iterations,
                            iterate_rank=rank,
                            inner_residuals=list(inner.residuals),
                            basis_dim=inner.basis_dim,
                            dropped_cols=inner.dropped_cols,
                            capacitance_rcond=inner.capacitance_rcond,
                            inner_message=None if inner.converged
-                           else inner.message)
+                           else inner.message, **outcome)
 
 
 def _recompress_converged(prob, X, res, stop, eps):
@@ -246,17 +246,20 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
                                        nonnegative=True, min_entry_ratio=0.0))
         return X, report(Status.CONVERGED)
 
-    status = Status.MAX_ITERATIONS
+    def fail(status, res, rank, message):
+        records.append(_row(k + 1, res, res / c_norm, rank, inner,
+                            step_size=0.0))
+        warnings.append(message)
+        return X, report(status)
+
     for k in range(cfg.max_outer):
         eta_k = cfg.eta(k)
         Xt, inner = solve_tsylv_krylov(prob, X, eta_k * res, m_max=cfg.m_max)
         mem = max(mem, inner.basis_dim)
         if Xt is None:
-            records.append(_failure_row(k + 1, res, rel, X.rank, inner))
-            warnings.append("inner solve failed at sweep %d: %s"
-                            % (k + 1, inner.message))
-            status = Status.INNER_SOLVE_FAILED
-            break
+            return fail(Status.INNER_SOLVE_FAILED, res, X.rank,
+                        "inner solve failed at sweep %d: %s"
+                        % (k + 1, inner.message))
 
         S = LowRankPair(np.hstack([Xt.P1, -X.P1]), np.hstack([Xt.P2, X.P2]))
         SBS = lr_quadratic_term(S, prob.B1, prob.B2)
@@ -276,7 +279,6 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
             lam = 1.0
 
         tail = _SWEEP_TAIL * eta_k * rel
-        accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             cand = LowRankPair(hstack_f([X.P1, Xt.P1]),
                                hstack_f([(1.0 - lam) * X.P2, lam * Xt.P2]))
@@ -284,22 +286,16 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
             Rn = lr_riccati_residual(prob, Xn)
             res_n = lr_frobenius_norm(Rn)
             if decrease_condition_check(res, res_n, lam, cfg.alpha):
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
-            records.append(_failure_row(k + 1, res, rel, X.rank, inner))
-            warnings.append("step rejected at sweep %d: no decrease down to "
-                            "lam = %.3e" % (k + 1, lam))
-            status = Status.DIVERGED
-            break
+        else:
+            return fail(Status.DIVERGED, res, X.rank,
+                        "step rejected at sweep %d: no decrease down to "
+                        "lam = %.3e" % (k + 1, lam))
         if Xn.rank > cap:
-            rel_n = res_n / c_norm
-            records.append(_failure_row(k + 1, res_n, rel_n, Xn.rank, inner))
-            warnings.append("iterate rank %d exceeds the configured cap %d "
-                            "at sweep %d" % (Xn.rank, cap, k + 1))
-            status = Status.DIVERGED
-            break
+            return fail(Status.DIVERGED, res_n, Xn.rank,
+                        "iterate rank %d exceeds the configured cap %d "
+                        "at sweep %d" % (Xn.rank, cap, k + 1))
 
         width = cand.rank
         del Xt, cand
@@ -308,19 +304,13 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
             X, res = _recompress_converged(prob, X, res, stop, cfg.eps)
         rel = res / c_norm
         min_lam = lam if min_lam is None else min(min_lam, lam)
-        records.append(IterationRecord(
-            k=k + 1, residual_norm=res, relative_residual=rel,
-            step_size=lam, inner_iterations=inner.iterations,
-            iterate_rank=X.rank, rank_before_cut=width,
-            inner_residuals=list(inner.residuals), basis_dim=inner.basis_dim,
-            dropped_cols=inner.dropped_cols,
-            capacitance_rcond=inner.capacitance_rcond,
-            nonnegative=nonnegativity_monitor(X),
+        records.append(_row(
+            k + 1, res, rel, X.rank, inner, step_size=lam,
+            rank_before_cut=width, nonnegative=nonnegativity_monitor(X),
             min_entry_ratio=min_entry_ratio(X)))
         if keep_iterates:
             iterates.append(X)
         if res <= stop:
-            status = Status.CONVERGED
-            break
+            return X, report(Status.CONVERGED)
 
-    return X, report(status)
+    return X, report(Status.MAX_ITERATIONS)

@@ -27,7 +27,16 @@ from .riccati_dense import TRiccatiProblem, solve_fixed_point, solve_newton
 __all__ = ["ProblemSpec", "RunReport", "build_problem", "run_experiment",
            "emit_report"]
 
-_FAMILIES = ("Ex1Dense", "Ex1LowRank", "Ex2Dense", "Ex2LowRank", "File")
+_GENERATORS = {
+    "Ex1Dense": generators.generate_ex1_dense,
+    "Ex1LowRank": generators.generate_ex1_lowrank,
+    "Ex2Dense": generators.generate_ex2_dense,
+    "Ex2LowRank": generators.generate_ex2_lowrank,
+}
+# family -> the ProblemSpec fields it reads (its generator's parameters)
+READS = {f: tuple(inspect.signature(g).parameters)
+         for f, g in _GENERATORS.items()}
+READS["File"] = ()
 
 
 @dataclasses.dataclass
@@ -41,9 +50,9 @@ class ProblemSpec:
     path: str = None  # File family: manifest location
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in READS:
             raise ValueError("unknown family %r (expected one of %s)"
-                             % (self.family, ", ".join(_FAMILIES)))
+                             % (self.family, ", ".join(READS)))
         if self.family == "File" and not self.path:
             raise ValueError("File family needs a manifest path")
 
@@ -55,25 +64,16 @@ class ProblemSpec:
 
 
 def build_problem(spec):
-    """Instantiate (problem, metadata) for a spec."""
+    """Instantiate (problem, metadata) for a spec, from its READS fields."""
     f = spec.family
-    if f != "File" and spec.n < 1:
+    if f == "File":
+        prob = mmio.load_problem(spec.path)
+        return prob, {"family": "File", "path": str(spec.path)}
+    if spec.n < 1:
         raise ValueError("%s needs n >= 1, got n=%d" % (f, spec.n))
-    if f != "File" and spec.seed < 0:
+    if spec.seed < 0:
         raise ValueError("%s needs seed >= 0, got seed=%d" % (f, spec.seed))
-    if f == "Ex1Dense":
-        return generators.generate_ex1_dense(spec.n, gamma=spec.gamma,
-                                             seed=spec.seed)
-    if f == "Ex1LowRank":
-        return generators.generate_ex1_lowrank(
-            spec.n, p=spec.p, q=spec.q, gamma=spec.gamma, seed=spec.seed)
-    if f == "Ex2Dense":
-        return generators.generate_ex2_dense(spec.n, seed=spec.seed)
-    if f == "Ex2LowRank":
-        return generators.generate_ex2_lowrank(
-            spec.n, p=spec.p, q=spec.q, seed=spec.seed)
-    prob = mmio.load_problem(spec.path)
-    return prob, {"family": "File", "path": str(spec.path)}
+    return _GENERATORS[f](**{k: getattr(spec, k) for k in READS[f]})
 
 
 def _jsonable(obj):

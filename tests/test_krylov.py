@@ -124,9 +124,10 @@ class TestDiagnostics:
         base = np.diag(1.0 + np.arange(n))
         M, N = rng.random((n, 2)), rng.random((n, 2))
         op = ShiftedOperator(base, M, N)
-        cap = np.eye(2) - N.T @ np.linalg.solve(base, M)
-        sv = np.linalg.svd(cap, compute_uv=False)
-        assert op.rcond == pytest.approx(sv[-1] / sv[0], rel=1e-12)
+        K = N.T @ np.linalg.solve(base, M)
+        smin = np.linalg.svd(np.eye(2) - K, compute_uv=False)[-1]
+        assert op.rcond == pytest.approx(
+            smin / (1.0 + np.linalg.norm(K, 2)), rel=1e-12)
         assert ShiftedOperator(base, np.zeros((n, 0)),
                                np.zeros((n, 0))).rcond == 1.0
 

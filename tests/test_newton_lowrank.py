@@ -198,6 +198,21 @@ class TestSolver:
         assert len(rep.iterations) == 1
         assert rep.iterations[0].step_size == 1.0
 
+    def test_zero_width_b_solves_the_linear_equation(self):
+        # p = 0: D X + X^T A + C = 0, with the shifted coefficients taking
+        # the general SMW path with an empty correction
+        prob, _ = generate_ex2_lowrank(400, p=1, q=2, seed=0)
+        z = np.zeros((400, 0))
+        lin = LowRankTRiccatiProblem(A=prob.A.A, D=prob.D.A, B1=z, B2=z,
+                                     C1=prob.C1, C2=prob.C2)
+        X, rep = solve_inexact_newton(lin, InexactNewtonConfig(eps=1e-6))
+        assert rep.status is tr.Status.CONVERGED
+        assert len(rep.iterations) == 3 and X.rank == 10
+        want = tr.TSylvSolver(prob.D.to_dense(), prob.A.to_dense()).solve(
+            -prob.C1.T @ prob.C2)
+        err = np.linalg.norm(X.to_dense() - want) / np.linalg.norm(want)
+        assert err <= 1e-6
+
     def test_trace_contract(self):
         prob = make_problem(n=40, seed=1)
         cfg = InexactNewtonConfig(eps=1e-9)

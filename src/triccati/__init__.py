@@ -12,7 +12,6 @@ persistence, and a benchmark CLI round out the package.
 from .errors import (
     BasisBreakdownError,
     ConvergenceError,
-    InnerSolveError,
     SingularCapacitanceError,
     SingularOperatorError,
     TRiccatiError,

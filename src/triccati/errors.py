@@ -20,13 +20,10 @@ class ConvergenceError(TRiccatiError):
     """An eigenvalue or spectral-radius iteration failed to converge."""
 
 
-class InnerSolveError(TRiccatiError):
-    """An inner (projected) solve failed."""
+class BasisBreakdownError(TRiccatiError):
+    """The Krylov seed gave no direction: every candidate column was
+    dropped, or their W image collapsed."""
 
 
-class BasisBreakdownError(InnerSolveError):
-    """A new Krylov block is numerically rank deficient and cannot be kept."""
-
-
-class SingularCapacitanceError(InnerSolveError):
+class SingularCapacitanceError(TRiccatiError):
     """The small capacitance system of a low-rank-corrected solve is singular."""

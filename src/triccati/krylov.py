@@ -28,13 +28,12 @@ re-orthogonalization pass.  The engine starts from the empty space, and
 the seed is its first growth: every growth orthogonalizes the candidates
 of both chains against the space built so far, drops the columns that
 have numerically fallen into it, and appends the survivors together with
-their W image.  When nothing genuinely new survives (on either side)
-``ExtendedKrylovTSylv.stage`` returns False and leaves the space as it
-was; the lifted residual is then evaluated honestly from its factored
-form, and the caller decides whether that is convergence or stagnation.
-Only the seed raises BasisBreakdownError -- when no seed column
-survives, or when its W image collapses under an effectively singular
-coefficient -- and ``solve_tsylv_krylov`` reports that as a failure.
+their W image.  A growth that finds nothing genuinely new (no column
+survives, or their W image collapses under an effectively singular
+coefficient) leaves the space as it was.  After a stage the lifted
+residual is then evaluated honestly, and the caller decides whether that
+is convergence or stagnation; a seed that leaves the space empty is the
+one BasisBreakdownError, raised and reported by ``solve_tsylv_krylov``.
 """
 
 import numpy as np
@@ -67,8 +66,8 @@ class InnerReport:
     as a LowRankPair (Lambda, W) with orthonormal W (see
     ``ExtendedKrylovTSylv.extract``).  dropped_cols counts the candidate
     columns that fell into the space already built and were dropped, over
-    the seed (the first growth, from the empty space) and every stage;
-    basis_dim and dropped_cols read 0 when the seed raised.
+    the seed (the first growth, from the empty space) and every stage,
+    also when the seed left the space empty.
     capacitance_rcond is the smaller of the two SMW capacitance rconds of
     the shifted coefficients (1.0 at X = 0; see ``ShiftedOperator``), None
     when they were not built.
@@ -102,8 +101,8 @@ class ExtendedKrylovTSylv:
 
     Starts from the empty space and grows it by the seed
     [Ahat^{-T} H, Dhat^{-1} H] through ``_grow``, as ``stage`` grows it
-    later; raises BasisBreakdownError when no seed column survives or
-    the seed's W image collapses.
+    later; the space stays empty (ell = 0) when no seed column survives
+    or the seed's W image collapses.
     """
 
     def __init__(self, dhat, ahat, H, rhs1, rhs2):
@@ -119,8 +118,7 @@ class ExtendedKrylovTSylv:
         self.G1, self.G2 = rhs1[:0], rhs2[:0]
         self._fwd = self._inv = np.arange(0)
         self.ell = 0
-        if not self._grow(ahat.solve_t(H), dhat.solve(H), "W basis seed"):
-            raise BasisBreakdownError("no seed column survived orthogonalization")
+        self._grow(ahat.solve_t(H), dhat.solve(H))
 
     built_dim = property(lambda self: self.ell)  # order of the space built
 
@@ -136,35 +134,31 @@ class ExtendedKrylovTSylv:
         self.dropped_cols += C.shape[1] - k
         return Q[:, :k]
 
-    def _block_qr(self, C, Q_prev, what):
-        """Orthogonalize C against Q_prev and internally; strict rank check."""
+    def _block_qr(self, C, Q_prev):
+        """Orthogonalize C against Q_prev and internally; None when the
+        block vanishes or is numerically rank deficient."""
         orig_scale = max(np.linalg.norm(C), 1e-300)
         C, coeffs = _cgs_against(Q_prev, C)
         qr = HouseholderQR(C)
         sv = scipy.linalg.svdvals(qr.R)
-        if sv[0] <= 1e-14 * orig_scale:
-            raise BasisBreakdownError(
-                "%s: block vanished after orthogonalization" % what)
-        if sv[-1] <= _BREAKDOWN_TOL * sv[0]:
-            raise BasisBreakdownError(
-                "%s: new block is rank deficient "
-                "(sigma_min/sigma_max = %.2e)" % (what, sv[-1] / sv[0]))
+        if sv[0] <= 1e-14 * orig_scale or sv[-1] <= _BREAKDOWN_TOL * sv[0]:
+            return None
         return qr.apply(np.eye(qr.R.shape[0])), np.vstack([coeffs, qr.R])
 
-    def _grow(self, cand_f, cand_i, what):
+    def _grow(self, cand_f, cand_i):
         """Orthogonalize the forward- and inverse-chain candidates against
         the space and each other, and absorb what survives with its W
         image.  Returns False, leaving the space unchanged, when no
-        candidate column survives; raises BasisBreakdownError (naming
-        what) when the W image of the survivors collapses."""
+        candidate column survives or their W image collapses."""
         Qf = self._pivot_orth(cand_f, self.V)
         Qi = self._pivot_orth(cand_i, hstack_f([self.V, Qf]))
         Qn = np.hstack([Qf, Qi])
         if Qn.shape[1] == 0:
             return False
-        DVn = self.dhat.matvec(Qn)
-        Wn, Ucol = self._block_qr(self.ahat.rmatvec(Qn), self.W, what)
-        self.absorb(Qn, DVn, Wn, Ucol, Qf.shape[1])
+        W_part = self._block_qr(self.ahat.rmatvec(Qn), self.W)
+        if W_part is None:
+            return False
+        self.absorb(Qn, self.dhat.matvec(Qn), *W_part, Qf.shape[1])
         return True
 
     def stage(self):
@@ -177,18 +171,13 @@ class ExtendedKrylovTSylv:
         unchanged, when no genuinely new direction exists -- invariant
         space, the whole of R^n spanned, or the W image of the surviving
         candidates collapsing into span(W), which marks the pair
-        construction as saturated.  Never raises BasisBreakdownError.
+        construction as saturated.
         """
         if self.ell >= self.n:
             return False
         cand_f = self.ahat.solve_t(self.dhat.matvec(self.V[:, self._fwd]))
         cand_i = self.dhat.solve(self.ahat.rmatvec(self.V[:, self._inv]))
-        try:
-            return self._grow(cand_f, cand_i, "W basis")
-        except BasisBreakdownError:
-            # the new directions are only marginally outside the space and
-            # their images carry nothing new: saturated, stop expanding
-            return False
+        return self._grow(cand_f, cand_i)
 
     def solve_reduced(self):
         """Solve T Y + Y^T K = -G1 G2^T on the active space."""
@@ -301,6 +290,10 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
         rcond = min(dhat.rcond, ahat.rcond)
         H = np.hstack([prob.C1.T, prob.C2.T, XBX.P1, XBX.P2])
         eng = ExtendedKrylovTSylv(dhat, ahat, H, rhs1, rhs2)
+        if eng.ell == 0:
+            raise BasisBreakdownError(
+                "the seed gave no direction (%d of %d candidate columns "
+                "dropped)" % (eng.dropped_cols, 2 * H.shape[1]))
         for m in range(1, m_max + 1):
             Y = eng.solve_reduced()
             res = eng.residual_norm(Y)

@@ -111,20 +111,16 @@ class HouseholderQR:
         self._v = a[:, :r]  # unit lower trapezoidal reflectors
         self.R = np.triu(a[:r])
 
-    def _apply(self, C, trans):
-        c, info = lapack.dgemqrt(self._v, self._t, C, trans=trans,
-                                 overwrite_c=1)
-        if info:
-            raise ValueError("dgemqrt: illegal argument %d" % -info)
-        return c
-
     def apply(self, C):
         """Q @ C for C with min(n, k) rows; Fortran-ordered n-row result."""
         out = np.zeros((self.n, C.shape[1]), order="F")
         out[:C.shape[0]] = C
         if C.shape[0] == 0:
             return out
-        return self._apply(out, "N")
+        out, info = lapack.dgemqrt(self._v, self._t, out, overwrite_c=1)
+        if info:
+            raise ValueError("dgemqrt: illegal argument %d" % -info)
+        return out
 
 
 def hstack_f(blocks):

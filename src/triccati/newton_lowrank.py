@@ -87,7 +87,8 @@ __all__ = [
 _MAX_HALVINGS = 5
 _FINAL_TAIL = 0.1  # share of eps * ||X||_F the converged iterate may drop
 _SWEEP_TAIL = 0.01  # share of eta_k * rel_k * ||X||_F each sweep may drop
-_SAMPLE = 256  # entries the sign observations read above n = 200
+_BLOCK = 256  # rows of X formed at once by _entry_extremes
+_SIGN_MAX_N = 200  # largest n whose trace rows carry the sign fields
 _SIGN_TOL = 1e-8  # nonnegativity_monitor accepts entries >= -_SIGN_TOL
 
 
@@ -137,46 +138,45 @@ def decrease_condition_check(res_old, res_new, lam, alpha):
     return res_new <= (1.0 - lam * alpha) * res_old * (1.0 + 1e-10)
 
 
-def _sampled_entries(X):
-    """Entries of X: all of them up to n = 200, above that _SAMPLE entries
-    drawn with seed 0, so the same ones for every X of one n."""
-    n = X.P1.shape[0]
-    if n <= 200:
-        return X.to_dense().ravel()
-    rng = np.random.default_rng(0)
-    rows = rng.integers(0, n, size=_SAMPLE)
-    cols = rng.integers(0, n, size=_SAMPLE)
-    return np.einsum("ij,ij->i", X.P1[rows], X.P2[cols])
+def _entry_extremes(X):
+    """(smallest, largest) entry of X = P1 P2^T, formed _BLOCK rows at a time."""
+    lo, hi = np.inf, -np.inf
+    for i in range(0, X.P1.shape[0], _BLOCK):
+        rows = X.P1[i:i + _BLOCK] @ X.P2.T
+        lo, hi = np.minimum(lo, rows.min()), np.maximum(hi, rows.max())
+    return float(lo), float(hi)
 
 
 def nonnegativity_monitor(X):
-    """Entrywise X >= -1e-8 check: on every entry up to n = 200, above
-    that on the same 256 fixed-seed entries for every iterate of one n.
-
-    So it can miss rare negative entries: on Ex2LowRank n=10000 q=5 it
-    reads True while 0.16% of the formed entries lie below -1e-8; an exact
-    check is an open item of ROADMAP.md.  The iterates are only guaranteed
+    """Entrywise X >= -1e-8 check on every entry.  The tolerance is
+    absolute, so an X whose entries all lie below 1e-8 in magnitude
+    passes whatever their sign.  The iterates are only guaranteed
     nonnegative when the inner residuals are; this observes, it never
-    enforces.
-    """
-    return bool(np.min(_sampled_entries(X)) >= -_SIGN_TOL)
+    enforces."""
+    return _entry_extremes(X)[0] >= -_SIGN_TOL
 
 
 def min_entry_ratio(X):
-    """Smallest entry of X over its largest magnitude (0 for X = 0), on the
-    entries nonnegativity_monitor reads (above n = 200 the same 256
-    fixed-seed ones for every iterate of one n); scale-free, unlike its
-    tolerance.  It misses what the monitor misses: Ex2LowRank n=10000 q=5
-    reads +0.039 while 0.16% of the formed entries lie below -1e-8, and an
-    exact check is an open item of ROADMAP.md."""
-    vals = _sampled_entries(X)
-    top = np.max(np.abs(vals))
-    return float(np.min(vals) / top) if top > 0.0 else 0.0
+    """Smallest entry of X over its largest magnitude (0 for X = 0), on
+    every entry; scale-free, unlike the monitor's tolerance."""
+    lo, hi = _entry_extremes(X)
+    top = max(-lo, hi)
+    return lo / top if top > 0.0 else 0.0
+
+
+def _sign_fields(X):
+    """The trace row's sign observations of X, none above _SIGN_MAX_N:
+    at n = 10000 the two exact passes take 0.3-0.8 s, about as long as a
+    whole sweep of the benchmark problems (0.08-0.9 s) or longer."""
+    if X.P1.shape[0] > _SIGN_MAX_N:
+        return {}
+    return {"nonnegative": nonnegativity_monitor(X),
+            "min_entry_ratio": min_entry_ratio(X)}
 
 
 def _row(k, res, rel, rank, inner, **outcome):
     """The record of sweep k; outcome holds its step length and, for an
-    accepted sweep, the width before the cut and the sign observations."""
+    accepted sweep, the width before the cut and its sign fields."""
     return IterationRecord(k=k, residual_norm=res, relative_residual=rel,
                            inner_iterations=inner.iterations,
                            iterate_rank=rank,
@@ -243,7 +243,7 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
         records.append(IterationRecord(k=0, residual_norm=res,
                                        relative_residual=rel,
                                        iterate_rank=X.rank, basis_dim=0,
-                                       nonnegative=True, min_entry_ratio=0.0))
+                                       **_sign_fields(X)))
         return X, report(Status.CONVERGED)
 
     def fail(status, res, rank, message):
@@ -306,8 +306,7 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
         min_lam = lam if min_lam is None else min(min_lam, lam)
         records.append(_row(
             k + 1, res, rel, X.rank, inner, step_size=lam,
-            rank_before_cut=width, nonnegative=nonnegativity_monitor(X),
-            min_entry_ratio=min_entry_ratio(X)))
+            rank_before_cut=width, **_sign_fields(X)))
         if keep_iterates:
             iterates.append(X)
         if res <= stop:

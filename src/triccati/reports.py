@@ -1,6 +1,6 @@
 """Iteration records and solve reports shared by all solvers."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -28,7 +28,7 @@ class IterationRecord:
     dropped_cols the candidate columns it dropped, capacitance_rcond the
     smaller rcond of its two SMW capacitance matrices, and inner_message
     why it failed (on a failure row only); nonnegative and min_entry_ratio
-    observe the sign of factored iterates.
+    observe the sign of factored iterates, on rows up to n = 200 only.
     """
 
     k: int
@@ -55,22 +55,10 @@ class IterationRecord:
             "inner_its": int(self.inner_iterations),
             "rank": int(self.iterate_rank),
         }
-        if self.rank_before_cut is not None:
-            row["rank_before_cut"] = int(self.rank_before_cut)
-        if self.inner_residuals is not None:
-            row["inner_residuals"] = [float(r) for r in self.inner_residuals]
-        if self.nonnegative is not None:
-            row["nonnegative"] = bool(self.nonnegative)
-        if self.min_entry_ratio is not None:
-            row["min_entry_ratio"] = float(self.min_entry_ratio)
-        if self.basis_dim is not None:
-            row["basis_dim"] = int(self.basis_dim)
-        if self.dropped_cols is not None:
-            row["dropped_cols"] = int(self.dropped_cols)
-        if self.capacitance_rcond is not None:
-            row["capacitance_rcond"] = float(self.capacitance_rcond)
-        if self.inner_message is not None:
-            row["inner_message"] = self.inner_message
+        for f in fields(self)[6:]:  # the optional ones, under their own names
+            value = getattr(self, f.name)
+            if value is not None:
+                row[f.name] = value
         return row
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import generators, mmio
 from .lowrank import LowRankTRiccatiProblem
-from .newton_lowrank import InexactNewtonConfig, solve_inexact_newton
+from .newton_lowrank import (InexactNewtonConfig, min_entry_ratio,
+                             solve_inexact_newton)
 from .reports import SolveReport, Status
 from .riccati_dense import TRiccatiProblem, solve_fixed_point, solve_newton
 
@@ -146,7 +147,8 @@ _SOLVERS = {
 
 def run_experiment(spec, solver, config=None):
     """One (problem, solver) cell; returns a RunReport whose status says
-    whether the solve converged.
+    whether the solve converged.  A factored solve's metadata holds the
+    min_entry_ratio of the returned solution.
 
     config holds keyword arguments of the dense solver, or the fields of
     InexactNewtonConfig; a key that is neither raises ValueError, and so
@@ -171,6 +173,8 @@ def run_experiment(spec, solver, config=None):
     else:
         X, rep = solve(prob, takes(**config))
     audit = _audit_problem(prob)
+    if kind is LowRankTRiccatiProblem:
+        meta["min_entry_ratio"] = min_entry_ratio(X)
     if x_exact is not None and rep.status == Status.CONVERGED:
         Xd = X.to_dense() if hasattr(X, "to_dense") else X
         meta["err_rel"] = float(np.linalg.norm(Xd - x_exact)

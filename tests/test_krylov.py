@@ -308,6 +308,7 @@ class TestBreakdown:
         Xt, rep = solve_tsylv_krylov(prob, zero_pair(n), 1e-10 * prob.c_norm())
         assert Xt is None and not rep.converged
         assert rep.message.startswith("BasisBreakdownError")
+        assert rep.dropped_cols == 12
         _, outer = solve_inexact_newton(prob)
         assert outer.status is Status.INNER_SOLVE_FAILED
         assert any("BasisBreakdownError" in w for w in outer.warnings)

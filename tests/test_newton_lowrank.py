@@ -32,6 +32,7 @@ from triccati.newton_lowrank import (
     solve_inexact_newton,
 )
 from triccati.riccati_dense import solve_newton
+from triccati.runner import ProblemSpec, run_experiment
 
 
 def make_problem(n=40, p=1, q=2, seed=0, b_scale=1.0):
@@ -110,6 +111,13 @@ class TestDecreaseCheck:
         assert not decrease_condition_check(1.0, 0.98, 0.25, 0.1)
 
 
+def one_negative_column(n):
+    """X = 1 v^T with v = (-1, 1, ..., 1): only column 0 is negative."""
+    v = np.ones(n)
+    v[0] = -1.0
+    return LowRankPair(np.ones((n, 1)), v[:, None])
+
+
 class TestNonnegativityMonitor:
     def test_dense_positive(self):
         X = LowRankPair(np.ones((20, 1)), np.ones((20, 1)))
@@ -124,13 +132,14 @@ class TestNonnegativityMonitor:
         assert nonnegativity_monitor(zero_pair(50))
         assert nonnegativity_monitor(zero_pair(5000))
 
-    def test_sampled_large(self):
+    def test_large_reads_every_entry(self):
         n = 5000
         g = np.random.default_rng(3)
         pos = LowRankPair(g.random((n, 2)), g.random((n, 2)))
         assert nonnegativity_monitor(pos)
         neg = LowRankPair(-np.ones((n, 1)), np.ones((n, 1)))
         assert not nonnegativity_monitor(neg)
+        assert not nonnegativity_monitor(one_negative_column(n))
 
 
 class TestMinEntryRatio:
@@ -140,14 +149,14 @@ class TestMinEntryRatio:
         P1[3, 0] = -0.5  # entries are 1 and -0.5
         assert min_entry_ratio(LowRankPair(P1, P2)) == -0.5
 
-    def test_sampled_known_entries(self):
-        # every column of X is constant, 2 or -0.5, and both kinds are
-        # among the sampled columns
+    def test_large_known_entries(self):
+        # every column of X is constant, 2 or -0.5
         n = 5000
         v = np.where(np.arange(n) % 2 == 0, 2.0, -0.5)
         X = LowRankPair(np.ones((n, 1)), v[:, None])
         assert min_entry_ratio(X) == -0.25
         assert min_entry_ratio(LowRankPair(np.ones((n, 1)), 3.0 * np.ones((n, 1)))) == 1.0
+        assert min_entry_ratio(one_negative_column(n)) == -1.0
 
     def test_zero_pair(self):
         assert min_entry_ratio(zero_pair(50)) == 0.0
@@ -159,6 +168,15 @@ class TestMinEntryRatio:
         assert rep.status is tr.Status.CONVERGED
         assert all("min_entry_ratio" in row for row in rep.trace_rows())
         assert rep.iterations[-1].min_entry_ratio == min_entry_ratio(X)
+
+    def test_above_n200_only_in_the_run_metadata(self):
+        spec = ProblemSpec(family="Ex2LowRank", n=400, q=5)
+        run = run_experiment(spec, "inexact-newton")
+        X, rep = solve_inexact_newton(generate_ex2_lowrank(400, q=5)[0])
+        assert run.report.trace_rows() == rep.trace_rows()
+        assert not any({"nonnegative", "min_entry_ratio"} & set(row)
+                       for row in rep.trace_rows())
+        assert run.metadata["min_entry_ratio"] == min_entry_ratio(X)
 
 
 def tight_config():

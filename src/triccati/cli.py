@@ -4,7 +4,12 @@ Subcommands:
   generate       write a problem instance as Matrix Market files + manifest
   solve-dense    run the dense fixed-point or Newton solver on a family/file
   solve-lowrank  run the factored inexact Newton solver on a family/file
-  bench          run the smoke grid of solves and write one report per cell
+
+The CLI keeps no defaults of its own.  A problem flag the user leaves out
+takes ProblemSpec's default, and a solver flag the user leaves out is not
+passed on, so the solver's signature supplies it; each flag's help names
+the parameter it sets.  A flag the chosen family or solver does not read
+is an error.
 
 Exit codes: 0 when the solve converged, 2 when a solver finished without
 converging (max iterations, inner failure, divergence), 1 for usage or
@@ -12,10 +17,13 @@ I/O errors.
 """
 
 import argparse
+import dataclasses
 import sys
 
+from . import mmio
 from .reports import Status
-from .runner import READS, ProblemSpec, emit_report, run_experiment
+from .runner import (READS, ProblemSpec, build_problem, emit_report,
+                     run_experiment, solver_defaults)
 
 _FAMILY_BY_FLAG = {
     "ex1-dense": "Ex1Dense",
@@ -24,10 +32,21 @@ _FAMILY_BY_FLAG = {
     "ex2-lowrank": "Ex2LowRank",
 }
 
+# a flag the source does not read (runner's READS) is an error, not
+# silently dropped
+_PROBLEM_FLAGS = ("n", "p", "q", "gamma", "seed")
 
-# problem flag -> its default; a flag the source does not read (runner's
-# READS) is an error, not silently dropped
-_PROBLEM_FLAGS = {"n": 100, "p": 1, "q": 1, "gamma": 1e4, "seed": 0}
+# subcommand -> (its solvers, default first; {flag: the parameter it sets})
+_SOLVE_FLAGS = {
+    "solve-dense": (("newton", "fixed-point"),
+                    {"tol": "tol", "max-outer": "max_iter",
+                     "line-search": "line_search"}),
+    "solve-lowrank": (("inexact-newton",),
+                      {"tol": "eps", "max-outer": "max_outer",
+                       "max-inner": "m_max", "eta-bar": "eta_bar",
+                       "alpha": "alpha"}),
+}
+_LINE_SEARCH = {"none": "off", "exact": "exact"}  # CLI -> solve_newton
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,15 +61,27 @@ def _add_problem_args(p):
                    help="manifest of a saved problem (overrides --family)")
     p.add_argument("--family", choices=sorted(_FAMILY_BY_FLAG),
                    help="generated problem family")
-    for flag, default in _PROBLEM_FLAGS.items():
-        p.add_argument("--" + flag, type=type(default),
+    defaults = {f.name: f.default for f in dataclasses.fields(ProblemSpec)}
+    for flag in _PROBLEM_FLAGS:
+        p.add_argument("--" + flag, type=type(defaults[flag]),
                        help="default %g; only for families that read it"
-                       % default)
+                       % defaults[flag])
 
 
-def _add_output_args(p):
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", metavar="DIR", help="directory for report files")
+def _add_solver_args(p, command):
+    solvers, flags = _SOLVE_FLAGS[command]
+    p.set_defaults(func=_cmd_solve, solver=solvers[0])
+    if len(solvers) > 1:
+        p.add_argument("--solver", choices=sorted(solvers),
+                       help="default %s" % solvers[0])
+    for flag, param in flags.items():
+        found = {s: solver_defaults(s)[param] for s in solvers
+                 if param in solver_defaults(s)}
+        shown = ", ".join("%s for %s" % (v, s) for s, v in found.items())
+        kind = type(next(iter(found.values())))
+        choices = list(_LINE_SEARCH) if param == "line_search" else None
+        p.add_argument("--" + flag, dest=param, type=kind, choices=choices,
+                       help="sets %s (default %s)" % (param, shown))
 
 
 def _spec_from_args(args):
@@ -66,79 +97,30 @@ def _spec_from_args(args):
     if unread:
         source = "--problem" if family == "File" else "family " + family
         raise ValueError("%s does not read %s" % (source, ", ".join(unread)))
-    if family == "File":
-        return ProblemSpec(family="File", path=args.problem)
-    values = {f: given.get(f, _PROBLEM_FLAGS[f]) for f in READS[family]}
-    return ProblemSpec(family=family, **values)
-
-
-def _finish(run, args, tag):
-    if args.out:
-        path = "%s/%s.%s" % (args.out, tag, args.format)
-        emit_report(run, fmt=args.format, path=path)
-        print(path)
-    else:
-        print(emit_report(run, fmt=args.format))
-    return 0 if run.status == Status.CONVERGED else 2
+    return ProblemSpec(family=family, path=args.problem, **given)
 
 
 def _cmd_generate(args):
-    from . import mmio
-    from .runner import build_problem
-    spec = _spec_from_args(args)
-    prob, _ = build_problem(spec)
-    out = args.out or "."
-    path = mmio.save_problem(out, prob, name=args.name)
-    print(path)
+    prob, _ = build_problem(_spec_from_args(args))
+    print(mmio.save_problem(args.out, prob, name=args.name))
     return 0
 
 
-def _cmd_solve_dense(args):
+def _cmd_solve(args):
     spec = _spec_from_args(args)
-    if args.solver == "fixed-point":
-        config = {"tol": args.tol, "max_iter": args.max_outer}
-        solver = "fixed-point"
-    else:
-        ls = {"none": "off", "exact": "exact"}[args.line_search]
-        config = {"tol": args.tol, "max_iter": args.max_outer,
-                  "line_search": ls}
-        solver = "newton"
-    run = run_experiment(spec, solver, config)
-    return _finish(run, args, "%s_%s" % (spec.family.lower(), solver))
-
-
-def _cmd_solve_lowrank(args):
-    spec = _spec_from_args(args)
-    config = {"eps": args.tol, "eta_bar": args.eta_bar, "alpha": args.alpha,
-              "max_outer": args.max_outer, "m_max": args.max_inner}
-    run = run_experiment(spec, "inexact-newton", config)
-    return _finish(run, args, "%s_inexact-newton" % spec.family.lower())
-
-
-_SMOKE_CELLS = [
-    (ProblemSpec(family="Ex2Dense", n=100, seed=0), "newton",
-     {"tol": 1e-12, "line_search": "off"}),
-    (ProblemSpec(family="Ex1Dense", n=100, seed=0), "newton",
-     {"tol": 1e-12, "line_search": "exact"}),
-    (ProblemSpec(family="Ex2LowRank", n=400, p=1, q=1, seed=0),
-     "inexact-newton", {"eps": 1e-6}),
-]
-
-
-def _cmd_bench(args):
-    out = args.out or "bench_out"
-    worst = 0
-    for i, (spec, solver, config) in enumerate(_SMOKE_CELLS):
-        run = run_experiment(spec, solver, config)
-        tag = "%02d_%s_%s" % (i, spec.family.lower(), solver)
-        path = "%s/%s.%s" % (out, tag, args.format)
-        emit_report(run, fmt=args.format, path=path)
-        status = run.status.value
-        rel = run.report.final_relative_residual
-        print("%-40s %-16s rel_res=%.3e  %s" % (tag, status, rel, path))
-        if run.status != Status.CONVERGED:
-            worst = 2
-    return worst
+    config = {param: getattr(args, param)
+              for param in _SOLVE_FLAGS[args.command][1].values()
+              if getattr(args, param) is not None}
+    if "line_search" in config:
+        config["line_search"] = _LINE_SEARCH[config["line_search"]]
+    run = run_experiment(spec, args.solver, config)
+    path = None
+    if args.out:
+        path = "%s/%s_%s.%s" % (args.out, spec.family.lower(), args.solver,
+                                args.format)
+    text = emit_report(run, fmt=args.format, path=path)
+    print(path or text)
+    return 0 if run.status == Status.CONVERGED else 2
 
 
 def build_parser():
@@ -150,33 +132,17 @@ def build_parser():
     g = sub.add_parser("generate", help="write a problem to disk")
     _add_problem_args(g)
     g.add_argument("--name", default="problem")
-    g.add_argument("--out", metavar="DIR")
+    g.add_argument("--out", metavar="DIR", default=".")
     g.set_defaults(func=_cmd_generate)
 
-    d = sub.add_parser("solve-dense", help="dense solvers")
-    _add_problem_args(d)
-    d.add_argument("--solver", choices=("fixed-point", "newton"),
-                   default="newton")
-    d.add_argument("--line-search", choices=("none", "exact"),
-                   default="none")
-    d.add_argument("--tol", type=float, default=1e-12)
-    d.add_argument("--max-outer", type=int, default=50)
-    _add_output_args(d)
-    d.set_defaults(func=_cmd_solve_dense)
-
-    l = sub.add_parser("solve-lowrank", help="factored inexact Newton")
-    _add_problem_args(l)
-    l.add_argument("--tol", type=float, default=1e-6)
-    l.add_argument("--max-outer", type=int, default=30)
-    l.add_argument("--max-inner", type=int, default=50)
-    l.add_argument("--eta-bar", type=float, default=0.5)
-    l.add_argument("--alpha", type=float, default=0.1)
-    _add_output_args(l)
-    l.set_defaults(func=_cmd_solve_lowrank)
-
-    b = sub.add_parser("bench", help="run the smoke grid")
-    _add_output_args(b)
-    b.set_defaults(func=_cmd_bench)
+    for command, text in (("solve-dense", "dense solvers"),
+                          ("solve-lowrank", "factored inexact Newton")):
+        s = sub.add_parser(command, help=text)
+        _add_problem_args(s)
+        _add_solver_args(s, command)
+        s.add_argument("--format", choices=("json", "csv"), default="json")
+        s.add_argument("--out", metavar="DIR",
+                       help="directory for report files")
     return parser
 
 

@@ -116,6 +116,10 @@ class InexactNewtonConfig:
     rank_cap: int = None
 
     def __post_init__(self):
+        for name in ("eps", "max_outer", "m_max", "rank_cap"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError("%s must be >= 0, got %r" % (name, value))
         if not 0.0 < self.eta_bar < 1.0:
             raise ValueError("eta_bar must lie in (0, 1)")
         if not 0.0 < self.alpha < 1.0 - self.eta_bar:

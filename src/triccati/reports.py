@@ -20,8 +20,8 @@ class IterationRecord:
     """One accepted outer iteration.
 
     residual_norm is the Frobenius norm of the T-Riccati residual at the
-    iterate produced by this iteration; step_size is the line-search step
-    (1 when no search ran); rank_before_cut is the width of a factored
+    iterate produced by this iteration; step_size is the step taken (0 on
+    a failure row, 1 at k = 0); rank_before_cut is the width of a factored
     iterate before its truncation to iterate_rank; inner_residuals keeps
     the per-expansion history of the inner projected solver when one was
     used, basis_dim the order of its last projected equation,

@@ -198,8 +198,12 @@ def _record(k, res, c_norm, lam=1.0, rank=0):
 def _iterate(prob, step, tol, max_iter, keep_iterates, label):
     """X_{k+1}, lam_k = step(X_k, R(X_k)) from X_0 = 0 until ||R(X_k)||_F
     <= tol * ||C||_F.  A SingularOperatorError ends the run with a warning
-    "<label> k: ..."; lam_k = None means the iteration has no step sizes
-    (records read 1, no min_step_size).  Returns (X, SolveReport)."""
+    "<label> k: ..." and a row with step 0; lam_k = None means the iteration
+    has no step sizes (records read 1, no min_step_size).  Returns (X,
+    SolveReport); a negative tol or max_iter raises ValueError."""
+    for name, value in (("tol", tol), ("max_iter", max_iter)):
+        if not value >= 0:
+            raise ValueError("%s must be >= 0, got %r" % (name, value))
     t0 = time.perf_counter()
     n = prob.n
     c_norm = np.linalg.norm(prob.C)
@@ -224,7 +228,7 @@ def _iterate(prob, step, tol, max_iter, keep_iterates, label):
             except SingularOperatorError as e:
                 status = Status.INNER_SOLVE_FAILED
                 warnings.append("%s %d: %s" % (label, k, e))
-                records.append(_record(k, res, c_norm, rank=n))
+                records.append(_record(k, res, c_norm, lam=0.0, rank=n))
                 break
             X = X_next
             if lam is None:

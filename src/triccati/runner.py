@@ -37,13 +37,13 @@ _GENERATORS = {
 # family -> the ProblemSpec fields it reads (its generator's parameters)
 READS = {f: tuple(inspect.signature(g).parameters)
          for f, g in _GENERATORS.items()}
-READS["File"] = ()
+READS["File"] = ("path",)
 
 
 @dataclasses.dataclass
 class ProblemSpec:
     family: str
-    n: int = 0
+    n: int = 100
     p: int = 1
     q: int = 1
     gamma: float = 1e4
@@ -58,10 +58,9 @@ class ProblemSpec:
             raise ValueError("File family needs a manifest path")
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        if d["path"] is None:
-            del d["path"]
-        return d
+        """The family and the fields it reads."""
+        return {"family": self.family,
+                **{k: getattr(self, k) for k in READS[self.family]}}
 
 
 def build_problem(spec):
@@ -145,6 +144,14 @@ _SOLVERS = {
 }
 
 
+def solver_defaults(solver):
+    """Each setting the solver takes (see run_experiment), with its default."""
+    if solver not in _SOLVERS:
+        raise ValueError("unknown solver %r" % (solver,))
+    params = inspect.signature(_SOLVERS[solver][1]).parameters
+    return {k: p.default for k, p in params.items() if k != "prob"}
+
+
 def run_experiment(spec, solver, config=None):
     """One (problem, solver) cell; returns a RunReport whose status says
     whether the solve converged.  A factored solve's metadata holds the
@@ -152,17 +159,17 @@ def run_experiment(spec, solver, config=None):
 
     config holds keyword arguments of the dense solver, or the fields of
     InexactNewtonConfig; a key that is neither raises ValueError, and so
-    does a problem whose class the solver does not take.
+    does a problem whose class the solver does not take.  The report's
+    config is every setting the solver ran with, defaults included.
     """
     config = dict(config or {})
-    if solver not in _SOLVERS:
-        raise ValueError("unknown solver %r" % (solver,))
-    solve, takes, kind = _SOLVERS[solver]
-    keys = [k for k in inspect.signature(takes).parameters if k != "prob"]
-    unknown = sorted(set(config) - set(keys))
+    defaults = solver_defaults(solver)
+    unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise ValueError("unknown %s config key(s): %s (expected some of %s)"
-                         % (solver, ", ".join(unknown), ", ".join(keys)))
+                         % (solver, ", ".join(unknown), ", ".join(defaults)))
+    config = {**defaults, **config}
+    solve, takes, kind = _SOLVERS[solver]
     prob, meta = build_problem(spec)
     if not isinstance(prob, kind):
         raise ValueError("solver %r takes a %s, got a %s"
@@ -176,8 +183,7 @@ def run_experiment(spec, solver, config=None):
     if kind is LowRankTRiccatiProblem:
         meta["min_entry_ratio"] = min_entry_ratio(X)
     if x_exact is not None and rep.status == Status.CONVERGED:
-        Xd = X.to_dense() if hasattr(X, "to_dense") else X
-        meta["err_rel"] = float(np.linalg.norm(Xd - x_exact)
+        meta["err_rel"] = float(np.linalg.norm(X - x_exact)
                                 / np.linalg.norm(x_exact))
     return RunReport(spec=spec, solver=solver, config=config, report=rep,
                      audit=_jsonable(audit) if audit else None,

@@ -63,6 +63,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             InexactNewtonConfig(eta_bar=0.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("eps", -1e-6), ("max_outer", -2), ("m_max", -3), ("rank_cap", -1)])
+    def test_negative_settings(self, name, value):
+        with pytest.raises(ValueError, match=r"%s must be >= 0, got %s$"
+                           % (name, value)):
+            InexactNewtonConfig(**{name: value})
+        InexactNewtonConfig(**{name: 0})  # zero stays valid
+
     def test_alpha_vs_eta_bar(self):
         with pytest.raises(ValueError):
             InexactNewtonConfig(eta_bar=0.5, alpha=0.5)

@@ -277,6 +277,15 @@ class TestFailureStatuses:
         assert rep.status is tr.Status.MAX_ITERATIONS
         assert len(rep.iterations) == 2
 
+    def test_negative_settings(self):
+        prob = generate_admissible_dense(4, seed=0)
+        for solve in (solve_fixed_point, solve_newton):
+            with pytest.raises(ValueError, match=r"tol must be >= 0, got -1"):
+                solve(prob, tol=-1.0)
+            with pytest.raises(ValueError, match=r"max_iter must be >= 0, got -2"):
+                solve(prob, max_iter=-2)
+            assert solve(prob, max_iter=0)[1].status is tr.Status.MAX_ITERATIONS
+
     def test_singular_newton_pencil(self):
         # D = -A^T = I makes S_T(X) = X - X^T... wait: D X + X^T A with
         # D = I, A = -I gives X - X^T, singular on symmetric inputs.

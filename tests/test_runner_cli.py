@@ -1,6 +1,8 @@
 """Experiment harness and command-line entry points."""
 
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import pathlib
@@ -8,9 +10,13 @@ import pathlib
 import numpy as np
 import pytest
 
+from triccati import cli
 from triccati.cli import _spec_from_args, build_parser, main
+from triccati.newton_lowrank import InexactNewtonConfig
 from triccati.reports import Status
+from triccati.riccati_dense import solve_fixed_point, solve_newton
 from triccati.runner import (
+    READS,
     ProblemSpec,
     build_problem,
     emit_report,
@@ -31,6 +37,12 @@ class TestProblemSpec:
         d = ProblemSpec(family="Ex2Dense", n=50).to_dict()
         assert "path" not in d
         assert d["family"] == "Ex2Dense" and d["n"] == 50
+        # a spec lists the fields its family reads, and no others
+        for family in ("Ex2Dense", "Ex1LowRank"):
+            d = ProblemSpec(family=family).to_dict()
+            assert list(d) == ["family"] + list(READS[family])
+        d = ProblemSpec(family="File", path="p.json").to_dict()
+        assert d == {"family": "File", "path": "p.json"}
 
 
 class TestBuildProblem:
@@ -66,6 +78,9 @@ class TestRunExperiment:
                     "audit", "metadata"):
             assert key in d, key
         assert d["solver"] == "newton"
+        # every setting the solver ran with, not only the given one
+        assert d["config"] == {"tol": 1e-12, "max_iter": 50,
+                               "line_search": "off", "keep_iterates": False}
         assert d["metadata"]["err_rel"] <= 1e-8  # vs the manufactured solution
         assert d["audit"]["b_nonnegative"] is True
         assert d["trace"][0]["k"] >= 1
@@ -332,8 +347,41 @@ class TestCLI:
             rows = list(csv.DictReader(fh))
         assert rows and "rel_res" in rows[0]
 
-    def test_bench_smoke(self, tmp_path, capsys):
-        rc = main(["bench", "--out", str(tmp_path)])
+    def test_solver_flags_name_solver_parameters(self):
+        # a renamed solver parameter fails here, not in a user's shell
+        def params(f):
+            return set(inspect.signature(f).parameters)
+        dense = set(cli._SOLVE_FLAGS["solve-dense"][1].values())
+        assert dense <= params(solve_newton)
+        assert dense - {"line_search"} <= params(solve_fixed_point)
+        lowrank = set(cli._SOLVE_FLAGS["solve-lowrank"][1].values())
+        assert lowrank <= params(InexactNewtonConfig)
+
+    def test_setting_the_solver_does_not_take_exits_one(self, capsys):
+        rc = main(["solve-dense", "--family", "ex2-dense", "--n", "20",
+                   "--solver", "fixed-point", "--line-search", "exact"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line_search" in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["solve-lowrank", "--family", "ex2-lowrank", "--max-outer", "-2"],
+         "max_outer"),
+        (["solve-lowrank", "--family", "ex2-lowrank", "--max-inner", "-3"],
+         "m_max"),
+        (["solve-dense", "--family", "ex2-dense", "--n", "30", "--tol", "-1"],
+         "tol")], ids=["max-outer", "max-inner", "tol"])
+    def test_negative_solver_setting_exits_one(self, capsys, argv, name):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s must be >= 0" % name)
+
+    def test_report_config_holds_every_setting(self, capsys):
+        rc = main(["solve-lowrank", "--family", "ex2-lowrank", "--n", "150",
+                   "--tol", "1e-8"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert out.count("Converged") == 3
+        config = json.loads(capsys.readouterr().out)["config"]
+        fields = [f.name for f in dataclasses.fields(InexactNewtonConfig)]
+        assert sorted(config) == sorted(fields)
+        assert config["eps"] == 1e-8
+        assert config["max_outer"] == InexactNewtonConfig().max_outer

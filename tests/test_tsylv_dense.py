@@ -307,11 +307,14 @@ class TestOffDiagonalSingularPair:
             solver.solve(np.ones((10, 10)))
 
     def test_fixed_point_reports_failed_inner_solve(self):
+        # the failure row records step 0, as the factored solver's does
         D, A = singular_pair_pencil()
         prob = TRiccatiProblem(A=A, B=np.zeros((10, 10)), C=-np.ones((10, 10)), D=D)
-        X, report = solve_fixed_point(prob, max_iter=5)
-        assert report.status == Status.INNER_SOLVE_FAILED
-        assert len(report.iterations) == 1
+        for solve in (solve_fixed_point, solve_newton):
+            X, report = solve(prob, max_iter=5)
+            assert report.status == Status.INNER_SOLVE_FAILED
+            assert len(report.iterations) == 1
+            assert report.iterations[0].step_size == 0.0
 
     def test_fixed_point_warning_names_the_iteration(self):
         D, A = singular_pair_pencil()

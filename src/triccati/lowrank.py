@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 import scipy.sparse.linalg as spla
 
-from .errors import SingularCapacitanceError
+from .errors import SingularCapacitanceError, SingularOperatorError
 
 __all__ = [
     "LowRankPair",
@@ -183,7 +183,8 @@ class MatrixOperator:
 
     A dense or other sparse input is converted to CSC once.  Provides
     products and solves with the matrix and its transpose; the ``splu``
-    factorization is computed on first use and reused afterwards.
+    factorization is computed on first use and reused afterwards.  An
+    exactly singular matrix raises SingularOperatorError at that point.
     """
 
     def __init__(self, A):
@@ -201,7 +202,10 @@ class MatrixOperator:
 
     def _factor(self):
         if self._lu is None:
-            self._lu = spla.splu(self.A)
+            try:
+                self._lu = spla.splu(self.A)
+            except RuntimeError as e:  # splu: "Factor is exactly singular"
+                raise SingularOperatorError("sparse LU: %s" % e) from None
         return self._lu
 
     def solve(self, Y):

@@ -53,8 +53,6 @@ norm is at most 0.1 * eps * ||X||_F are dropped, and the cut stands only
 if its recomputed residual still meets the stopping test.
 """
 
-import time
-
 import numpy as np
 
 from dataclasses import dataclass
@@ -71,7 +69,7 @@ from .lowrank import (
     lr_truncate,
     zero_pair,
 )
-from .reports import IterationRecord, SolveReport, Status
+from .reports import Status, StepFailed, iterate
 from .riccati_dense import LineSearchPoly, minimize_quartic
 
 __all__ = [
@@ -178,28 +176,27 @@ def _sign_fields(X):
             "min_entry_ratio": min_entry_ratio(X)}
 
 
-def _row(k, res, rel, rank, inner, **outcome):
-    """The record of sweep k; outcome holds its step length and, for an
-    accepted sweep, the width before the cut and its sign fields."""
-    return IterationRecord(k=k, residual_norm=res, relative_residual=rel,
-                           inner_iterations=inner.iterations,
-                           iterate_rank=rank,
-                           inner_residuals=list(inner.residuals),
-                           basis_dim=inner.basis_dim,
-                           dropped_cols=inner.dropped_cols,
-                           capacitance_rcond=inner.capacitance_rcond,
-                           inner_message=None if inner.converged
-                           else inner.message, **outcome)
+def _step_length(prob, X, Xt, R, res, L, cfg):
+    """lam in (0, theta_k] minimizing ||R(X + lam (Xt - X))||_F^2, from R =
+    R(X) of norm res and L = Lambda W^T (see above); 1 within 1e-8 of 1."""
+    S = LowRankPair(np.hstack([Xt.P1, -X.P1]), np.hstack([Xt.P2, X.P2]))
+    SBS = lr_quadratic_term(S, prob.B1, prob.B2)
+    Lam, W = L.P1, L.P2
+    poly = LineSearchPoly(
+        alpha_k=res * res, beta_k=float(np.vdot(Lam, Lam)),
+        gamma_k=float(np.vdot(R.P1.T @ Lam, R.P2.T @ W)),
+        delta_k=lr_inner_product(SBS, SBS),
+        eps_k=lr_inner_product(R, SBS),
+        xi_k=float(np.vdot(SBS.P1.T @ Lam, SBS.P2.T @ W)))
+    theta = compute_theta(poly.alpha_k, poly.delta_k, cfg)
+    lam = minimize_quartic(poly, theta)
+    return 1.0 if abs(lam - 1.0) <= 1e-8 else lam
 
 
 def _recompress_converged(prob, X, res, stop, eps):
-    """Cut a converged iterate to the accuracy asked for.
-
-    Drops the trailing singular values whose combined Frobenius norm is at
-    most _FINAL_TAIL * eps * ||X||_F; the cut is kept only when its
-    recomputed residual still meets the stopping test, otherwise (X, res)
-    come back unchanged.
-    """
+    """Cut a converged X to eps: drop the trailing singular values of
+    combined Frobenius norm at most _FINAL_TAIL * eps * ||X||_F if the cut
+    still meets the stopping test; returns the (X, res) kept."""
     Xc = lr_truncate(X, tol=0.0, rel_tail=_FINAL_TAIL * eps)
     if Xc.rank >= X.rank:
         return X, res
@@ -212,77 +209,39 @@ def _recompress_converged(prob, X, res, stop, eps):
 def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
     """Run the factored inexact Newton iteration; returns (X, SolveReport).
 
-    Stops when ||R(X_k)||_F <= eps * ||C1^T C2||_F.  The report's
-    memory_metric is the largest inner basis dimension used across all
-    outer sweeps, and min_step_size the smallest accepted lam.
+    Stops when ||R(X_k)||_F <= eps * ||C1^T C2||_F.  The report's fields
+    are those of ``reports.iterate``; its memory_metric is the largest
+    inner basis dimension of any sweep.
     """
     if cfg is None:
         cfg = InexactNewtonConfig()
-    t0 = time.perf_counter()
     c_norm = prob.c_norm()
     stop = cfg.eps * c_norm
     cap = cfg.rank_cap
     if cap is None:
         cap = 4 * (prob.p + prob.q) * cfg.m_max
+    X0 = zero_pair(prob.n)
+    R = lr_riccati_residual(prob, X0)
 
-    X = zero_pair(prob.n)
-    R = lr_riccati_residual(prob, X)
-    res = lr_frobenius_norm(R)
-    rel = res / c_norm if c_norm > 0.0 else res
-    records = []
-    warnings = []
-    iterates = [X] if keep_iterates else None
-    mem = 0
-    min_lam = None
-
-    def report(status):
-        return SolveReport(
-            status=status, iterations=records,
-            wall_time=time.perf_counter() - t0,
-            final_relative_residual=rel, rhs_norm=c_norm,
-            memory_metric=mem, solution_rank=X.rank,
-            min_step_size=min_lam, warnings=warnings, iterates=iterates)
-
-    if res <= stop:
-        records.append(IterationRecord(k=0, residual_norm=res,
-                                       relative_residual=rel,
-                                       iterate_rank=X.rank, basis_dim=0,
-                                       **_sign_fields(X)))
-        return X, report(Status.CONVERGED)
-
-    def fail(status, res, rank, message):
-        records.append(_row(k + 1, res, res / c_norm, rank, inner,
-                            step_size=0.0))
-        warnings.append(message)
-        return X, report(status)
-
-    for k in range(cfg.max_outer):
+    def sweep(k, X, res):
+        nonlocal R
         eta_k = cfg.eta(k)
         Xt, inner = solve_tsylv_krylov(prob, X, eta_k * res, m_max=cfg.m_max)
-        mem = max(mem, inner.basis_dim)
+        fields = {"inner_iterations": inner.iterations,
+                  "inner_residuals": list(inner.residuals),
+                  "basis_dim": inner.basis_dim,
+                  "dropped_cols": inner.dropped_cols,
+                  "capacitance_rcond": inner.capacitance_rcond,
+                  "inner_message": None if inner.converged else inner.message}
         if Xt is None:
-            return fail(Status.INNER_SOLVE_FAILED, res, X.rank,
-                        "inner solve failed at sweep %d: %s"
-                        % (k + 1, inner.message))
+            raise StepFailed(Status.INNER_SOLVE_FAILED,
+                             "inner solve failed at sweep %d: %s"
+                             % (k + 1, inner.message), **fields)
+        lam = _step_length(prob, X, Xt, R, res, inner.residual, cfg)
+        # only the quartic reads R(X_k) and L
+        R = inner.residual = None
 
-        S = LowRankPair(np.hstack([Xt.P1, -X.P1]), np.hstack([Xt.P2, X.P2]))
-        SBS = lr_quadratic_term(S, prob.B1, prob.B2)
-        Lam, W = inner.residual.P1, inner.residual.P2  # L = Lam W^T
-        poly = LineSearchPoly(
-            alpha_k=res * res, beta_k=float(np.vdot(Lam, Lam)),
-            gamma_k=float(np.vdot(R.P1.T @ Lam, R.P2.T @ W)),
-            delta_k=lr_inner_product(SBS, SBS),
-            eps_k=lr_inner_product(R, SBS),
-            xi_k=float(np.vdot(SBS.P1.T @ Lam, SBS.P2.T @ W)))
-        # only the quartic reads L, S and R; the failure rows need only res
-        inner.residual = None
-        del S, SBS, R, Lam, W
-        theta = compute_theta(poly.alpha_k, poly.delta_k, cfg)
-        lam = minimize_quartic(poly, theta)
-        if abs(lam - 1.0) <= 1e-8:
-            lam = 1.0
-
-        tail = _SWEEP_TAIL * eta_k * rel
+        tail = _SWEEP_TAIL * eta_k * (res / c_norm)
         for _ in range(_MAX_HALVINGS + 1):
             cand = LowRankPair(hstack_f([X.P1, Xt.P1]),
                                hstack_f([(1.0 - lam) * X.P2, lam * Xt.P2]))
@@ -293,27 +252,24 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
                 break
             lam *= 0.5
         else:
-            return fail(Status.DIVERGED, res, X.rank,
-                        "step rejected at sweep %d: no decrease down to "
-                        "lam = %.3e" % (k + 1, lam))
+            raise StepFailed(Status.DIVERGED,
+                             "step rejected at sweep %d: no decrease down to "
+                             "lam = %.3e" % (k + 1, lam), **fields)
         if Xn.rank > cap:
-            return fail(Status.DIVERGED, res_n, Xn.rank,
-                        "iterate rank %d exceeds the configured cap %d "
-                        "at sweep %d" % (Xn.rank, cap, k + 1))
+            raise StepFailed(Status.DIVERGED,
+                             "iterate rank %d exceeds the configured cap %d "
+                             "at sweep %d" % (Xn.rank, cap, k + 1),
+                             residual_norm=res_n, iterate_rank=Xn.rank,
+                             **fields)
 
-        width = cand.rank
+        fields["rank_before_cut"] = cand.rank
+        # the recompression runs without the step and the candidate
         del Xt, cand
-        X, R, res = Xn, Rn, res_n
-        if res <= stop:
-            X, res = _recompress_converged(prob, X, res, stop, cfg.eps)
-        rel = res / c_norm
-        min_lam = lam if min_lam is None else min(min_lam, lam)
-        records.append(_row(
-            k + 1, res, rel, X.rank, inner, step_size=lam,
-            rank_before_cut=width, **_sign_fields(X)))
-        if keep_iterates:
-            iterates.append(X)
-        if res <= stop:
-            return X, report(Status.CONVERGED)
+        R = Rn
+        if res_n <= stop:
+            Xn, res_n = _recompress_converged(prob, Xn, res_n, stop, cfg.eps)
+        return Xn, res_n, lam, dict(fields, **_sign_fields(Xn))
 
-    return X, report(Status.MAX_ITERATIONS)
+    return iterate(X0, lr_frobenius_norm(R), c_norm, cfg.eps,
+                   cfg.max_outer, sweep, lambda X: X.rank, keep_iterates,
+                   basis_dim=0, **_sign_fields(X0))

@@ -1,11 +1,12 @@
-"""Iteration records and solve reports shared by all solvers."""
+"""Iteration records, solve reports, and the outer loop every solver runs."""
 
+import time
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
-__all__ = ["Status", "IterationRecord", "SolveReport"]
+__all__ = ["Status", "IterationRecord", "SolveReport", "StepFailed", "iterate"]
 
 
 class Status(Enum):
@@ -17,24 +18,26 @@ class Status(Enum):
 
 @dataclass
 class IterationRecord:
-    """One accepted outer iteration.
+    """One trace row: a start that already converges (k = 0), an accepted
+    outer iteration, or a failed one.
 
     residual_norm is the Frobenius norm of the T-Riccati residual at the
-    iterate produced by this iteration; step_size is the step taken (0 on
-    a failure row, 1 at k = 0); rank_before_cut is the width of a factored
-    iterate before its truncation to iterate_rank; inner_residuals keeps
-    the per-expansion history of the inner projected solver when one was
-    used, basis_dim the order of its last projected equation,
-    dropped_cols the candidate columns it dropped, capacitance_rcond the
-    smaller rcond of its two SMW capacitance matrices, and inner_message
-    why it failed (on a failure row only); nonnegative and min_entry_ratio
-    observe the sign of factored iterates, on rows up to n = 200 only.
+    iterate produced by this iteration; step_size is the step taken (0 at
+    k = 0 and on a failure row, 1 for an iteration without step sizes);
+    rank_before_cut is the width of a factored iterate before its
+    truncation to iterate_rank; inner_residuals keeps the per-expansion
+    history of the inner projected solver when one was used, basis_dim
+    the order of its last projected equation, dropped_cols the candidate
+    columns it dropped, capacitance_rcond the smaller rcond of its two SMW
+    capacitance matrices, and inner_message why it failed (on a failure
+    row only); nonnegative and min_entry_ratio observe the sign of
+    factored iterates, on rows up to n = 200 only.
     """
 
     k: int
     residual_norm: float
     relative_residual: float
-    step_size: float = 1.0
+    step_size: float = 0.0
     inner_iterations: int = 0
     iterate_rank: int = 0
     rank_before_cut: int | None = None
@@ -98,3 +101,74 @@ class SolveReport:
         if self.min_step_size is not None:
             d["min_lambda"] = float(self.min_step_size)
         return d
+
+
+class StepFailed(Exception):
+    """Raised by a step of ``iterate`` that cannot be taken: the run ends
+    with ``status``, the warning ``message`` and a row of ``row_fields``."""
+
+    def __init__(self, status, message, **row_fields):
+        super().__init__(message)
+        self.status = status
+        self.row_fields = row_fields
+
+
+def iterate(X, res, c_norm, tol, max_iter, step, rank, keep_iterates,
+            **start_fields):
+    """The outer loop of every solver; returns (X, SolveReport).
+
+    From X_0 = X of residual norm res, step(k, X_k, res_k) gives (X_{k+1},
+    res_{k+1}, lam_k, row_fields) until res_k <= tol * c_norm, for at most
+    max_iter steps.  An X_0 that meets the test gives one row, k = 0, with
+    start_fields; otherwise step k gives row k + 1 with row_fields, step
+    lam_k (1 for None: an iteration without step sizes) and rank(X_{k+1}).
+    A step that raises StepFailed ends the run with its status and warning
+    and a row of step 0 at the residual and rank of the X_k kept, unless
+    its row_fields override them; a non-finite residual ends it Diverged.
+    The report's min_step_size is the smallest lam_k, memory_metric the
+    largest basis_dim of any row, final_relative_residual that of X.  X_0
+    is bound to no name here, so the first step can release it.
+    """
+    t0 = time.perf_counter()
+    rel = lambda res: res / c_norm if c_norm > 0 else res
+    records, warnings, lams = [], [], []
+    iterates = [X] if keep_iterates else None
+
+    def record(k, residual_norm, **row_fields):
+        records.append(IterationRecord(k, residual_norm, rel(residual_norm),
+                                       **row_fields))
+
+    if res <= tol * c_norm:
+        status = Status.CONVERGED
+        record(0, res, iterate_rank=rank(X), **start_fields)
+    else:
+        status = Status.MAX_ITERATIONS
+        for k in range(max_iter):
+            try:
+                X, res, lam, row_fields = step(k, X, res)
+            except StepFailed as e:
+                status = e.status
+                warnings.append(str(e))
+                record(k + 1, **{"residual_norm": res,
+                                 "iterate_rank": rank(X), **e.row_fields})
+                break
+            if lam is not None:
+                lams.append(lam)
+            record(k + 1, res, step_size=1.0 if lam is None else lam,
+                   iterate_rank=rank(X), **row_fields)
+            if keep_iterates:
+                iterates.append(X)
+            if not np.isfinite(res):
+                status = Status.DIVERGED
+                warnings.append("iterate overflowed at iteration %d" % (k + 1))
+                break
+            if res <= tol * c_norm:
+                status = Status.CONVERGED
+                break
+    report = SolveReport(
+        status=status, iterations=records, wall_time=time.perf_counter() - t0,
+        final_relative_residual=rel(res), rhs_norm=c_norm,
+        memory_metric=max((r.basis_dim or 0 for r in records), default=0),
+        solution_rank=rank(X), min_step_size=min(lams, default=None),
+        warnings=warnings, iterates=iterates)
+    return X, report

@@ -27,14 +27,13 @@ the inner residual L is small enough relative to R_k, so a descent step
 always exists.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dense_core
 from .errors import SingularOperatorError
-from .reports import IterationRecord, SolveReport, Status
+from .reports import Status, StepFailed, iterate
 from .tsylv_dense import TSylvSolver
 
 __all__ = [
@@ -189,68 +188,31 @@ def minimize_quartic(poly, interval_end):
     return min(lam for lam, v in zip(candidates, vals) if v <= best + tol)
 
 
-def _record(k, res, c_norm, lam=1.0, rank=0):
-    rel = res / c_norm if c_norm > 0 else res
-    return IterationRecord(k=k, residual_norm=res, relative_residual=rel,
-                           step_size=lam, iterate_rank=rank)
-
-
 def _iterate(prob, step, tol, max_iter, keep_iterates, label):
-    """X_{k+1}, lam_k = step(X_k, R(X_k)) from X_0 = 0 until ||R(X_k)||_F
-    <= tol * ||C||_F.  A SingularOperatorError ends the run with a warning
-    "<label> k: ..." and a row with step 0; lam_k = None means the iteration
-    has no step sizes (records read 1, no min_step_size).  Returns (X,
-    SolveReport); a negative tol or max_iter raises ValueError."""
+    """``reports.iterate`` from X_0 = 0 with X_{k+1}, lam_k = step(X_k,
+    R(X_k)); a SingularOperatorError ends the run InnerSolveFailed with the
+    warning "<label> k: ...".  A negative tol or max_iter raises ValueError."""
     for name, value in (("tol", tol), ("max_iter", max_iter)):
         if not value >= 0:
             raise ValueError("%s must be >= 0, got %r" % (name, value))
-    t0 = time.perf_counter()
     n = prob.n
-    c_norm = np.linalg.norm(prob.C)
-    X = np.zeros((n, n))
-    records = []
-    warnings = []
-    iterates = [X.copy()] if keep_iterates else None
-    status = Status.MAX_ITERATIONS
-    min_lam = None
-    R_k = residual(prob, X)
-    res = float(np.linalg.norm(R_k))
-    if res <= tol * c_norm:
-        records.append(_record(0, res, c_norm, rank=n))
-        status = Status.CONVERGED
-    else:
-        for k in range(1, max_iter + 1):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    X_next, lam = step(X, R_k)
-                    R_k = residual(prob, X_next)
-                    res = float(np.linalg.norm(R_k))
-            except SingularOperatorError as e:
-                status = Status.INNER_SOLVE_FAILED
-                warnings.append("%s %d: %s" % (label, k, e))
-                records.append(_record(k, res, c_norm, lam=0.0, rank=n))
-                break
-            X = X_next
-            if lam is None:
-                lam = 1.0
-            else:
-                min_lam = lam if min_lam is None else min(min_lam, lam)
-            records.append(_record(k, res, c_norm, lam=lam, rank=n))
-            if keep_iterates:
-                iterates.append(X.copy())
-            if not np.isfinite(res):
-                status = Status.DIVERGED
-                warnings.append("iterate overflowed at iteration %d" % k)
-                break
-            if res <= tol * c_norm:
-                status = Status.CONVERGED
-                break
-    report = SolveReport(
-        status=status, iterations=records, wall_time=time.perf_counter() - t0,
-        final_relative_residual=records[-1].relative_residual if records else np.nan,
-        rhs_norm=c_norm, solution_rank=n, min_step_size=min_lam,
-        warnings=warnings, iterates=iterates)
-    return X, report
+    R_k = residual(prob, np.zeros((n, n)))
+
+    def step_k(k, X, res):
+        nonlocal R_k
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                X_next, lam = step(X, R_k)
+                R_k = residual(prob, X_next)
+                return X_next, float(np.linalg.norm(R_k)), lam, {}
+        except SingularOperatorError as e:
+            raise StepFailed(Status.INNER_SOLVE_FAILED,
+                             "%s %d: %s" % (label, k + 1, e))
+
+    # X_0 is passed, not kept, so that iterate can drop it at the first step
+    return iterate(np.zeros((n, n)), float(np.linalg.norm(R_k)),
+                   np.linalg.norm(prob.C), tol, max_iter, step_k, lambda X: n,
+                   keep_iterates)
 
 
 def solve_fixed_point(prob, tol=1e-12, max_iter=10000, keep_iterates=False):
@@ -258,7 +220,7 @@ def solve_fixed_point(prob, tol=1e-12, max_iter=10000, keep_iterates=False):
 
     Stops when ||R(X_k)||_F <= tol * ||C||_F.  The QZ factorization of the
     (fixed) linear operator is computed once and reused every step.
-    Returns (X, SolveReport).
+    Returns (X, SolveReport); ``reports.iterate`` sets the report's fields.
     """
     solver = TSylvSolver(prob.D, prob.A)
     step = lambda X, R_k: (solver.solve(X.T @ prob.B @ X - prob.C), None)
@@ -272,7 +234,7 @@ def solve_newton(prob, tol=1e-12, max_iter=50, line_search="off",
     line_search: "off" takes the full step (lam = 1); "exact" minimizes the
     residual-norm quartic over (0, 2] (a minimizer within 1e-8 of 1 is
     recorded as exactly 1).  Stops when ||R(X_k)||_F <= tol * ||C||_F.
-    Returns (X, SolveReport).
+    Returns (X, SolveReport); ``reports.iterate`` sets the report's fields.
     """
     if line_search not in ("off", "exact"):
         raise ValueError("line_search must be 'off' or 'exact'")

@@ -273,6 +273,7 @@ class TestSolver:
         X, rep = solve_inexact_newton(prob)
         assert rep.status is tr.Status.CONVERGED
         assert rep.iterations[0].k == 0
+        assert rep.iterations[0].step_size == 0.0  # no step was taken
         assert X.rank == 0
 
     def test_max_outer(self):
@@ -281,6 +282,20 @@ class TestSolver:
         X, rep = solve_inexact_newton(prob, cfg)
         assert rep.status is tr.Status.MAX_ITERATIONS
         assert len(rep.iterations) == 1
+
+    @pytest.mark.parametrize("role", ["D", "A"])
+    def test_singular_coefficient_is_a_status(self, role):
+        # splu refuses an exactly singular D or A; the run ends, not raises
+        prob = make_problem(n=16, seed=0)
+        coeffs = {"A": prob.A.to_dense(), "D": prob.D.to_dense()}
+        coeffs[role][3] = 0.0
+        prob = LowRankTRiccatiProblem(B1=prob.B1, B2=prob.B2, C1=prob.C1,
+                                      C2=prob.C2, **coeffs)
+        X, rep = solve_inexact_newton(prob)
+        assert rep.status is tr.Status.INNER_SOLVE_FAILED
+        assert rep.iterations[-1].inner_message.startswith(
+            "SingularOperatorError: sparse LU:")
+        assert X.rank == 0 and rep.final_relative_residual == pytest.approx(1.0)
 
     def test_inner_stagnation_reported(self):
         # m_max = 0 leaves the inner solver no expansions at all

@@ -93,6 +93,7 @@ class TestConvergenceProperties:
         assert rep.status is tr.Status.CONVERGED
         assert np.allclose(X, 0.0)
         assert rep.iterations[0].k == 0
+        assert rep.iterations[0].step_size == 0.0  # no step was taken
 
 
 class TestAssumptionAudit:
@@ -284,7 +285,10 @@ class TestFailureStatuses:
                 solve(prob, tol=-1.0)
             with pytest.raises(ValueError, match=r"max_iter must be >= 0, got -2"):
                 solve(prob, max_iter=-2)
-            assert solve(prob, max_iter=0)[1].status is tr.Status.MAX_ITERATIONS
+            rep = solve(prob, max_iter=0)[1]
+            assert rep.status is tr.Status.MAX_ITERATIONS
+            # the residual of X_0 = 0 is C itself
+            assert rep.final_relative_residual == 1.0
 
     def test_singular_newton_pencil(self):
         # D = -A^T = I makes S_T(X) = X - X^T... wait: D X + X^T A with

@@ -278,6 +278,22 @@ class TestCLI:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "n=0" in err
 
+    def test_singular_saved_problem_exits_two(self, tmp_path, capsys):
+        # an exactly singular D fails the sparse LU: a status, not a traceback
+        from triccati.lowrank import LowRankTRiccatiProblem
+        from triccati.mmio import save_problem
+        prob, _ = build_problem(ProblemSpec(family="Ex2LowRank", n=16))
+        D = prob.D.to_dense()
+        D[3] = 0.0
+        prob = LowRankTRiccatiProblem(A=prob.A.A, D=D, B1=prob.B1,
+                                      B2=prob.B2, C1=prob.C1, C2=prob.C2)
+        manifest = save_problem(tmp_path, prob)
+        rc = main(["solve-lowrank", "--problem", str(manifest)])
+        assert rc == 2
+        data = json.loads(capsys.readouterr().out)
+        assert data["status"] == "InnerSolveFailed"
+        assert "SingularOperatorError" in data["warnings"][0]
+
     def test_generate_then_solve_file(self, tmp_path, capsys):
         rc = main(["generate", "--family", "ex2-dense", "--n", "25",
                    "--name", "cell", "--out", str(tmp_path)])

@@ -73,7 +73,7 @@ def _unit_norm(M):
     return M / np.linalg.norm(M)
 
 
-def generate_ex1_dense(n, gamma=1e4, seed=0):
+def generate_ex1_dense(n, gamma, seed):
     """Convection-diffusion D and Laplacian A with full random B, C.
 
     B and C are unconstrained uniform draws, so the sign conditions of the
@@ -90,7 +90,7 @@ def generate_ex1_dense(n, gamma=1e4, seed=0):
     return prob, meta
 
 
-def generate_ex1_lowrank(n, p=1, q=5, gamma=1e4, seed=0):
+def generate_ex1_lowrank(n, p, q, gamma, seed):
     """Convection-diffusion linear part with thin unit-norm random factors."""
     D, A = _convection_diffusion(n, gamma)
     rng = np.random.default_rng(seed)
@@ -104,7 +104,7 @@ def generate_ex1_lowrank(n, p=1, q=5, gamma=1e4, seed=0):
     return prob, meta
 
 
-def generate_ex2_dense(n, seed=0):
+def generate_ex2_dense(n, seed):
     """Row-stochastic-complement construction with a manufactured solution.
 
     W = diag(R*1) - R has zero row sums; its diagonal blocks D and A are
@@ -126,7 +126,7 @@ def generate_ex2_dense(n, seed=0):
     return prob, meta
 
 
-def generate_ex2_lowrank(n, p=1, q=1, seed=0):
+def generate_ex2_lowrank(n, p, q, seed):
     """Shifted sparse random linear part with unit-norm factored B and C.
 
     D = F + (rho(F)+1) I and A = G + (rho(G)+20) I for nonnegative sparse

@@ -7,8 +7,8 @@ sweep solves the Newton-step equation
 
     (D - X_k^T B) Xt + Xt^T (A - B X_k) = -C - X_k^T B X_k
 
-only up to a relative tolerance eta_k (forcing sequence, default
-1/(1+k^3) capped at eta_bar), by Krylov projection.  The update direction
+only up to a relative tolerance eta_k (forcing sequence 1/(1+k^3)
+capped at eta_bar), by Krylov projection.  The update direction
 S_k = Xt - X_k is damped by a step length chosen to minimize the exact
 quartic
 
@@ -74,7 +74,6 @@ from .riccati_dense import LineSearchPoly, minimize_quartic
 
 __all__ = [
     "InexactNewtonConfig",
-    "default_eta_schedule",
     "compute_theta",
     "decrease_condition_check",
     "nonnegativity_monitor",
@@ -88,35 +87,32 @@ _SWEEP_TAIL = 0.01  # share of eta_k * rel_k * ||X||_F each sweep may drop
 _BLOCK = 256  # rows of X formed at once by _entry_extremes
 _SIGN_MAX_N = 200  # largest n whose trace rows carry the sign fields
 _SIGN_TOL = 1e-8  # nonnegativity_monitor accepts entries >= -_SIGN_TOL
-
-
-def default_eta_schedule(k):
-    return 1.0 / (1.0 + k ** 3)
+# rank cap = _CAP_PER_PASS * (p+q) * m_max: a pass adds at most two chains
+# times the 2(p+q) columns of [C1^T, C2^T, X^T B1, X^T B2]
+_CAP_PER_PASS = 4
 
 
 @dataclass
 class InexactNewtonConfig:
-    """Knobs for the outer iteration.
+    """Settings of the outer iteration, one per solve-lowrank flag.
 
-    eta_schedule maps the 0-based outer index to a forcing value; it is
-    clamped into (0, eta_bar] before use.  Each sweep cuts its iterate to a
-    share of its forcing term, above a fixed floor, and the converged
-    iterate to eps (see the module docstring).  rank_cap = None means
-    4*(p+q)*m_max, the widest iterate the inner spaces could produce.
+    Sweep k (0-based) solves to the forcing term eta_k = min(1/(1+k^3),
+    eta_bar).  Each sweep cuts its iterate to a share of its forcing term,
+    above a fixed floor, and the converged iterate to eps (see the module
+    docstring).  An iterate wider than 4*(p+q)*m_max, the widest the inner
+    spaces could produce, ends the run as Diverged.
     """
 
     eps: float = 1e-6
     eta_bar: float = 0.5
     alpha: float = 0.1
-    eta_schedule: object = None
     max_outer: int = 30
     m_max: int = 50
-    rank_cap: int = None
 
     def __post_init__(self):
-        for name in ("eps", "max_outer", "m_max", "rank_cap"):
+        for name in ("eps", "max_outer", "m_max"):
             value = getattr(self, name)
-            if value is not None and not value >= 0:
+            if not value >= 0:
                 raise ValueError("%s must be >= 0, got %r" % (name, value))
         if not 0.0 < self.eta_bar < 1.0:
             raise ValueError("eta_bar must lie in (0, 1)")
@@ -124,8 +120,7 @@ class InexactNewtonConfig:
             raise ValueError("alpha must lie in (0, 1 - eta_bar)")
 
     def eta(self, k):
-        rule = self.eta_schedule or default_eta_schedule
-        return min(max(float(rule(k)), 1e-15), self.eta_bar)
+        return min(1.0 / (1.0 + k ** 3), self.eta_bar)
 
 
 def compute_theta(alpha_k, delta_k, cfg):
@@ -217,9 +212,7 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
         cfg = InexactNewtonConfig()
     c_norm = prob.c_norm()
     stop = cfg.eps * c_norm
-    cap = cfg.rank_cap
-    if cap is None:
-        cap = 4 * (prob.p + prob.q) * cfg.m_max
+    cap = _CAP_PER_PASS * (prob.p + prob.q) * cfg.m_max
     X0 = zero_pair(prob.n)
     R = lr_riccati_residual(prob, X0)
 
@@ -257,7 +250,7 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
                              "lam = %.3e" % (k + 1, lam), **fields)
         if Xn.rank > cap:
             raise StepFailed(Status.DIVERGED,
-                             "iterate rank %d exceeds the configured cap %d "
+                             "iterate rank %d exceeds the cap %d "
                              "at sweep %d" % (Xn.rank, cap, k + 1),
                              residual_norm=res_n, iterate_rank=Xn.rank,
                              **fields)

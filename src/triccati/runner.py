@@ -90,11 +90,6 @@ def _jsonable(obj):
         return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if callable(obj):  # e.g. an eta_schedule in the config
-        try:
-            return "%s.%s" % (obj.__module__, obj.__qualname__)
-        except AttributeError:
-            return repr(obj)
     return obj
 
 

@@ -65,8 +65,7 @@ def test_01_scalar_closed_form():
     Xn, rn = solve_newton(prob, tol=1e-12, keep_iterates=True)
     lprob = LowRankTRiccatiProblem(A=[[1.0]], D=[[2.0]], B1=[[1.0]],
                                    B2=[[1.0]], C1=[[1.0]], C2=[[-1.0]])
-    cfg = InexactNewtonConfig(eps=1e-11, eta_schedule=lambda k: 1e-12,
-                              m_max=4)
+    cfg = InexactNewtonConfig(eps=1e-11, m_max=4)
     Xi, ri = solve_inexact_newton(lprob, cfg)
     dt = time.perf_counter() - t0
 

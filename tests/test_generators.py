@@ -60,7 +60,7 @@ class TestEx1:
         assert np.all(prob.B >= 0) and np.all(prob.C >= 0)  # unconstrained draws
 
     def test_lowrank_factors_unit_norm(self):
-        prob, meta = generate_ex1_lowrank(64, p=2, q=3, seed=1)
+        prob, meta = generate_ex1_lowrank(64, p=2, q=3, gamma=1e4, seed=1)
         assert sp.issparse(prob.A.A) and sp.issparse(prob.D.A)
         for F in (prob.B1, prob.B2, prob.C1, prob.C2):
             assert np.linalg.norm(F) == pytest.approx(1.0)
@@ -68,17 +68,17 @@ class TestEx1:
 
     def test_sign_consistency_flag(self):
         # both factored families build C = C1^T C2 <= 0
-        for prob, _ in (generate_ex1_lowrank(16, seed=5),
-                        generate_ex2_lowrank(16, q=3, seed=5)):
+        for prob, _ in (generate_ex1_lowrank(16, p=1, q=5, gamma=1e4, seed=5),
+                        generate_ex2_lowrank(16, p=1, q=3, seed=5)):
             assert np.all(prob.C1.T @ prob.C2 <= 0)
 
     def test_determinism(self):
-        a, _ = generate_ex1_lowrank(25, seed=11)
-        b, _ = generate_ex1_lowrank(25, seed=11)
+        a, _ = generate_ex1_lowrank(25, p=1, q=5, gamma=1e4, seed=11)
+        b, _ = generate_ex1_lowrank(25, p=1, q=5, gamma=1e4, seed=11)
         assert np.array_equal(a.B1, b.B1)
         assert np.array_equal(a.C2, b.C2)
         assert (a.D.A != b.D.A).nnz == 0
-        c, _ = generate_ex1_lowrank(25, seed=12)
+        c, _ = generate_ex1_lowrank(25, p=1, q=5, gamma=1e4, seed=12)
         assert not np.array_equal(a.B1, c.B1)
 
 
@@ -118,7 +118,7 @@ class TestEx2LowRank:
             assert np.linalg.norm(F) == pytest.approx(1.0)
 
     def test_shifts_make_strong_diagonals(self):
-        prob, _ = generate_ex2_lowrank(300, seed=4)
+        prob, _ = generate_ex2_lowrank(300, p=1, q=1, seed=4)
         for op, shift in ((prob.D, 1.0), (prob.A, 20.0)):
             M = op.A.toarray()
             off = M - np.diag(np.diag(M))
@@ -132,7 +132,7 @@ class TestEx2LowRank:
         monkeypatch.setattr(spla, "eigs", no_arpack)
         n = 10000
         for seed in (0, 1, 2, 5):
-            prob, _ = generate_ex2_lowrank(n, seed=seed)
+            prob, _ = generate_ex2_lowrank(n, p=1, q=1, seed=seed)
             rng = np.random.default_rng(seed)  # replay the draws of F and G
             for op, shift in ((prob.D, 1.0), (prob.A, 20.0)):
                 F = sp.random(n, n, density=1.0 / n, format="csr",
@@ -147,8 +147,8 @@ class TestEx2LowRank:
                 assert np.all(np.abs(rho - ref) <= 1e-12 * max(ref, 1.0))
 
     def test_determinism(self):
-        a, _ = generate_ex2_lowrank(200, seed=9)
-        b, _ = generate_ex2_lowrank(200, seed=9)
+        a, _ = generate_ex2_lowrank(200, p=1, q=1, seed=9)
+        b, _ = generate_ex2_lowrank(200, p=1, q=1, seed=9)
         assert (a.D.A != b.D.A).nnz == 0
         assert np.array_equal(a.C1, b.C1)
 

@@ -36,7 +36,7 @@ class TestDenseRoundTrip:
 
 class TestLowRankRoundTrip:
     def test_values_preserved(self, tmp_path):
-        prob, _ = generate_ex1_lowrank(36, p=1, q=2, seed=7)
+        prob, _ = generate_ex1_lowrank(36, p=1, q=2, gamma=1e4, seed=7)
         mpath = save_problem(tmp_path, prob, name="lr")
         back = load_problem(mpath)
         assert isinstance(back, LowRankTRiccatiProblem)
@@ -49,7 +49,7 @@ class TestLowRankRoundTrip:
 
     def test_relocatable(self, tmp_path):
         # moving the directory keeps the manifest usable (relative paths)
-        prob, _ = generate_ex1_lowrank(16, seed=2)
+        prob, _ = generate_ex1_lowrank(16, p=1, q=5, gamma=1e4, seed=2)
         src = tmp_path / "orig"
         mpath = save_problem(src, prob, name="x")
         dst = tmp_path / "moved"

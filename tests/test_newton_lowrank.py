@@ -26,7 +26,6 @@ from triccati.newton_lowrank import (
     InexactNewtonConfig,
     compute_theta,
     decrease_condition_check,
-    default_eta_schedule,
     min_entry_ratio,
     nonnegativity_monitor,
     solve_inexact_newton,
@@ -64,7 +63,7 @@ class TestConfig:
             InexactNewtonConfig(eta_bar=0.0)
 
     @pytest.mark.parametrize("name, value", [
-        ("eps", -1e-6), ("max_outer", -2), ("m_max", -3), ("rank_cap", -1)])
+        ("eps", -1e-6), ("max_outer", -2), ("m_max", -3)])
     def test_negative_settings(self, name, value):
         with pytest.raises(ValueError, match=r"%s must be >= 0, got %s$"
                            % (name, value)):
@@ -80,14 +79,9 @@ class TestConfig:
         cfg = InexactNewtonConfig(eta_bar=0.5)
         assert cfg.eta(0) == 0.5          # 1/(1+0) clamped to eta_bar
         assert cfg.eta(2) == pytest.approx(1.0 / 9.0)
-        assert default_eta_schedule(3) == pytest.approx(1.0 / 28.0)
-        tight = InexactNewtonConfig(eta_schedule=lambda k: 1e-30)
-        assert tight.eta(5) == 1e-15      # floor keeps the tolerance positive
-
-    def test_custom_schedule_used(self):
-        cfg = InexactNewtonConfig(eta_schedule=lambda k: 0.25 / (k + 1))
-        assert cfg.eta(0) == 0.25
-        assert cfg.eta(3) == pytest.approx(0.0625)
+        assert cfg.eta(3) == pytest.approx(1.0 / 28.0)
+        tight = InexactNewtonConfig(eta_bar=1e-8)
+        assert tight.eta(5) == 1e-8       # clamped to eta_bar at every k
 
 
 class TestTheta:
@@ -180,7 +174,8 @@ class TestMinEntryRatio:
     def test_above_n200_only_in_the_run_metadata(self):
         spec = ProblemSpec(family="Ex2LowRank", n=400, q=5)
         run = run_experiment(spec, "inexact-newton")
-        X, rep = solve_inexact_newton(generate_ex2_lowrank(400, q=5)[0])
+        X, rep = solve_inexact_newton(
+            generate_ex2_lowrank(400, p=1, q=5, seed=0)[0])
         assert run.report.trace_rows() == rep.trace_rows()
         assert not any({"nonnegative", "min_entry_ratio"} & set(row)
                        for row in rep.trace_rows())
@@ -188,7 +183,7 @@ class TestMinEntryRatio:
 
 
 def tight_config():
-    return InexactNewtonConfig(eps=1e-9, eta_schedule=lambda k: 1e-8)
+    return InexactNewtonConfig(eps=1e-9, eta_bar=1e-8)
 
 
 def sweep_summary(seeds):
@@ -218,7 +213,7 @@ class TestSolver:
     def test_linear_case_single_full_step(self):
         # B = 0 and an exact inner solve: one Newton sweep, lam = 1
         prob = make_problem(n=30, seed=4, b_scale=0.0)
-        cfg = InexactNewtonConfig(eps=1e-8, eta_schedule=lambda k: 1e-13)
+        cfg = InexactNewtonConfig(eps=1e-8, eta_bar=1e-13)
         X, rep = solve_inexact_newton(prob, cfg)
         assert rep.status is tr.Status.CONVERGED
         assert len(rep.iterations) == 1
@@ -357,13 +352,14 @@ class TestSolver:
             res / prob.c_norm(), rel=1e-10)
         assert last.nonnegative == nonnegativity_monitor(X)
 
-    def test_rank_cap_enforced(self):
+    def test_rank_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(newton_lowrank, "_CAP_PER_PASS", 0)
         prob = make_problem(n=40, p=2, q=2, seed=6)
-        cfg = InexactNewtonConfig(eps=1e-10, rank_cap=1)
+        cfg = InexactNewtonConfig(eps=1e-10)
         X, rep = solve_inexact_newton(prob, cfg)
         assert rep.status is tr.Status.DIVERGED
-        assert rep.iterations[-1].iterate_rank > 1
-        assert any("cap 1" in w for w in rep.warnings)
+        assert rep.iterations[-1].iterate_rank > 0
+        assert any("cap 0" in w for w in rep.warnings)
 
     def test_inner_diagnostics_in_trace(self):
         _, rep = solve_inexact_newton(make_problem(n=40, seed=1),

@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from triccati import cli
+from triccati import cli, newton_lowrank
 from triccati.cli import _spec_from_args, build_parser, main
 from triccati.newton_lowrank import InexactNewtonConfig
 from triccati.reports import Status
@@ -92,13 +92,20 @@ class TestRunExperiment:
         a.pop("wall_time_s"); b.pop("wall_time_s")
         assert a == b
 
-    def test_callable_config_serializes(self):
-        spec = ProblemSpec(family="Ex2LowRank", n=50, seed=0)
-        run = run_experiment(spec, "inexact-newton",
-                             {"eta_schedule": lambda k: 0.1})
-        d = json.loads(emit_report(run, "json"))
-        assert isinstance(d["config"]["eta_schedule"], str)
-        assert d["config"]["eta_schedule"].endswith("<lambda>")
+    @pytest.mark.parametrize("spec, solver, config", [
+        (ProblemSpec(family="Ex2Dense", n=40), "newton",
+         {"line_search": "exact"}),
+        (ProblemSpec(family="Ex1Dense", n=36), "fixed-point", {}),
+        (ProblemSpec(family="Ex2LowRank", n=150), "inexact-newton",
+         {"eps": 1e-8})], ids=["newton", "fixed-point", "inexact-newton"])
+    def test_saved_report_replays_its_run(self, spec, solver, config):
+        # the spec and config a JSON report saves rebuild the same run
+        a = json.loads(emit_report(run_experiment(spec, solver, config)))
+        again = run_experiment(ProblemSpec(**a["spec"]), a["solver"],
+                               a["config"])
+        b = json.loads(emit_report(again))
+        a.pop("wall_time_s"); b.pop("wall_time_s")
+        assert a == b
 
     def test_audit_skipped_for_large(self):
         spec = ProblemSpec(family="Ex2LowRank", n=300, seed=0)
@@ -120,11 +127,11 @@ class TestRunExperiment:
                              {"eps": 1e-8, "m_max": 0})
         assert run.status is Status.INNER_SOLVE_FAILED
 
-    def test_rank_cap_overflow_is_a_status(self):
+    def test_rank_cap_overflow_is_a_status(self, monkeypatch):
         # the overflowing sweep is recorded; the report describes X_0 = 0
+        monkeypatch.setattr(newton_lowrank, "_CAP_PER_PASS", 0)
         spec = ProblemSpec(family="Ex2LowRank", n=150, seed=0)
-        run = run_experiment(spec, "inexact-newton",
-                             {"eps": 1e-10, "rank_cap": 1})
+        run = run_experiment(spec, "inexact-newton", {"eps": 1e-10})
         assert run.status is Status.DIVERGED
         assert len(run.report.iterations) == 1
         assert run.report.rhs_norm == pytest.approx(1.0, rel=1e-12)
@@ -370,8 +377,10 @@ class TestCLI:
         dense = set(cli._SOLVE_FLAGS["solve-dense"][1].values())
         assert dense <= params(solve_newton)
         assert dense - {"line_search"} <= params(solve_fixed_point)
+        # every InexactNewtonConfig field is a flag's: no test-only setting
         lowrank = set(cli._SOLVE_FLAGS["solve-lowrank"][1].values())
-        assert lowrank <= params(InexactNewtonConfig)
+        assert lowrank == {f.name for f in
+                           dataclasses.fields(InexactNewtonConfig)}
 
     def test_setting_the_solver_does_not_take_exits_one(self, capsys):
         rc = main(["solve-dense", "--family", "ex2-dense", "--n", "20",

@@ -169,8 +169,8 @@ def tsylv_oracle_solve(D, A, rhs):
     # NaN-proof comparison: anything not provably small counts as singular
     if bn > 0 and not resid <= 1e-8 * bn:
         raise SingularOperatorError(
-            "oracle solve inaccurate; operator is near singular",
-            rcond=resid / bn)
+            "oracle solve inaccurate (relative residual %.2e); operator is "
+            "near singular" % (resid / bn))
     return x.reshape((n, n), order="F")
 
 

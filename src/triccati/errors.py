@@ -6,14 +6,7 @@ class TRiccatiError(Exception):
 
 
 class SingularOperatorError(TRiccatiError):
-    """The linear operator of a T-Sylvester equation is singular or nearly so.
-
-    Carries the reciprocal condition estimate that triggered the failure.
-    """
-
-    def __init__(self, message, rcond=None):
-        super().__init__(message)
-        self.rcond = rcond
+    """The operator of a T-Sylvester equation is singular or nearly so."""
 
 
 class ConvergenceError(TRiccatiError):

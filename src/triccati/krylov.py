@@ -77,7 +77,6 @@ class InnerReport:
     iterations: int
     residuals: list = field(default_factory=list)
     basis_dim: int = 0
-    tol: float = 0.0
     message: str = ""
     residual: LowRankPair | None = None
     dropped_cols: int = 0
@@ -175,7 +174,7 @@ class ExtendedKrylovTSylv:
         """
         if self.ell >= self.n:
             return False
-        cand_f = self.ahat.solve_t(self.dhat.matvec(self.V[:, self._fwd]))
+        cand_f = self.ahat.solve_t(self.DV[:, self._fwd])
         cand_i = self.dhat.solve(self.ahat.rmatvec(self.V[:, self._inv]))
         return self._grow(cand_f, cand_i)
 
@@ -273,7 +272,7 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
     rhs2 = np.hstack([prob.C2.T, XBX.P2])
     rhs_norm = lr_frobenius_norm(LowRankPair(rhs1, rhs2))
     if rhs_norm == 0.0:
-        return zero_pair(prob.n), InnerReport(True, 0, [0.0], 0, tol_abs,
+        return zero_pair(prob.n), InnerReport(True, 0, [0.0], 0,
                                               "zero right-hand side",
                                               residual=zero_pair(prob.n))
     residuals = []
@@ -282,7 +281,7 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
 
     def report(converged, m, message="", residual=None):
         return InnerReport(converged, m, residuals, eng.ell if eng else 0,
-                           tol_abs, message, residual,
+                           message, residual,
                            eng.dropped_cols if eng else 0, rcond)
 
     try:

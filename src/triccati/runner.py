@@ -69,10 +69,10 @@ def build_problem(spec):
     if f == "File":
         prob = mmio.load_problem(spec.path)
         return prob, {"family": "File", "path": str(spec.path)}
-    if spec.n < 1:
-        raise ValueError("%s needs n >= 1, got n=%d" % (f, spec.n))
-    if spec.seed < 0:
-        raise ValueError("%s needs seed >= 0, got seed=%d" % (f, spec.seed))
+    for k, low in (("n", 1), ("p", 0), ("q", 0), ("seed", 0)):
+        if k in READS[f] and getattr(spec, k) < low:
+            raise ValueError("%s needs %s >= %d, got %s=%d"
+                             % (f, k, low, k, getattr(spec, k)))
     return _GENERATORS[f](**{k: getattr(spec, k) for k in READS[f]})
 
 

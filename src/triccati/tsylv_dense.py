@@ -36,13 +36,10 @@ decides only that: scalar systems by their closed forms, the others stacked
 by block sizes in chunks, where one batched Cholesky of each Gram matrix,
 shifted by the limit and a rounding margin, certifies nearly all of them,
 and only those it cannot certify (rcond below about 1e-7) go through an
-SVD.  The exact minimum, an SVD of every system, is computed when
-``TSylvSolver.rcond`` is first read.  ``solve`` raises
-:class:`SingularOperatorError` when the operator counts as singular, or
-when ``dtgsyl`` reports a singular system.
+SVD.  ``solve`` raises :class:`SingularOperatorError` on that verdict, or
+when ``dtgsyl`` reports a singular system.  The exact minimum
+(``_min_pair_rcond``, an SVD of every system) is only the tests' reference.
 """
-
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -53,8 +50,7 @@ from .errors import SingularOperatorError
 
 __all__ = ["TSylvSolver"]
 
-# pair systems per batched Cholesky screen or SVD; bounds the scratch memory
-# of the singularity decision and of the exact rcond
+# pair systems per screen or SVD chunk; bounds the decision's scratch memory
 _CHUNK = 1024
 # smallest pair rcond a solve accepts
 _RCOND_LIMIT = 1e-14
@@ -160,7 +156,8 @@ def _pair_batches(R, L, blocks):
 
 def _min_pair_rcond(R, L, blocks):
     """Smallest reciprocal condition number over the diagonal blocks and all
-    pairs of them: closed forms for scalar blocks, SVDs otherwise."""
+    pairs of them (closed forms for scalar blocks, SVDs otherwise); the
+    tests' reference for :func:`_any_pair_below`, which no solve calls."""
     return float(min(np.min(f if f.ndim == 1 else _svd_rcond(f), initial=1.0)
                      for f in _pair_batches(R, L, blocks)))
 
@@ -177,12 +174,8 @@ def _any_pair_below(R, L, blocks, limit):
 
 
 class TSylvSolver:
-    """Factor the operator X -> D X + X^T A once, then solve many right-hand sides.
-
-    The factorization also decides whether the operator is singular (see
-    the module docstring); the exact smallest pair rcond, ``rcond``, costs
-    an SVD per pair of diagonal blocks and is computed only when read.
-    """
+    """Factor the operator X -> D X + X^T A once, deciding whether it is
+    singular (see the module docstring), then solve many right-hand sides."""
 
     def __init__(self, D, A):
         D = np.asarray(D, dtype=float)
@@ -214,12 +207,6 @@ class TSylvSolver:
                 lu = scipy.linalg.lu_factor(_diag_systems(Rii, Lii))
                 self._steps.append((B, E, Qb, Zb, lu))
 
-    @cached_property
-    def rcond(self):
-        """Smallest reciprocal condition number among the diagonal-block pair
-        systems, computed on first read and then kept."""
-        return _min_pair_rcond(self.R, self.L, self.blocks) if self.n else 1.0
-
     def solve(self, E):
         """Solve D X + X^T A = E."""
         E = np.asarray(E, dtype=float)
@@ -230,8 +217,7 @@ class TSylvSolver:
             return np.zeros((0, 0))
         if self._singular:
             raise SingularOperatorError(
-                "T-Sylvester operator is singular to working precision",
-                rcond=self.rcond)
+                "T-Sylvester operator is singular to working precision")
         R, L = self.R, self.L
         F = self.Q.T @ E @ self.Q
         Y = np.zeros((n, n))
@@ -245,7 +231,7 @@ class TSylvSolver:
                 if info != 0:
                     raise SingularOperatorError(
                         "T-Sylvester operator is singular to working precision "
-                        "(dtgsyl info %d)" % info, rcond=self.rcond)
+                        "(dtgsyl info %d)" % info)
                 Y[J, I] = P @ Zb.T / scale
                 Y[I, J] = -(Qb @ W.T) / scale
             G = F[I, I] - R[I, J] @ Y[J, I] - (L[I, J] @ Y[J, I]).T

@@ -69,7 +69,6 @@ class TestAgainstDense:
         Xt, rep = solve_tsylv_krylov(prob, zero_pair(prob.n), tol)
         assert rep.converged
         assert rep.iterations == len(rep.residuals) >= 1
-        assert rep.tol == tol
         assert rep.basis_dim >= Xt.rank
         assert rep.residuals[-1] <= tol
 

@@ -361,6 +361,21 @@ class TestCLI:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "seed=-1" in err
 
+    def test_negative_p_or_q_exits_one(self, capsys):
+        for argv, family, name in (
+                (["solve-lowrank", "--family", "ex2-lowrank"], "Ex2LowRank", "q"),
+                (["generate", "--family", "ex1-lowrank"], "Ex1LowRank", "p")):
+            rc = main(argv + ["--n", "16", "--" + name, "-1"])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                "error: %s needs %s >= 0, got %s=-1\n" % (family, name, name))
+        # no factor columns on either side still builds and solves
+        rc = main(["solve-lowrank", "--family", "ex2-lowrank", "--n", "16",
+                   "--p", "0", "--q", "0"])
+        assert rc == 0
+        d = json.loads(capsys.readouterr().out)
+        assert (d["spec"]["p"], d["spec"]["q"]) == (0, 0)
+
     def test_csv_output(self, tmp_path, capsys):
         rc = main(["solve-dense", "--family", "ex2-dense", "--n", "30",
                    "--format", "csv", "--out", str(tmp_path)])

@@ -60,27 +60,28 @@ _BREAKDOWN_TOL = 1e-12
 class InnerReport:
     """How one inner solve went.
 
-    residuals is the lifted-residual norm after each projected solve and
-    basis_dim the order of the last one.  residual, set only when the
-    solve converged, is the lifted residual of the returned (cut) solution
-    as a LowRankPair (Lambda, W) with orthonormal W (see
-    ``ExtendedKrylovTSylv.extract``).  dropped_cols counts the candidate
-    columns that fell into the space already built and were dropped, over
-    the seed (the first growth, from the empty space) and every stage,
-    also when the seed left the space empty.
+    residuals is the lifted-residual norm after each projected solve
+    (iterations counts them) and basis_dim the order of the last one.
+    residual, set only when the solve converged, is the lifted residual of
+    the returned (cut) solution as a LowRankPair (Lambda, W) with
+    orthonormal W (see ``ExtendedKrylovTSylv.extract``).  dropped_cols
+    counts the candidate columns that fell into the space already built
+    and were dropped, over the seed (the first growth, from the empty
+    space) and every stage, also when the seed left the space empty.
     capacitance_rcond is the smaller of the two SMW capacitance rconds of
     the shifted coefficients (1.0 at X = 0; see ``ShiftedOperator``), None
     when they were not built.
     """
 
     converged: bool
-    iterations: int
     residuals: list = field(default_factory=list)
     basis_dim: int = 0
     message: str = ""
     residual: LowRankPair | None = None
     dropped_cols: int = 0
     capacitance_rcond: float | None = None
+
+    iterations = property(lambda self: len(self.residuals))  # projected solves
 
 
 def _cgs_against(Q, C):
@@ -107,19 +108,20 @@ class ExtendedKrylovTSylv:
     def __init__(self, dhat, ahat, H, rhs1, rhs2):
         self.dhat = dhat
         self.ahat = ahat
-        self.n = n = H.shape[0]
         self._rhs1 = rhs1
         self._rhs2 = rhs2
         self.dropped_cols = 0
         # the empty space; the seed is its first growth
-        self.V = self.DV = self.W = np.zeros((n, 0))
+        self.V = self.DV = self.W = np.zeros((H.shape[0], 0))
         self.T = self.U = np.zeros((0, 0))
         self.G1, self.G2 = rhs1[:0], rhs2[:0]
-        self._fwd = self._inv = np.arange(0)
-        self.ell = 0
+        # each chain's last block times the coefficient its next candidates
+        # solve with: (Dhat V_f, Ahat^T V_i), kept by _grow
+        self._heads = (self.V, self.V)
         self._grow(ahat.solve_t(H), dhat.solve(H))
 
-    built_dim = property(lambda self: self.ell)  # order of the space built
+    ell = property(lambda self: self.V.shape[1])  # order of the space built
+    built_dim = ell
 
     def _pivot_orth(self, C, Q_prev):
         """Orthonormal basis of the part of C outside span(Q_prev), by
@@ -134,15 +136,16 @@ class ExtendedKrylovTSylv:
         return Q[:, :k]
 
     def _block_qr(self, C, Q_prev):
-        """Orthogonalize C against Q_prev and internally; None when the
-        block vanishes or is numerically rank deficient."""
+        """(Q, coeffs, R) with C = Q_prev @ coeffs + Q @ R and Q orthonormal
+        to Q_prev; None when the block vanishes or is numerically rank
+        deficient."""
         orig_scale = max(np.linalg.norm(C), 1e-300)
         C, coeffs = _cgs_against(Q_prev, C)
         qr = HouseholderQR(C)
         sv = scipy.linalg.svdvals(qr.R)
         if sv[0] <= 1e-14 * orig_scale or sv[-1] <= _BREAKDOWN_TOL * sv[0]:
             return None
-        return qr.apply(np.eye(qr.R.shape[0])), np.vstack([coeffs, qr.R])
+        return qr.apply(np.eye(qr.R.shape[0])), coeffs, qr.R
 
     def _grow(self, cand_f, cand_i):
         """Orthogonalize the forward- and inverse-chain candidates against
@@ -154,10 +157,13 @@ class ExtendedKrylovTSylv:
         Qn = np.hstack([Qf, Qi])
         if Qn.shape[1] == 0:
             return False
-        W_part = self._block_qr(self.ahat.rmatvec(Qn), self.W)
+        AQ = self.ahat.rmatvec(Qn)
+        W_part = self._block_qr(AQ, self.W)
         if W_part is None:
             return False
-        self.absorb(Qn, self.dhat.matvec(Qn), *W_part, Qf.shape[1])
+        DQ = self.dhat.matvec(Qn)
+        self.absorb(Qn, DQ, *W_part)
+        self._heads = DQ[:, :Qf.shape[1]], AQ[:, Qf.shape[1]:]
         return True
 
     def stage(self):
@@ -172,11 +178,10 @@ class ExtendedKrylovTSylv:
         candidates collapsing into span(W), which marks the pair
         construction as saturated.
         """
-        if self.ell >= self.n:
+        if self.ell >= self.V.shape[0]:
             return False
-        cand_f = self.ahat.solve_t(self.DV[:, self._fwd])
-        cand_i = self.dhat.solve(self.ahat.rmatvec(self.V[:, self._inv]))
-        return self._grow(cand_f, cand_i)
+        fwd, inv = self._heads
+        return self._grow(self.ahat.solve_t(fwd), self.dhat.solve(inv))
 
     def solve_reduced(self):
         """Solve T Y + Y^T K = -G1 G2^T on the active space."""
@@ -212,24 +217,19 @@ class ExtendedKrylovTSylv:
         FY -= self.W @ TY
         return red, FY
 
-    def absorb(self, Qn, DVn, Wn, Ucol, bf):
-        """Append the block pair (Qn, Wn), whose first bf columns of Qn
-        continue the forward chain, to V, DV, W and the projected data."""
-        b = Qn.shape[1]
-        self._fwd = np.arange(self.ell, self.ell + bf)
-        self._inv = np.arange(self.ell + bf, self.ell + b)
+    def absorb(self, Qn, DVn, Wn, coeffs, R):
+        """Append the block pair (Qn, Wn) to V, DV, W and the projected
+        data, where Ahat^T Qn = W @ coeffs + Wn @ R (``_block_qr``)."""
         self.T = np.block([[self.T, self.W.T @ DVn],
                            [Wn.T @ self.DV, Wn.T @ DVn]])
         # V and W keep their QR blocks' Fortran order: contiguous columns
         self.V = hstack_f([self.V, Qn])
         self.DV = np.hstack([self.DV, DVn])
-        lw = self.U.shape[0]
-        self.U = np.block([[self.U, Ucol[:lw]],
-                           [np.zeros((b, self.U.shape[1])), Ucol[lw:]]])
+        self.U = np.block([[self.U, coeffs],
+                           [np.zeros((R.shape[0], self.U.shape[1])), R]])
         self.G1 = np.vstack([self.G1, Wn.T @ self._rhs1])
         self.G2 = np.vstack([self.G2, Wn.T @ self._rhs2])
         self.W = hstack_f([self.W, Wn])
-        self.ell += b
 
     def extract(self, Y):
         """Lift and recompress Y, and the lifted residual of the result.
@@ -272,15 +272,14 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
     rhs2 = np.hstack([prob.C2.T, XBX.P2])
     rhs_norm = lr_frobenius_norm(LowRankPair(rhs1, rhs2))
     if rhs_norm == 0.0:
-        return zero_pair(prob.n), InnerReport(True, 0, [0.0], 0,
-                                              "zero right-hand side",
-                                              residual=zero_pair(prob.n))
+        return zero_pair(prob.n), InnerReport(
+            True, message="zero right-hand side", residual=zero_pair(prob.n))
     residuals = []
     eng = None
     rcond = None
 
-    def report(converged, m, message="", residual=None):
-        return InnerReport(converged, m, residuals, eng.ell if eng else 0,
+    def report(converged, message="", residual=None):
+        return InnerReport(converged, residuals, eng.ell if eng else 0,
                            message, residual,
                            eng.dropped_cols if eng else 0, rcond)
 
@@ -301,12 +300,11 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
                 monitor(eng, m, Y, res)
             if res <= tol_abs:
                 pair, L = eng.extract(Y)
-                return pair, report(True, m, residual=L)
+                return pair, report(True, residual=L)
             if m < m_max and not eng.stage():
                 return None, report(
-                    False, m, "space exhausted at dimension %d before "
+                    False, "space exhausted at dimension %d before "
                     "tolerance" % eng.ell)
     except TRiccatiError as e:
-        return None, report(False, len(residuals),
-                            "%s: %s" % (type(e).__qualname__, e))
-    return None, report(False, m_max, "m_max reached before tolerance")
+        return None, report(False, "%s: %s" % (type(e).__qualname__, e))
+    return None, report(False, "m_max reached before tolerance")

@@ -55,10 +55,10 @@ class LowRankPair:
     P2: np.ndarray
 
     def __post_init__(self):
-        P1 = np.atleast_2d(np.asarray(self.P1, dtype=float))
-        P2 = np.atleast_2d(np.asarray(self.P2, dtype=float))
-        if P1.shape[1] != P2.shape[1]:
-            raise ValueError("factor widths differ: %r vs %r"
+        P1 = np.asarray(self.P1, dtype=float)
+        P2 = np.asarray(self.P2, dtype=float)
+        if P1.ndim != 2 or P2.ndim != 2 or P1.shape[1] != P2.shape[1]:
+            raise ValueError("factors must be 2-D of one width: %r vs %r"
                              % (P1.shape, P2.shape))
         object.__setattr__(self, "P1", P1)
         object.__setattr__(self, "P2", P2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from triccati.generators import generate_ex1_lowrank
 from triccati.krylov import ExtendedKrylovTSylv, solve_tsylv_krylov
 from triccati.lowrank import (LowRankPair, LowRankTRiccatiProblem,
                               ShiftedOperator, lr_quadratic_term, zero_pair)
@@ -230,6 +231,7 @@ class TestSmallSpaceBehaviour:
             C1=np.zeros((1, n)), C2=np.zeros((1, n)))
         Xt, rep = solve_tsylv_krylov(prob, zero_pair(n), 1e-10)
         assert rep.converged and rep.iterations == 0
+        assert rep.residuals == []
         assert Xt.rank == 0
 
 
@@ -266,6 +268,24 @@ class TestGrowthOrder:
                                      1e-14 * prob.c_norm(), m_max=1)
         assert Xt is None and "m_max" in rep.message
         assert calls == []
+
+    def test_one_ahat_t_product_per_growth(self, monkeypatch):
+        # the seed and every stage apply Ahat^T once, to the new block for
+        # its W image; the inverse chain continues from that same product
+        stages = self.count_stages(monkeypatch)
+        products = []
+        rmatvec = ShiftedOperator.rmatvec
+
+        def counted(op, Y):
+            products.append(Y.shape[1])
+            return rmatvec(op, Y)
+
+        monkeypatch.setattr(ShiftedOperator, "rmatvec", counted)
+        prob, _ = generate_ex1_lowrank(400, p=1, q=2, gamma=100.0, seed=0)
+        Xt, rep = solve_tsylv_krylov(prob, zero_pair(prob.n),
+                                     1e-10 * prob.c_norm())
+        assert rep.converged and len(stages) >= 5
+        assert len(products) == 1 + len(stages)
 
 
 class TestBreakdown:

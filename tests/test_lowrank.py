@@ -1,5 +1,7 @@
 """Factored-pair algebra against dense references on small instances."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -68,6 +70,19 @@ class TestPairBasics:
     def test_vector_inputs_promoted(self):
         M = LowRankPair(np.ones(4).reshape(-1, 1), np.ones(4).reshape(-1, 1))
         assert M.shape == (4, 4) and M.rank == 1
+
+    @pytest.mark.parametrize("P1, P2", [
+        (np.ones(4), np.ones(4)),
+        (np.ones((4, 1)), np.ones(4)),
+        (np.ones(4), np.ones((4, 1))),
+        (np.ones((2, 4, 1)), np.ones((4, 1))),
+    ])
+    def test_factor_not_2d_raises(self, P1, P2):
+        # a length-n vector used to become a 1-by-n row: LowRankPair(ones(4),
+        # ones(4)) was the 1-by-1 pair [[4.]] of rank 4, not the outer product
+        msg = re.escape("%r vs %r" % (P1.shape, P2.shape))
+        with pytest.raises(ValueError, match="2-D.*" + msg):
+            LowRankPair(P1, P2)
 
 
 class TestNormsAndInnerProducts:

@@ -6,13 +6,12 @@ on that: a direct QZ-based solver for the linear equation, fixed-point
 and Newton iterations for the quadratic one (dense), and a factored
 inexact Newton iteration whose inner equations are solved by extended
 Krylov projection (large sparse).  Problem generators, Matrix Market
-persistence, and a benchmark CLI round out the package.
+persistence, and a command line that generates and solves problems round
+out the package.
 """
 
 from .errors import (
     BasisBreakdownError,
-    ConvergenceError,
-    SingularCapacitanceError,
     SingularOperatorError,
     TRiccatiError,
 )

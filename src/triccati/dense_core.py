@@ -1,4 +1,5 @@
-"""Dense linear-algebra substrate: orderings, Kronecker forms, spectral radii.
+"""Linear-algebra substrate: elementwise orderings, Kronecker forms, and the
+spectral radius of a sparse nonnegative matrix.
 
 Conventions
 -----------
@@ -22,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
-from .errors import ConvergenceError, SingularOperatorError
+from .errors import SingularOperatorError
 
 __all__ = [
     "elementwise_leq",
@@ -33,10 +34,6 @@ __all__ = [
     "default_order_tol",
 ]
 
-# components up to this order get dense eigvals (about 0.1 s at order 500)
-_DENSE_COMPONENT_MAX = 500
-# iteration budget of ARPACK's largest-magnitude eigensolve
-_ARPACK_MAXITER = 10000
 # largest order tsylv_oracle_solve accepts: its n^2-by-n^2 system holds up
 # to 2 n^3 nonzeros (16e6 at n = 200) before the fill-in of its sparse LU
 _ORACLE_MAX_N = 200
@@ -111,37 +108,6 @@ def tsylv_kron_sparse(D, A):
             + sp.kron(A.T, I, format="csr") @ _commutation_sparse(n))
 
 
-def _perron_root(M):
-    """Spectral radius of a sparse nonnegative CSR matrix M.
-
-    It is the largest over the strongly connected components of M, the
-    diagonal blocks of its Frobenius normal form (Berman & Plemmons, 1994).
-    Singletons give their diagonal entry, components of at most
-    _DENSE_COMPONENT_MAX nodes a dense eigensolve, and a larger one ARPACK
-    from a deterministic start (raising ConvergenceError if ARPACK fails).
-    """
-    labels = csgraph.connected_components(M, connection="strong")[1]
-    sizes = np.bincount(labels)
-    order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(sizes)
-    rho = float(np.max(np.abs(M.diagonal())))  # exact for singletons
-    for c in np.flatnonzero(sizes > 1):
-        idx = order[ends[c] - sizes[c]:ends[c]]
-        C = M[idx][:, idx]
-        if idx.size <= _DENSE_COMPONENT_MAX:
-            vals = np.linalg.eigvals(C.toarray())
-        else:
-            try:
-                vals = spla.eigs(C, k=1, which="LM", v0=np.ones(idx.size),
-                                 return_eigenvectors=False,
-                                 maxiter=_ARPACK_MAXITER)
-            except (spla.ArpackNoConvergence, spla.ArpackError) as e:
-                raise ConvergenceError(
-                    "spectral radius estimate failed: %s" % e) from None
-        rho = max(rho, float(np.max(np.abs(vals))))
-    return rho
-
-
 def tsylv_oracle_solve(D, A, rhs):
     """Solve D X + X^T A = rhs by a sparse LU of the n^2-by-n^2 system.
 
@@ -175,14 +141,28 @@ def tsylv_oracle_solve(D, A, rhs):
 
 
 def spectral_radius(M):
-    """Spectral radius of a square sparse nonnegative matrix M, the largest
-    over its strongly connected components (``_perron_root``).  Any other
-    input (dense, non-square, a negative or NaN entry) raises ValueError."""
+    """Spectral radius of a square sparse nonnegative matrix M.
+
+    It is the largest over the strongly connected components of M, the
+    diagonal blocks of its Frobenius normal form (Berman & Plemmons, 1994):
+    a singleton gives its diagonal entry, a larger component the dense
+    eigenvalues of its block, so the cost is one dense eigensolve per
+    component, O(m^3) time and m^2 memory for m nodes (0.1 to 0.2 s at
+    m = 500).  Any other input (dense, non-square, a negative or NaN
+    entry) raises ValueError.
+    """
     if not (sp.issparse(M) and M.shape[0] == M.shape[1]):
         raise ValueError("spectral_radius needs a square sparse matrix")
     M = M.tocsr()
-    if M.nnz == 0:
-        return 0.0
     if not np.all(M.data >= 0):
         raise ValueError("matrix must be entrywise nonnegative")
-    return _perron_root(M)
+    labels = csgraph.connected_components(M, connection="strong")[1]
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(sizes)
+    rho = float(np.max(M.diagonal(), initial=0.0))  # exact for singletons
+    for c in np.flatnonzero(sizes > 1):
+        idx = order[ends[c] - sizes[c]:ends[c]]
+        vals = np.linalg.eigvals(M[idx][:, idx].toarray())
+        rho = max(rho, float(np.max(np.abs(vals))))
+    return rho

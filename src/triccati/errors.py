@@ -6,17 +6,12 @@ class TRiccatiError(Exception):
 
 
 class SingularOperatorError(TRiccatiError):
-    """The operator of a T-Sylvester equation is singular or nearly so."""
-
-
-class ConvergenceError(TRiccatiError):
-    """An eigenvalue or spectral-radius iteration failed to converge."""
+    """An operator the solvers must invert is singular or nearly so: a
+    T-Sylvester operator (dense QZ solver or Kronecker oracle), a sparse
+    matrix whose LU fails, or a low-rank-shifted coefficient whose
+    Sherman-Morrison-Woodbury capacitance is singular."""
 
 
 class BasisBreakdownError(TRiccatiError):
     """The Krylov seed gave no direction: every candidate column was
     dropped, or their W image collapsed."""
-
-
-class SingularCapacitanceError(TRiccatiError):
-    """The small capacitance system of a low-rank-corrected solve is singular."""

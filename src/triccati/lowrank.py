@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 import scipy.sparse.linalg as spla
 
-from .errors import SingularCapacitanceError, SingularOperatorError
+from .errors import SingularOperatorError
 
 __all__ = [
     "LowRankPair",
@@ -228,7 +228,8 @@ class ShiftedOperator:
     is sigma_min(I - K) / (1 + ||K||_2): it falls to roundoff level when
     I - K cancels, whatever its order (a scalar 1 - k included), and
     reads 1.0 for K = 0 and for a zero-width correction.  An rcond below
-    1e-14 raises SingularCapacitanceError.
+    1e-14 raises SingularOperatorError: det(base - M N^T) =
+    det(base) det(I - K), so the shifted operator is singular with it.
 
     Used for the Newton-shifted coefficients: shifts enter only through the
     low-rank term, so the base factorization is shared across steps.
@@ -248,7 +249,7 @@ class ShiftedOperator:
         smin = np.min(scipy.linalg.svdvals(cap), initial=1.0 + k_norm)
         self.rcond = float(smin / (1.0 + k_norm))
         if self.rcond < _RCOND_LIMIT:
-            raise SingularCapacitanceError(
+            raise SingularOperatorError(
                 "capacitance matrix is singular (rcond=%.2e)" % self.rcond)
         self._cap_lu = scipy.linalg.lu_factor(cap)
 

@@ -126,8 +126,9 @@ def iterate(X, res, c_norm, tol, max_iter, step, rank, keep_iterates,
     and a row of step 0 at the residual and rank of the X_k kept, unless
     its row_fields override them; a non-finite residual ends it Diverged.
     The report's min_step_size is the smallest lam_k, memory_metric the
-    largest basis_dim of any row, final_relative_residual that of X.  X_0
-    is bound to no name here, so the first step can release it.
+    largest basis_dim of any row, final_relative_residual that of X.  X
+    holds X_k until step k returns, so X_k stays alive for the whole step
+    and is released only then (never, with keep_iterates).
     """
     t0 = time.perf_counter()
     rel = lambda res: res / c_norm if c_norm > 0 else res

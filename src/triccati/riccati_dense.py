@@ -209,7 +209,7 @@ def _iterate(prob, step, tol, max_iter, keep_iterates, label):
             raise StepFailed(Status.INNER_SOLVE_FAILED,
                              "%s %d: %s" % (label, k + 1, e))
 
-    # X_0 is passed, not kept, so that iterate can drop it at the first step
+    # X_0 is passed, not kept, so it is released when the first step returns
     return iterate(np.zeros((n, n)), float(np.linalg.norm(R_k)),
                    np.linalg.norm(prob.C), tol, max_iter, step_k, lambda X: n,
                    keep_iterates)

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 import triccati as tr
-from triccati import dense_core
 from triccati.dense_core import (
     commutation_matrix,
     default_order_tol,
@@ -161,7 +160,6 @@ class TestStrongComponents:
         assert tr.spectral_radius(self._permuted(U, 2)) == 0.0
 
     def test_large_component_matches_eigvals(self):
-        # above _DENSE_COMPONENT_MAX nodes a component goes to ARPACK
         n, h = 800, 400
         g = np.random.default_rng(12)
 
@@ -177,6 +175,5 @@ class TestStrongComponents:
         periodic = sp.bmat([[None, ring(h) + noise(h)], [sp.identity(h) + noise(h), None]])
         for M in (primitive.tocsr(), periodic.tocsr()):
             assert csgraph.connected_components(M, connection="strong")[0] == 1
-            assert M.shape[0] > dense_core._DENSE_COMPONENT_MAX
             ref = _dense_rho(M)
             assert abs(tr.spectral_radius(M) - ref) <= 1e-12 * ref

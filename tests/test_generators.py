@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
+from triccati import generators
 from triccati.generators import (
     _convection_diffusion,
     generate_admissible_dense,
@@ -145,6 +146,22 @@ class TestEx2LowRank:
                     ref = max(ref, np.max(np.abs(np.linalg.eigvals(block))))
                 rho = op.A.diagonal() - F.diagonal() - shift
                 assert np.all(np.abs(rho - ref) <= 1e-12 * max(ref, 1.0))
+
+    def test_strong_components_stay_small(self, monkeypatch):
+        # spectral_radius eigensolves each strong component densely (0.1 to
+        # 0.2 s at 500 nodes); at the benchmark's n the largest has 67 nodes
+        largest = []
+        spectral_radius = generators.spectral_radius
+
+        def spy(M):
+            labels = csgraph.connected_components(M, connection="strong")[1]
+            largest.append(int(np.bincount(labels).max()))
+            return spectral_radius(M)
+
+        monkeypatch.setattr(generators, "spectral_radius", spy)
+        for seed in (0, 1, 2):
+            generate_ex2_lowrank(10000, p=1, q=1, seed=seed)
+        assert len(largest) == 6 and max(largest) <= 500
 
     def test_determinism(self):
         a, _ = generate_ex2_lowrank(200, p=1, q=1, seed=9)

@@ -332,6 +332,19 @@ class TestBreakdown:
         assert outer.status is Status.INNER_SOLVE_FAILED
         assert any("BasisBreakdownError" in w for w in outer.warnings)
 
+    def test_singular_capacitance_reports_singular_operator(self):
+        # X^T B1 = 2 e1, so Dhat = 2I - 2 e1 e1^T: K = e1^T (2I)^-1 2 e1 = 1
+        # and the capacitance 1 - K is exactly 0
+        n = 4
+        e1 = np.zeros((n, 1)); e1[0, 0] = 1.0
+        ones = np.ones((1, n))
+        prob = LowRankTRiccatiProblem(A=-np.eye(n), D=2.0 * np.eye(n),
+                                      B1=e1, B2=e1, C1=ones, C2=-ones)
+        Xt, rep = solve_tsylv_krylov(prob, LowRankPair(2.0 * e1, e1), 1e-10)
+        assert Xt is None and not rep.converged
+        assert rep.message.startswith("SingularOperatorError")
+        assert "capacitance" in rep.message
+
 
 class TestEngineDirect:
     def test_module_level_residual_norm(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from triccati.errors import SingularCapacitanceError
+from triccati.errors import SingularOperatorError
 from triccati.lowrank import (
     HouseholderQR,
     LowRankPair,
@@ -315,11 +315,11 @@ class TestSMW:
         # A = I, M = N = e1  ->  capacitance 1 - 1 = 0
         n = 5
         e1 = np.zeros((n, 1)); e1[0, 0] = 1.0
-        with pytest.raises(SingularCapacitanceError):
+        with pytest.raises(SingularOperatorError):
             ShiftedOperator(np.eye(n), e1, e1).solve(np.ones((n, 1)))
         # 1 - (1 - 2^-52) = 2^-52: a 1-by-1 capacitance that cancels, whose
         # sigma_min / sigma_max alone would read 1.0
-        with pytest.raises(SingularCapacitanceError):
+        with pytest.raises(SingularOperatorError):
             ShiftedOperator(np.eye(4), e1[:4], (1 - 2 ** -52) * e1[:4])
 
 

@@ -5,17 +5,20 @@
 Solves the twelve cells that perfbench solves, with its settings, using
 the package sources of TREE (default: the checkout holding this script),
 and prints one line per cell: status, trace length, solution rank, and
-SHA-256 prefixes of the solution (X, or the factors P1 and P2) and of the
-JSON trace rows.  Two trees whose outputs are the same bytes print the
-same lines, so diffing the output of a parent checkout against that of a
-change shows whether the change moved any number:
+SHA-256 prefixes of the problem's data (see ``problem_data``), of the
+solution (X, or the factors P1 and P2) and of the JSON trace rows.  Two
+trees whose set-ups and outputs are the same bytes print the same lines,
+so diffing the output of a parent checkout against that of a change
+shows whether the change moved any number, the generated problems'
+included:
 
     python tools/output_hashes.py ../parent > parent.txt
     python tools/output_hashes.py > change.txt
     diff parent.txt change.txt
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS is already set: the
-thread count orders BLAS sums, and so moves the last bits of the outputs.
+thread count orders BLAS sums, and so moves the last bits of the outputs
+and of most set-ups (the generators' norms and products).
 """
 
 import hashlib
@@ -37,24 +40,36 @@ SEEDS = range(3)
 
 
 def cells():
-    """(label, solve) for every cell, in a fixed order."""
+    """(label, build, solve) for every cell, in a fixed order: build()
+    gives the problem, solve(problem) the pair (X, report)."""
     lowrank = newton_lowrank.InexactNewtonConfig(eps=1e-6)
+    dense = lambda prob: riccati_dense.solve_newton(
+        prob, tol=1e-12, line_search="exact")
+    factored = lambda prob: newton_lowrank.solve_inexact_newton(
+        prob, lowrank)
     for seed in SEEDS:
         yield ("Ex2Dense n=300 seed=%d" % seed,
-               lambda s=seed: riccati_dense.solve_newton(
-                   generators.generate_ex2_dense(300, seed=s)[0],
-                   tol=1e-12, line_search="exact"))
+               lambda s=seed: generators.generate_ex2_dense(300, seed=s)[0],
+               dense)
     for seed in SEEDS:
         yield ("Ex1LowRank q=5 seed=%d" % seed,
-               lambda s=seed: newton_lowrank.solve_inexact_newton(
-                   generators.generate_ex1_lowrank(
-                       N, p=1, q=5, gamma=1e4, seed=s)[0], lowrank))
+               lambda s=seed: generators.generate_ex1_lowrank(
+                   N, p=1, q=5, gamma=1e4, seed=s)[0], factored)
     for q in (1, 5):
         for seed in SEEDS:
             yield ("Ex2LowRank q=%d seed=%d" % (q, seed),
-                   lambda q=q, s=seed: newton_lowrank.solve_inexact_newton(
-                       generators.generate_ex2_lowrank(
-                           N, p=1, q=q, seed=s)[0], lowrank))
+                   lambda q=q, s=seed: generators.generate_ex2_lowrank(
+                       N, p=1, q=q, seed=s)[0], factored)
+
+
+def problem_data(prob):
+    """The arrays that define a problem: dense A, B, C, D, or the CSC
+    arrays of A and D followed by the factors B1, B2, C1, C2."""
+    if isinstance(prob, riccati_dense.TRiccatiProblem):
+        return [prob.A, prob.B, prob.C, prob.D]
+    return ([a for op in (prob.A, prob.D)
+             for a in (op.A.data, op.A.indices, op.A.indptr)]
+            + [prob.B1, prob.B2, prob.C1, prob.C2])
 
 
 def digest(*arrays_or_text):
@@ -66,13 +81,15 @@ def digest(*arrays_or_text):
 
 
 def main():
-    for label, solve in cells():
-        X, report = solve()
+    for label, build, solve in cells():
+        prob = build()
+        setup = digest(*problem_data(prob))
+        X, report = solve(prob)
         factors = [X] if isinstance(X, np.ndarray) else [X.P1, X.P2]
         rows = json.dumps(report.trace_rows(), sort_keys=True)
-        print("%-24s %-16s trace=%-3d rank=%-4d X=%s trace=%s" % (
+        print("%-24s %-16s trace=%-3d rank=%-4d setup=%s X=%s trace=%s" % (
             label, report.status.value, len(report.iterations),
-            report.solution_rank, digest(*factors), digest(rows)),
+            report.solution_rank, setup, digest(*factors), digest(rows)),
             flush=True)
 
 

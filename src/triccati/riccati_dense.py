@@ -12,7 +12,9 @@ Two iterations are provided, both started at X_0 = 0:
 
 * ``solve_newton``: Newton-Kleinman steps
   (D - X_k^T B) X_{k+1} + X_{k+1}^T (A - B X_k) = -X_k^T B X_k - C,
-  optionally safeguarded by an exact line search on (0, 2].
+  optionally safeguarded by an exact line search on (0, 2].  A closing
+  step, which the quadratic model predicts to end the run, reuses the
+  previous step's factorization instead of forming its own.
 
 The line search minimizes the quartic
 
@@ -35,6 +37,13 @@ from . import dense_core
 from .errors import SingularOperatorError
 from .reports import Status, StepFailed, iterate
 from .tsylv_dense import TSylvSolver
+
+# closing step of solve_newton: its inner residual target as a share of
+# tol * ||C||_F, its most back-substitutions, and the least cut of the inner
+# residual one of them must make
+_CLOSE_SHARE = 0.1
+_CLOSE_SOLVES = 3
+_CLOSE_CUT = 0.1
 
 __all__ = [
     "TRiccatiProblem",
@@ -189,9 +198,10 @@ def minimize_quartic(poly, interval_end):
 
 
 def _iterate(prob, step, tol, max_iter, keep_iterates, label):
-    """``reports.iterate`` from X_0 = 0 with X_{k+1}, lam_k = step(X_k,
-    R(X_k)); a SingularOperatorError ends the run InnerSolveFailed with the
-    warning "<label> k: ...".  A negative tol or max_iter raises ValueError."""
+    """``reports.iterate`` from X_0 = 0 with X_{k+1}, lam_k, row_fields =
+    step(X_k, R(X_k)); a SingularOperatorError ends the run InnerSolveFailed
+    with the warning "<label> k: ...".  A negative tol or max_iter raises
+    ValueError."""
     for name, value in (("tol", tol), ("max_iter", max_iter)):
         if not value >= 0:
             raise ValueError("%s must be >= 0, got %r" % (name, value))
@@ -202,9 +212,9 @@ def _iterate(prob, step, tol, max_iter, keep_iterates, label):
         nonlocal R_k
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                X_next, lam = step(X, R_k)
+                X_next, lam, row_fields = step(X, R_k)
                 R_k = residual(prob, X_next)
-                return X_next, float(np.linalg.norm(R_k)), lam, {}
+                return X_next, float(np.linalg.norm(R_k)), lam, row_fields
         except SingularOperatorError as e:
             raise StepFailed(Status.INNER_SOLVE_FAILED,
                              "%s %d: %s" % (label, k + 1, e))
@@ -223,8 +233,26 @@ def solve_fixed_point(prob, tol=1e-12, max_iter=10000, keep_iterates=False):
     Returns (X, SolveReport); ``reports.iterate`` sets the report's fields.
     """
     solver = TSylvSolver(prob.D, prob.A)
-    step = lambda X, R_k: (solver.solve(X.T @ prob.B @ X - prob.C), None)
+    step = lambda X, R_k: (solver.solve(X.T @ prob.B @ X - prob.C), None, {})
     return _iterate(prob, step, tol, max_iter, keep_iterates, "iteration")
+
+
+def _closing_correction(solver, D_k, A_k, R_k, target):
+    """Richardson iteration S <- S - F^{-1}(D_k S + S^T A_k + R_k) from S = 0,
+    F the kept factorization ``solver``.  Returns (S, back-substitutions):
+    S once the inner residual is at most target, None once a back-substitution
+    fails to cut it by _CLOSE_CUT or _CLOSE_SOLVES have not reached target."""
+    S = np.zeros_like(R_k)
+    L, res = R_k, np.linalg.norm(R_k)
+    for j in range(1, _CLOSE_SOLVES + 1):
+        S -= solver.solve(L)
+        L = D_k @ S + S.T @ A_k + R_k
+        res, last = np.linalg.norm(L), res
+        if not res <= _CLOSE_CUT * last:
+            break
+        if res <= target:
+            return S, j
+    return None, j
 
 
 def solve_newton(prob, tol=1e-12, max_iter=50, line_search="off",
@@ -235,20 +263,53 @@ def solve_newton(prob, tol=1e-12, max_iter=50, line_search="off",
     residual-norm quartic over (0, 2] (a minimizer within 1e-8 of 1 is
     recorded as exactly 1).  Stops when ||R(X_k)||_F <= tol * ||C||_F.
     Returns (X, SolveReport); ``reports.iterate`` sets the report's fields.
+
+    A step factors the operator L_k(S) = D_k S + S^T A_k, D_k = D - X_k^T B,
+    A_k = A - B X_k, and solves for X_{k+1} by one back-substitution, except
+    for a closing step.  When the quadratic model predicts that an exact
+    step ends the run, ||R_k||^3 / ||R_{k-1}||^2 <= tol * ||C||_F, the step
+    solves L_k(S) = -R_k by Richardson iteration with the last factorization
+    formed, F, S <- S - F^{-1}(L_k(S) + R_k) from S = 0, and stops
+    once ||L_k(S) + R_k||_F <= 0.1 * tol * ||C||_F.  If a back-substitution
+    fails to cut that inner residual tenfold, or three have not reached the
+    target, the step factors L_k afresh instead.  The line search treats a
+    closing step as exact, and the step differs from the exact Newton step
+    by at most ||L_k^{-1}|| * 0.1 * tol * ||C||_F.  Each trace row records
+    as inner_iterations the back-substitutions its step made: 1 for a
+    factored step, 1 to 3 for a closing step, and those of a failed closing
+    step plus 1 for a step that factored afresh after one.
     """
     if line_search not in ("off", "exact"):
         raise ValueError("line_search must be 'off' or 'exact'")
+    res_tol = tol * np.linalg.norm(prob.C)
+    kept = None  # (F, ||R_{k-1}||_F): last factorization, last step's start residual
 
     def step(X, R_k):
+        nonlocal kept
         XtB = X.T @ prob.B
-        X_next = TSylvSolver(prob.D - XtB, prob.A - prob.B @ X).solve(-XtB @ X - prob.C)
+        D_k, A_k = prob.D - XtB, prob.A - prob.B @ X
+        res = np.linalg.norm(R_k)
+        S, solves = None, 0
+        if kept is not None and res ** 3 <= res_tol * kept[1] ** 2:
+            S, solves = _closing_correction(kept[0], D_k, A_k, R_k,
+                                            _CLOSE_SHARE * res_tol)
+        if S is None:
+            kept = None  # released before the next factorization is formed
+            solver = TSylvSolver(D_k, A_k)
+            X_next = solver.solve(-XtB @ X - prob.C)
+            S = X_next - X
+            solves += 1
+        else:
+            solver = kept[0]
+            X_next = X + S
+        kept = (solver, res)
+        fields = {"inner_iterations": solves}
         if line_search == "off":
-            return X_next, 1.0
-        S = X_next - X
+            return X_next, 1.0, fields
         lam = minimize_quartic(line_search_poly(R_k, 0.0, S.T @ prob.B @ S), 2.0)
         if abs(lam - 1.0) <= 1e-8:
             lam = 1.0
-        return X + lam * S, lam
+        return X + lam * S, lam, fields
 
     return _iterate(prob, step, tol, max_iter, keep_iterates, "Newton step")
 

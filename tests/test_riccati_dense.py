@@ -6,7 +6,7 @@ import pytest
 
 import triccati as tr
 from triccati import dense_core
-from triccati.generators import generate_admissible_dense
+from triccati.generators import generate_admissible_dense, generate_ex2_dense
 from triccati.riccati_dense import (
     LineSearchPoly,
     line_search_poly,
@@ -16,6 +16,7 @@ from triccati.riccati_dense import (
     solve_newton,
     verify_minimality,
 )
+from triccati.tsylv_dense import TSylvSolver
 
 GOLD = (3.0 - np.sqrt(5.0)) / 2.0  # root of 3x - x^2 - 1 in (0, 1)
 
@@ -256,6 +257,68 @@ class TestExactLineSearchSolver:
         X, rep = solve_newton(prob, tol=1e-12, line_search="exact")
         assert rep.iterations[-1].step_size == 1.0
         assert rep.min_step_size is not None and rep.min_step_size > 0
+
+
+def count_factorizations(monkeypatch):
+    """Spy on TSylvSolver.__init__; the returned list counts its calls."""
+    calls = []
+    init = TSylvSolver.__init__
+
+    def spy(self, D, A):
+        calls.append(1)
+        init(self, D, A)
+
+    monkeypatch.setattr(TSylvSolver, "__init__", spy)
+    return calls
+
+
+class TestClosingStep:
+    # Ex2Dense n = 100, seed 1 converges in 4 Newton steps, its closing step
+    # in one back-substitution; n = 60, seed 2 in 5, its closing step in two
+    @pytest.mark.parametrize("line_search", ["exact", "off"])
+    @pytest.mark.parametrize("n, seed", [(100, 1), (60, 2)])
+    def test_last_step_reuses_the_factorization(self, monkeypatch, n, seed,
+                                                line_search):
+        prob, meta = generate_ex2_dense(n, seed=seed)
+        calls = count_factorizations(monkeypatch)
+        X, rep = solve_newton(prob, tol=1e-12, line_search=line_search,
+                              keep_iterates=True)
+        assert rep.status is tr.Status.CONVERGED
+        assert len(calls) == rep.iteration_count - 1
+        assert rep.final_relative_residual <= 1e-12
+        Xe = meta["X_exact"]
+        assert np.linalg.norm(X - Xe) / np.linalg.norm(Xe) <= 1e-10
+        its = [r.inner_iterations for r in rep.iterations]
+        assert its[:-1] == [1] * (len(its) - 1) and 1 <= its[-1] <= 3
+        # the closing step meets its inner target: a full step S with
+        # ||D_k S + S^T A_k + R_k||_F <= 0.1 tol ||C||_F
+        Xk = rep.iterates[-2]
+        assert rep.iterations[-1].step_size == 1.0
+        S = X - Xk
+        inner = ((prob.D - Xk.T @ prob.B) @ S + S.T @ (prob.A - prob.B @ Xk)
+                 + residual(prob, Xk))
+        assert np.linalg.norm(inner) <= 0.1 * 1e-12 * np.linalg.norm(prob.C)
+
+    def test_no_contraction_factors_afresh(self, monkeypatch):
+        prob, _ = generate_ex2_dense(100, seed=1)
+        plain = solve_newton(prob, tol=1e-12, line_search="exact")[1]
+        solve = TSylvSolver.solve
+
+        def halving(self, E):
+            # exact on a factorization's first solve, half of it on the
+            # next: the closing step's corrections cut its residual by 2 only
+            self.calls = getattr(self, "calls", 0) + 1
+            return solve(self, E) * (1.0 if self.calls == 1 else 0.5)
+
+        monkeypatch.setattr(TSylvSolver, "solve", halving)
+        calls = count_factorizations(monkeypatch)
+        X, rep = solve_newton(prob, tol=1e-12, line_search="exact")
+        assert rep.status is tr.Status.CONVERGED
+        assert rep.iteration_count == plain.iteration_count
+        assert len(calls) == rep.iteration_count
+        # one failed back-substitution, then the fresh factorization's own
+        assert rep.iterations[-1].inner_iterations == 2
+        assert rep.final_relative_residual <= 1e-12
 
 
 class TestMinimality:

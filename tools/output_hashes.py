@@ -6,7 +6,9 @@ Solves the twelve cells that perfbench solves, with its settings, using
 the package sources of TREE (default: the checkout holding this script),
 and prints one line per cell: status, trace length, solution rank, and
 SHA-256 prefixes of the problem's data (see ``problem_data``), of the
-solution (X, or the factors P1 and P2) and of the JSON trace rows.  Two
+solution (X, or the factors P1 and P2) and of the JSON trace rows; a dense
+cell adds its forward error ||X - X_exact||_F / ||X_exact||_F, so a change
+that moves its bits shows what that did to its accuracy.  Two
 trees whose set-ups and outputs are the same bytes print the same lines,
 so diffing the output of a parent checkout against that of a change
 shows whether the change moved any number, the generated problems'
@@ -41,7 +43,7 @@ SEEDS = range(3)
 
 def cells():
     """(label, build, solve) for every cell, in a fixed order: build()
-    gives the problem, solve(problem) the pair (X, report)."""
+    gives the pair (problem, metadata), solve(problem) the pair (X, report)."""
     lowrank = newton_lowrank.InexactNewtonConfig(eps=1e-6)
     dense = lambda prob: riccati_dense.solve_newton(
         prob, tol=1e-12, line_search="exact")
@@ -49,17 +51,17 @@ def cells():
         prob, lowrank)
     for seed in SEEDS:
         yield ("Ex2Dense n=300 seed=%d" % seed,
-               lambda s=seed: generators.generate_ex2_dense(300, seed=s)[0],
+               lambda s=seed: generators.generate_ex2_dense(300, seed=s),
                dense)
     for seed in SEEDS:
         yield ("Ex1LowRank q=5 seed=%d" % seed,
                lambda s=seed: generators.generate_ex1_lowrank(
-                   N, p=1, q=5, gamma=1e4, seed=s)[0], factored)
+                   N, p=1, q=5, gamma=1e4, seed=s), factored)
     for q in (1, 5):
         for seed in SEEDS:
             yield ("Ex2LowRank q=%d seed=%d" % (q, seed),
                    lambda q=q, s=seed: generators.generate_ex2_lowrank(
-                       N, p=1, q=q, seed=s)[0], factored)
+                       N, p=1, q=q, seed=s), factored)
 
 
 def problem_data(prob):
@@ -82,14 +84,18 @@ def digest(*arrays_or_text):
 
 def main():
     for label, build, solve in cells():
-        prob = build()
+        prob, meta = build()
         setup = digest(*problem_data(prob))
         X, report = solve(prob)
         factors = [X] if isinstance(X, np.ndarray) else [X.P1, X.P2]
         rows = json.dumps(report.trace_rows(), sort_keys=True)
-        print("%-24s %-16s trace=%-3d rank=%-4d setup=%s X=%s trace=%s" % (
+        err = ""
+        if "X_exact" in meta:
+            Xe = meta["X_exact"]
+            err = " err=%.1e" % (np.linalg.norm(X - Xe) / np.linalg.norm(Xe))
+        print("%-24s %-16s trace=%-3d rank=%-4d setup=%s X=%s trace=%s%s" % (
             label, report.status.value, len(report.iterations),
-            report.solution_rank, setup, digest(*factors), digest(rows)),
+            report.solution_rank, setup, digest(*factors), digest(rows), err),
             flush=True)
 
 

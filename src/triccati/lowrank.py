@@ -280,17 +280,16 @@ class LowRankTRiccatiProblem:
     def __init__(self, A, D, B1, B2, C1, C2):
         self.A = _as_operator(A)
         self.D = _as_operator(D)
-        self.B1 = np.atleast_2d(np.asarray(B1, dtype=float))
-        self.B2 = np.atleast_2d(np.asarray(B2, dtype=float))
-        self.C1 = np.atleast_2d(np.asarray(C1, dtype=float))
-        self.C2 = np.atleast_2d(np.asarray(C2, dtype=float))
+        self.B1, self.B2, self.C1, self.C2 = (
+            np.asarray(M, dtype=float) for M in (B1, B2, C1, C2))
         n = self.A.n
         if self.D.n != n:
             raise ValueError("A and D dimensions differ")
-        if self.B1.shape != self.B2.shape or self.B1.shape[0] != n:
-            raise ValueError("B factors must be n-by-p")
-        if self.C1.shape != self.C2.shape or self.C1.shape[1] != n:
-            raise ValueError("C factors must be q-by-n")
+        B, C = (self.B1.shape, self.B2.shape), (self.C1.shape, self.C2.shape)
+        if len(B[0]) != 2 or B[0] != B[1] or B[0][0] != n:
+            raise ValueError("B factors must be %d-by-p: %r vs %r" % (n, *B))
+        if len(C[0]) != 2 or C[0] != C[1] or C[0][1] != n:
+            raise ValueError("C factors must be q-by-%d: %r vs %r" % (n, *C))
 
     @property
     def n(self):

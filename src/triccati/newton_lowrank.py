@@ -172,8 +172,8 @@ def _sign_fields(X):
 
 
 def _step_length(prob, X, Xt, R, res, L, cfg):
-    """lam in (0, theta_k] minimizing ||R(X + lam (Xt - X))||_F^2, from R =
-    R(X) of norm res and L = Lambda W^T (see above); 1 within 1e-8 of 1."""
+    """``minimize_quartic`` of ||R(X + lam (Xt - X))||_F^2 over (0, theta_k],
+    from R = R(X) of norm res and L = Lambda W^T (see above)."""
     S = LowRankPair(np.hstack([Xt.P1, -X.P1]), np.hstack([Xt.P2, X.P2]))
     SBS = lr_quadratic_term(S, prob.B1, prob.B2)
     Lam, W = L.P1, L.P2
@@ -184,8 +184,7 @@ def _step_length(prob, X, Xt, R, res, L, cfg):
         eps_k=lr_inner_product(R, SBS),
         xi_k=float(np.vdot(SBS.P1.T @ Lam, SBS.P2.T @ W)))
     theta = compute_theta(poly.alpha_k, poly.delta_k, cfg)
-    lam = minimize_quartic(poly, theta)
-    return 1.0 if abs(lam - 1.0) <= 1e-8 else lam
+    return minimize_quartic(poly, theta)
 
 
 def _recompress_converged(prob, X, res, stop, eps):

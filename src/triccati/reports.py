@@ -25,15 +25,15 @@ class IterationRecord:
     iterate produced by this iteration; step_size is the step taken (0 at
     k = 0 and on a failure row, 1 for an iteration without step sizes);
     inner_iterations counts the inner solves (projected solves of a
-    factored sweep, T-Sylvester back-substitutions of a dense Newton step,
-    0 for the fixed point); rank_before_cut is the width of a factored
-    iterate before its truncation to iterate_rank; inner_residuals keeps
-    the per-expansion history of the inner projected solver when one was
-    used, basis_dim the order of its last projected equation, dropped_cols
-    the candidate columns it dropped, capacitance_rcond the smaller rcond
-    of its two SMW capacitance matrices, and inner_message why it failed
-    (on a failure row only); nonnegative and min_entry_ratio observe the
-    sign of factored iterates, on rows up to n = 200 only.
+    factored sweep, T-Sylvester back-substitutions of a dense step);
+    rank_before_cut is the width of a factored iterate before its
+    truncation to iterate_rank; inner_residuals keeps the per-expansion
+    history of the inner projected solver when one was used, basis_dim the
+    order of its last projected equation, dropped_cols the candidate
+    columns it dropped, capacitance_rcond the smaller rcond of its two SMW
+    capacitance matrices, and inner_message why it failed (on a failure
+    row only); nonnegative and min_entry_ratio observe the sign of factored
+    iterates, on rows up to n = 200 only.
     """
 
     k: int

@@ -4,17 +4,17 @@
 
 Two iterations are provided, both started at X_0 = 0:
 
-* ``solve_fixed_point``: solve the T-Sylvester equation
-  D X_{k+1} + X_{k+1}^T A = X_k^T B X_k - C each step.  Under the sign and
+* ``solve_fixed_point``: X_{k+1} = X_k + N with D N + N^T A = -R(X_k),
+  so D X_{k+1} + X_{k+1}^T A = X_k^T B X_k - C.  Under the sign and
   M-matrix structure checked by ``check_assumption1`` (entrywise signs and
   one T-Sylvester solve) the iterates increase monotonically (entrywise)
   to the minimal nonnegative solution.
 
-* ``solve_newton``: Newton-Kleinman steps
-  (D - X_k^T B) X_{k+1} + X_{k+1}^T (A - B X_k) = -X_k^T B X_k - C,
-  optionally safeguarded by an exact line search on (0, 2].  A closing
-  step, which the quadratic model predicts to end the run, reuses the
-  previous step's factorization instead of forming its own.
+* ``solve_newton``: Newton-Kleinman steps X_{k+1} = X_k + lam S with
+  (D - X_k^T B) S + S^T (A - B X_k) = -R(X_k) and lam = 1, or lam from an
+  exact line search on (0, 2].  A closing step, which the quadratic
+  model predicts to end the run, reuses the previous step's
+  factorization instead of forming its own.
 
 The line search minimizes the quartic
 
@@ -172,6 +172,8 @@ def minimize_quartic(poly, interval_end):
 
     Finds the real roots of the cubic p', keeps those inside the interval,
     compares with the endpoint, and breaks ties toward the smaller step.
+    A minimizer within 1e-8 of 1 is returned as exactly 1, the full step,
+    even when interval_end lies just below 1.
     """
     if interval_end <= 0:
         raise ValueError("interval_end must be positive")
@@ -194,19 +196,20 @@ def minimize_quartic(poly, interval_end):
     vals = [float(poly(lam)) for lam in candidates]
     best = min(vals)
     tol = 1e-12 * max(1.0, abs(best))
-    return min(lam for lam, v in zip(candidates, vals) if v <= best + tol)
+    lam = min(lam for lam, v in zip(candidates, vals) if v <= best + tol)
+    return 1.0 if abs(lam - 1.0) <= 1e-8 else lam
 
 
 def _iterate(prob, step, tol, max_iter, keep_iterates, label):
-    """``reports.iterate`` from X_0 = 0 with X_{k+1}, lam_k, row_fields =
-    step(X_k, R(X_k)); a SingularOperatorError ends the run InnerSolveFailed
-    with the warning "<label> k: ...".  A negative tol or max_iter raises
-    ValueError."""
+    """``reports.iterate`` from X_0 = 0 (R(X_0) = C) with X_{k+1}, lam_k,
+    row_fields = step(X_k, R(X_k)); a SingularOperatorError ends the run
+    InnerSolveFailed with the warning "<label> k: ...".  A negative tol or
+    max_iter raises ValueError."""
     for name, value in (("tol", tol), ("max_iter", max_iter)):
         if not value >= 0:
             raise ValueError("%s must be >= 0, got %r" % (name, value))
     n = prob.n
-    R_k = residual(prob, np.zeros((n, n)))
+    R_k = prob.C
 
     def step_k(k, X, res):
         nonlocal R_k
@@ -226,14 +229,15 @@ def _iterate(prob, step, tol, max_iter, keep_iterates, label):
 
 
 def solve_fixed_point(prob, tol=1e-12, max_iter=10000, keep_iterates=False):
-    """Fixed-point iteration: X_{k+1} solves D X + X^T A = X_k^T B X_k - C.
+    """Fixed-point iteration: X_{k+1} = X_k - F^{-1} R(X_k), F the operator
+    X -> D X + X^T A, so that D X_{k+1} + X_{k+1}^T A = X_k^T B X_k - C.
 
-    Stops when ||R(X_k)||_F <= tol * ||C||_F.  The QZ factorization of the
-    (fixed) linear operator is computed once and reused every step.
+    Stops when ||R(X_k)||_F <= tol * ||C||_F.  The QZ factorization of F
+    is computed once; each step makes one back-substitution with it.
     Returns (X, SolveReport); ``reports.iterate`` sets the report's fields.
     """
     solver = TSylvSolver(prob.D, prob.A)
-    step = lambda X, R_k: (solver.solve(X.T @ prob.B @ X - prob.C), None, {})
+    step = lambda X, R_k: (X - solver.solve(R_k), None, {"inner_iterations": 1})
     return _iterate(prob, step, tol, max_iter, keep_iterates, "iteration")
 
 
@@ -259,57 +263,47 @@ def solve_newton(prob, tol=1e-12, max_iter=50, line_search="off",
                  keep_iterates=False):
     """Newton-Kleinman iteration from X_0 = 0, optionally with exact line search.
 
-    line_search: "off" takes the full step (lam = 1); "exact" minimizes the
-    residual-norm quartic over (0, 2] (a minimizer within 1e-8 of 1 is
-    recorded as exactly 1).  Stops when ||R(X_k)||_F <= tol * ||C||_F.
+    A step takes X_{k+1} = X_k + lam S, L_k(S) = D_k S + S^T A_k = -R_k for
+    D_k = D - X_k^T B, A_k = A - B X_k and R_k = R(X_k); line_search "off"
+    takes lam = 1, "exact" minimizes the residual-norm quartic over (0, 2]
+    (``minimize_quartic``).  Stops when ||R(X_k)||_F <= tol * ||C||_F.
     Returns (X, SolveReport); ``reports.iterate`` sets the report's fields.
 
-    A step factors the operator L_k(S) = D_k S + S^T A_k, D_k = D - X_k^T B,
-    A_k = A - B X_k, and solves for X_{k+1} by one back-substitution, except
+    A step factors L_k and solves for S by one back-substitution, except
     for a closing step.  When the quadratic model predicts that an exact
     step ends the run, ||R_k||^3 / ||R_{k-1}||^2 <= tol * ||C||_F, the step
-    solves L_k(S) = -R_k by Richardson iteration with the last factorization
+    solves for S by Richardson iteration with the last factorization
     formed, F, S <- S - F^{-1}(L_k(S) + R_k) from S = 0, and stops
     once ||L_k(S) + R_k||_F <= 0.1 * tol * ||C||_F.  If a back-substitution
     fails to cut that inner residual tenfold, or three have not reached the
     target, the step factors L_k afresh instead.  The line search treats a
     closing step as exact, and the step differs from the exact Newton step
     by at most ||L_k^{-1}|| * 0.1 * tol * ||C||_F.  Each trace row records
-    as inner_iterations the back-substitutions its step made: 1 for a
-    factored step, 1 to 3 for a closing step, and those of a failed closing
-    step plus 1 for a step that factored afresh after one.
+    as inner_iterations its step's back-substitutions: 1 to 3 for a closing
+    step, and a failed closing step's plus 1 for the factorization after it.
     """
     if line_search not in ("off", "exact"):
         raise ValueError("line_search must be 'off' or 'exact'")
     res_tol = tol * np.linalg.norm(prob.C)
-    kept = None  # (F, ||R_{k-1}||_F): last factorization, last step's start residual
+    solver, last = None, None  # last factorization, last step's ||R_{k-1}||_F
 
     def step(X, R_k):
-        nonlocal kept
-        XtB = X.T @ prob.B
-        D_k, A_k = prob.D - XtB, prob.A - prob.B @ X
+        nonlocal solver, last
+        D_k, A_k = prob.D - X.T @ prob.B, prob.A - prob.B @ X
         res = np.linalg.norm(R_k)
         S, solves = None, 0
-        if kept is not None and res ** 3 <= res_tol * kept[1] ** 2:
-            S, solves = _closing_correction(kept[0], D_k, A_k, R_k,
+        if solver is not None and res ** 3 <= res_tol * last ** 2:
+            S, solves = _closing_correction(solver, D_k, A_k, R_k,
                                             _CLOSE_SHARE * res_tol)
         if S is None:
-            kept = None  # released before the next factorization is formed
+            solver = None  # released before the next factorization is formed
             solver = TSylvSolver(D_k, A_k)
-            X_next = solver.solve(-XtB @ X - prob.C)
-            S = X_next - X
+            S = -solver.solve(R_k)
             solves += 1
-        else:
-            solver = kept[0]
-            X_next = X + S
-        kept = (solver, res)
-        fields = {"inner_iterations": solves}
-        if line_search == "off":
-            return X_next, 1.0, fields
-        lam = minimize_quartic(line_search_poly(R_k, 0.0, S.T @ prob.B @ S), 2.0)
-        if abs(lam - 1.0) <= 1e-8:
-            lam = 1.0
-        return X + lam * S, lam, fields
+        last = res
+        lam = 1.0 if line_search == "off" else minimize_quartic(
+            line_search_poly(R_k, 0.0, S.T @ prob.B @ S), 2.0)
+        return X + lam * S, lam, {"inner_iterations": solves}
 
     return _iterate(prob, step, tol, max_iter, keep_iterates, "Newton step")
 

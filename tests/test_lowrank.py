@@ -383,6 +383,14 @@ class TestProblemContainer:
             LowRankTRiccatiProblem(A=A, D=D, B1=np.ones((n, 1)),
                                    B2=np.ones((n, 1)), C1=np.ones((1, n - 1)),
                                    C2=np.ones((1, n - 1)))
+        # a length-n factor is neither n-by-1 nor 1-by-n: it is rejected,
+        # with the shapes given, instead of being read as p or q = 1
+        B, C = np.ones((n, 1)), np.ones((1, n))
+        with pytest.raises(ValueError, match=re.escape("(6,) vs (6,)")):
+            LowRankTRiccatiProblem(A=A, D=D, B1=B, B2=B, C1=np.ones(n),
+                                   C2=np.ones(n))
+        with pytest.raises(ValueError, match=re.escape("(6,) vs (6, 1)")):
+            LowRankTRiccatiProblem(A=A, D=D, B1=np.ones(n), B2=B, C1=C, C2=C)
 
     def test_shifted_coefficients_match_dense(self):
         prob = small_problem(n=10, p=2, q=2, sparse=True)

@@ -222,6 +222,13 @@ class TestMinimizeQuartic:
         lam = minimize_quartic(poly, 0.25)
         assert lam == pytest.approx(0.25)
 
+    def test_full_step_snaps_to_one(self):
+        # p = (1-lam)^2 on (0, 1 - 5e-9]: the minimizer at the interval end
+        # lies within 1e-8 of 1 and is returned as the full step, 1 itself
+        poly = LineSearchPoly(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert minimize_quartic(poly, 1.0 - 5e-9) == 1.0
+        assert minimize_quartic(poly, 1.0 - 2e-8) == 1.0 - 2e-8
+
     def test_minimizer_beats_samples(self):
         # coefficients as the solver produces them: |gamma| <= eta*alpha with
         # eta < 1, so p'(0) < 0 and a positive minimizer exists
@@ -319,6 +326,53 @@ class TestClosingStep:
         # one failed back-substitution, then the fresh factorization's own
         assert rep.iterations[-1].inner_iterations == 2
         assert rep.final_relative_residual <= 1e-12
+
+
+def spy_solves(monkeypatch):
+    """Spy on TSylvSolver.solve; the returned list keeps a copy of every
+    right-hand side it is given."""
+    rhs = []
+    solve = TSylvSolver.solve
+
+    def spy(self, E):
+        rhs.append(np.array(E, copy=True))
+        return solve(self, E)
+
+    monkeypatch.setattr(TSylvSolver, "solve", spy)
+    return rhs
+
+
+class TestCorrectionFromResidual:
+    # every dense step solves for its correction from R(X_k): the right-hand
+    # side of its first back-substitution is R(X_k) itself (C at k = 0)
+    @pytest.mark.parametrize("solve", [
+        solve_fixed_point,
+        lambda prob, **kw: solve_newton(prob, line_search="off", **kw),
+        lambda prob, **kw: solve_newton(prob, line_search="exact", **kw)],
+        ids=["fixed-point", "newton-off", "newton-exact"])
+    @pytest.mark.parametrize("make", [
+        lambda: generate_admissible_dense(20, seed=0),
+        # its last Newton step is a closing step
+        lambda: generate_ex2_dense(60, seed=2)[0]],
+        ids=["admissible-20", "ex2-60-2"])
+    def test_first_rhs_is_the_residual(self, monkeypatch, solve, make):
+        prob = make()
+        rhs = spy_solves(monkeypatch)
+        X, rep = solve(prob, keep_iterates=True)
+        assert rep.status is tr.Status.CONVERGED
+        assert np.array_equal(rhs[0], prob.C)
+        its = [r.inner_iterations for r in rep.iterations]
+        assert sum(its) == len(rhs)
+        starts = np.cumsum([0] + its[:-1])
+        for Xk, j in zip(rep.iterates, starts):
+            assert np.array_equal(rhs[j], residual(prob, Xk))
+
+    def test_fixed_point_rows_count_one_back_substitution(self):
+        prob = generate_admissible_dense(8, seed=9)
+        X, rep = solve_fixed_point(prob, tol=1e-13)
+        assert rep.status is tr.Status.CONVERGED
+        assert len(rep.iterations) >= 2
+        assert all(r.inner_iterations == 1 for r in rep.iterations)
 
 
 class TestMinimality:

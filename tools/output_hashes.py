@@ -6,9 +6,13 @@ Solves the twelve cells that perfbench solves, with its settings, using
 the package sources of TREE (default: the checkout holding this script),
 and prints one line per cell: status, trace length, solution rank, and
 SHA-256 prefixes of the problem's data (see ``problem_data``), of the
-solution (X, or the factors P1 and P2) and of the JSON trace rows; a dense
-cell adds its forward error ||X - X_exact||_F / ||X_exact||_F, so a change
-that moves its bits shows what that did to its accuracy.  Two
+solution (X, or the factors P1 and P2) and of the JSON trace rows.  A dense
+cell adds its forward error ||X - X_exact||_F / ||X_exact||_F and the
+back-substitutions of each trace row (its=1,1,1,2), so a change that moves
+its bits shows what that did to its accuracy and whether its discrete
+choices held.  The forward error measures accuracy only where Newton from
+X_0 = 0 reaches X_exact, which the generator does not promise (see
+``generators.generate_ex2_dense``); on these cells it does.  Two
 trees whose set-ups and outputs are the same bytes print the same lines,
 so diffing the output of a parent checkout against that of a change
 shows whether the change moved any number, the generated problems'
@@ -92,7 +96,9 @@ def main():
         err = ""
         if "X_exact" in meta:
             Xe = meta["X_exact"]
-            err = " err=%.1e" % (np.linalg.norm(X - Xe) / np.linalg.norm(Xe))
+            err = " err=%.1e its=%s" % (
+                np.linalg.norm(X - Xe) / np.linalg.norm(Xe),
+                ",".join(str(r.inner_iterations) for r in report.iterations))
         print("%-24s %-16s trace=%-3d rank=%-4d setup=%s X=%s trace=%s%s" % (
             label, report.status.value, len(report.iterations),
             report.solution_rank, setup, digest(*factors), digest(rows), err),

@@ -23,13 +23,13 @@ to the outer iteration, whose line search reads its products from the
 n-by-l factor Lambda and the orthonormal W without forming or
 factorizing anything wider.
 
-Orthogonalization is block classical Gram-Schmidt with one
-re-orthogonalization pass.  The engine starts from the empty space, and
-the seed is its first growth: every growth orthogonalizes the candidates
-of both chains against the space built so far, drops the columns that
-have numerically fallen into it, and appends the survivors together with
-their W image.  A growth that finds nothing genuinely new (no column
-survives, or their W image collapses under an effectively singular
+Both bases are orthonormalized by ``_orth``, with one rule for what is
+new: block classical Gram-Schmidt with one re-orthogonalization pass, then
+the SVD of the remainder's Householder triangle.  The engine starts from
+the empty space, and the seed is its first growth: every growth appends
+the new directions of both chains' candidates with their W image, which
+must be new in full.  A growth that finds nothing genuinely new (no new
+direction, or a W image of lower rank under an effectively singular
 coefficient) leaves the space as it was.  After a stage the lifted
 residual is then evaluated honestly, and the caller decides whether that
 is convergence or stagnation; a seed that leaves the space empty is the
@@ -37,7 +37,6 @@ one BasisBreakdownError, raised and reported by ``solve_tsylv_krylov``.
 """
 
 import numpy as np
-import scipy.linalg
 
 from dataclasses import dataclass, field
 
@@ -84,16 +83,25 @@ class InnerReport:
     iterations = property(lambda self: len(self.residuals))  # projected solves
 
 
-def _cgs_against(Q, C):
-    """Classical Gram-Schmidt of block C against orthonormal Q, one re-pass.
-
-    Returns (C_orth, coeffs) with C = Q @ coeffs + C_orth.
+def _orth(Q, C):
+    """(qr, coeffs, U, k) for block C against orthonormal Q: two classical
+    Gram-Schmidt passes give C = Q @ coeffs + C_orth, qr is the Householder
+    QR of C_orth and U, s the SVD of qr.R.  k = 0 unless s[0] > 1e-14 *
+    max(1, ||C||_F), the norm before orthogonalization, so a block in
+    span(Q) keeps nothing at any scale; else k counts the s above
+    _BREAKDOWN_TOL * s[0], and qr.apply(U[:, :k]) spans the new directions.
     """
+    scale = np.linalg.norm(C)
     P = Q.T @ C
     C = C - Q @ P
     P2 = Q.T @ C
     C = C - Q @ P2
-    return C, P + P2
+    qr = HouseholderQR(C)
+    U, s, _ = np.linalg.svd(qr.R)
+    k = 0
+    if s.size and s[0] > 1e-14 * max(1.0, scale):
+        k = int(np.sum(s > _BREAKDOWN_TOL * s[0]))
+    return qr, P + P2, U, k
 
 
 class ExtendedKrylovTSylv:
@@ -123,46 +131,31 @@ class ExtendedKrylovTSylv:
     ell = property(lambda self: self.V.shape[1])  # order of the space built
     built_dim = ell
 
-    def _pivot_orth(self, C, Q_prev):
-        """Orthonormal basis of the part of C outside span(Q_prev), by
-        pivoted QR; the columns it drops are added to dropped_cols."""
-        C, _ = _cgs_against(Q_prev, C)
-        Q, R, _ = scipy.linalg.qr(C, mode="economic", pivoting=True)
-        d = np.abs(np.diag(R))
-        k = 0
-        if d.size and d[0] > 1e-14 * max(1.0, np.linalg.norm(C)):
-            k = int(np.sum(d > _BREAKDOWN_TOL * d[0]))
+    def _basis(self, C, Q):
+        """Orthonormal basis of what ``_orth`` finds new in C against
+        span(Q); the columns it drops are added to dropped_cols."""
+        qr, _, U, k = _orth(Q, C)
         self.dropped_cols += C.shape[1] - k
-        return Q[:, :k]
-
-    def _block_qr(self, C, Q_prev):
-        """(Q, coeffs, R) with C = Q_prev @ coeffs + Q @ R and Q orthonormal
-        to Q_prev; None when the block vanishes or is numerically rank
-        deficient."""
-        orig_scale = max(np.linalg.norm(C), 1e-300)
-        C, coeffs = _cgs_against(Q_prev, C)
-        qr = HouseholderQR(C)
-        sv = scipy.linalg.svdvals(qr.R)
-        if sv[0] <= 1e-14 * orig_scale or sv[-1] <= _BREAKDOWN_TOL * sv[0]:
-            return None
-        return qr.apply(np.eye(qr.R.shape[0])), coeffs, qr.R
+        return qr.apply(U[:, :k])
 
     def _grow(self, cand_f, cand_i):
         """Orthogonalize the forward- and inverse-chain candidates against
         the space and each other, and absorb what survives with its W
         image.  Returns False, leaving the space unchanged, when no
         candidate column survives or their W image collapses."""
-        Qf = self._pivot_orth(cand_f, self.V)
-        Qi = self._pivot_orth(cand_i, hstack_f([self.V, Qf]))
+        Qf = self._basis(cand_f, self.V)
+        Qi = self._basis(cand_i, hstack_f([self.V, Qf]))
         Qn = np.hstack([Qf, Qi])
         if Qn.shape[1] == 0:
             return False
         AQ = self.ahat.rmatvec(Qn)
-        W_part = self._block_qr(AQ, self.W)
-        if W_part is None:
+        qr, coeffs, _, k = _orth(self.W, AQ)
+        if k < AQ.shape[1]:
             return False
+        Wn, R = qr.apply(np.eye(k)), qr.R
+        del qr  # its n-by-k reflectors need not outlive Wn
         DQ = self.dhat.matvec(Qn)
-        self.absorb(Qn, DQ, *W_part)
+        self.absorb(Qn, DQ, Wn, coeffs, R)
         self._heads = DQ[:, :Qf.shape[1]], AQ[:, Qf.shape[1]:]
         return True
 
@@ -219,7 +212,8 @@ class ExtendedKrylovTSylv:
 
     def absorb(self, Qn, DVn, Wn, coeffs, R):
         """Append the block pair (Qn, Wn) to V, DV, W and the projected
-        data, where Ahat^T Qn = W @ coeffs + Wn @ R (``_block_qr``)."""
+        data, where Ahat^T Qn = W @ coeffs + Wn @ R (``_orth``); R is upper
+        triangular, and so is U."""
         self.T = np.block([[self.T, self.W.T @ DVn],
                            [Wn.T @ self.DV, Wn.T @ DVn]])
         # V and W keep their QR blocks' Fortran order: contiguous columns

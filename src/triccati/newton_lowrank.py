@@ -69,7 +69,7 @@ from .lowrank import (
     lr_truncate,
     zero_pair,
 )
-from .reports import Status, StepFailed, iterate
+from .reports import Status, StepFailed, _check_setting, iterate
 from .riccati_dense import LineSearchPoly, minimize_quartic
 
 __all__ = [
@@ -110,10 +110,9 @@ class InexactNewtonConfig:
     m_max: int = 50
 
     def __post_init__(self):
-        for name in ("eps", "max_outer", "m_max"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError("%s must be >= 0, got %r" % (name, value))
+        _check_setting("eps", self.eps)
+        _check_setting("max_outer", self.max_outer, count=True)
+        _check_setting("m_max", self.m_max, count=True)
         if not 0.0 < self.eta_bar < 1.0:
             raise ValueError("eta_bar must lie in (0, 1)")
         if not 0.0 < self.alpha < 1.0 - self.eta_bar:
@@ -144,31 +143,35 @@ def _entry_extremes(X):
     return float(lo), float(hi)
 
 
+def _signs(X):
+    """Both sign observations of X from one ``_entry_extremes`` pass."""
+    lo, hi = _entry_extremes(X)
+    top = max(-lo, hi)
+    return {"nonnegative": lo >= -_SIGN_TOL,
+            "min_entry_ratio": lo / top if top > 0.0 else 0.0}
+
+
 def nonnegativity_monitor(X):
     """Entrywise X >= -1e-8 check on every entry.  The tolerance is
     absolute, so an X whose entries all lie below 1e-8 in magnitude
     passes whatever their sign.  The iterates are only guaranteed
     nonnegative when the inner residuals are; this observes, it never
     enforces."""
-    return _entry_extremes(X)[0] >= -_SIGN_TOL
+    return _signs(X)["nonnegative"]
 
 
 def min_entry_ratio(X):
     """Smallest entry of X over its largest magnitude (0 for X = 0), on
     every entry; scale-free, unlike the monitor's tolerance."""
-    lo, hi = _entry_extremes(X)
-    top = max(-lo, hi)
-    return lo / top if top > 0.0 else 0.0
+    return _signs(X)["min_entry_ratio"]
 
 
 def _sign_fields(X):
     """The trace row's sign observations of X, none above _SIGN_MAX_N:
-    at n = 10000 the two exact passes take 0.3-0.8 s, about as long as a
-    whole sweep of the benchmark problems (0.08-0.9 s) or longer."""
-    if X.P1.shape[0] > _SIGN_MAX_N:
-        return {}
-    return {"nonnegative": nonnegativity_monitor(X),
-            "min_entry_ratio": min_entry_ratio(X)}
+    at n = 10000 the exact pass takes 0.3-0.4 s (ranks 22-61, one BLAS
+    thread), about as long as a whole sweep of the benchmark problems
+    (0.08-0.9 s) or longer."""
+    return {} if X.P1.shape[0] > _SIGN_MAX_N else _signs(X)
 
 
 def _step_length(prob, X, Xt, R, res, L, cfg):

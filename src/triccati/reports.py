@@ -1,5 +1,6 @@
 """Iteration records, solve reports, and the outer loop every solver runs."""
 
+import operator
 import time
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -103,6 +104,19 @@ class SolveReport:
         if self.min_step_size is not None:
             d["min_lambda"] = float(self.min_step_size)
         return d
+
+
+def _check_setting(name, value, count=False):
+    """Raise ValueError naming the setting unless value >= 0 and, for an
+    iteration count, a Python or numpy integer (``operator.index``)."""
+    if count:
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError("%s must be an integer, got %r"
+                             % (name, value)) from None
+    if not value >= 0:
+        raise ValueError("%s must be >= 0, got %r" % (name, value))
 
 
 class StepFailed(Exception):

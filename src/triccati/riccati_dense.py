@@ -35,7 +35,7 @@ import numpy as np
 
 from . import dense_core
 from .errors import SingularOperatorError
-from .reports import Status, StepFailed, iterate
+from .reports import Status, StepFailed, _check_setting, iterate
 from .tsylv_dense import TSylvSolver
 
 # closing step of solve_newton: its inner residual target as a share of
@@ -203,11 +203,7 @@ def minimize_quartic(poly, interval_end):
 def _iterate(prob, step, tol, max_iter, keep_iterates, label):
     """``reports.iterate`` from X_0 = 0 (R(X_0) = C) with X_{k+1}, lam_k,
     row_fields = step(X_k, R(X_k)); a SingularOperatorError ends the run
-    InnerSolveFailed with the warning "<label> k: ...".  A negative tol or
-    max_iter raises ValueError."""
-    for name, value in (("tol", tol), ("max_iter", max_iter)):
-        if not value >= 0:
-            raise ValueError("%s must be >= 0, got %r" % (name, value))
+    InnerSolveFailed with the warning "<label> k: ..."."""
     n = prob.n
     R_k = prob.C
 
@@ -236,6 +232,8 @@ def solve_fixed_point(prob, tol=1e-12, max_iter=10000, keep_iterates=False):
     is computed once; each step makes one back-substitution with it.
     Returns (X, SolveReport); ``reports.iterate`` sets the report's fields.
     """
+    _check_setting("tol", tol)
+    _check_setting("max_iter", max_iter, count=True)
     solver = TSylvSolver(prob.D, prob.A)
     step = lambda X, R_k: (X - solver.solve(R_k), None, {"inner_iterations": 1})
     return _iterate(prob, step, tol, max_iter, keep_iterates, "iteration")
@@ -282,6 +280,8 @@ def solve_newton(prob, tol=1e-12, max_iter=50, line_search="off",
     as inner_iterations its step's back-substitutions: 1 to 3 for a closing
     step, and a failed closing step's plus 1 for the factorization after it.
     """
+    _check_setting("tol", tol)
+    _check_setting("max_iter", max_iter, count=True)
     if line_search not in ("off", "exact"):
         raise ValueError("line_search must be 'off' or 'exact'")
     res_tol = tol * np.linalg.norm(prob.C)

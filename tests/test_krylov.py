@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from triccati.generators import generate_ex1_lowrank
-from triccati.krylov import ExtendedKrylovTSylv, solve_tsylv_krylov
+from triccati.krylov import ExtendedKrylovTSylv, _orth, solve_tsylv_krylov
 from triccati.lowrank import (LowRankPair, LowRankTRiccatiProblem,
                               ShiftedOperator, lr_quadratic_term, zero_pair)
 from triccati.newton_lowrank import solve_inexact_newton
@@ -344,6 +344,39 @@ class TestBreakdown:
         assert Xt is None and not rep.converged
         assert rep.message.startswith("SingularOperatorError")
         assert "capacitance" in rep.message
+
+
+class TestOrth:
+    """The one orthonormalization and dependence rule of both bases."""
+
+    def basis(self, n=40, m=6):
+        g = np.random.default_rng(4)
+        return g, np.linalg.qr(g.standard_normal((n, m)))[0]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_block_in_span_keeps_nothing_at_any_scale(self, scale):
+        # C lies in span(Q) up to 1e-15 of its norm: the remainder is noise
+        g, Q = self.basis()
+        C = Q @ g.standard_normal((6, 3))
+        E = g.standard_normal(C.shape)
+        C = C + 1e-15 * np.linalg.norm(C) / np.linalg.norm(E) * E
+        C *= scale / np.linalg.norm(C)
+        assert _orth(Q, C)[3] == 0
+
+    def test_rank_two_remainder(self):
+        g, Q = self.basis()
+        N = g.standard_normal((40, 2))
+        N -= Q @ (Q.T @ N)
+        C = Q @ g.standard_normal((6, 3)) + N @ g.standard_normal((2, 3))
+        qr, coeffs, U, k = _orth(Q, C)
+        assert k == 2
+        # the kept columns are orthonormal and orthogonal to Q
+        B = qr.apply(U[:, :k])
+        assert np.allclose(B.T @ B, np.eye(2), rtol=0, atol=1e-14)
+        assert np.abs(Q.T @ B).max() <= 1e-14
+        # C = Q coeffs + (Householder Q) R, to rounding
+        rebuilt = Q @ coeffs + qr.apply(qr.R)
+        assert np.linalg.norm(rebuilt - C) <= 1e-14 * np.linalg.norm(C)
 
 
 class TestEngineDirect:

@@ -70,6 +70,13 @@ class TestConfig:
             InexactNewtonConfig(**{name: value})
         InexactNewtonConfig(**{name: 0})  # zero stays valid
 
+    @pytest.mark.parametrize("name", ["max_outer", "m_max"])
+    def test_non_integer_counts(self, name):
+        with pytest.raises(ValueError, match=r"%s must be an integer, got 2.5$"
+                           % name):
+            InexactNewtonConfig(**{name: 2.5})
+        assert getattr(InexactNewtonConfig(**{name: np.int64(3)}), name) == 3
+
     def test_alpha_vs_eta_bar(self):
         with pytest.raises(ValueError):
             InexactNewtonConfig(eta_bar=0.5, alpha=0.5)
@@ -251,6 +258,21 @@ class TestSolver:
         assert rep.memory_metric > 0
         assert rep.solution_rank == X.rank
         assert rep.min_step_size > 0.0
+
+    def test_one_entry_pass_per_sign_row(self, monkeypatch):
+        # each row's two sign fields come from one pass over X's entries
+        calls = []
+        extremes = newton_lowrank._entry_extremes
+        monkeypatch.setattr(newton_lowrank, "_entry_extremes",
+                            lambda X: calls.append(X) or extremes(X))
+        prob = make_problem(n=40, seed=1)
+        X, rep = solve_inexact_newton(prob, InexactNewtonConfig(eps=1e-9),
+                                      keep_iterates=True)
+        # X_0's fields are formed before the first sweep
+        assert len(calls) == len(rep.iterates) == len(rep.iterations) + 1
+        for row, Xk in zip(rep.iterations, rep.iterates[1:]):
+            assert row.nonnegative == nonnegativity_monitor(Xk)
+            assert row.min_entry_ratio == min_entry_ratio(Xk)
 
     def test_monotone_decrease_enforced(self):
         prob = make_problem(n=40, seed=2)

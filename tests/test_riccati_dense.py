@@ -407,6 +407,15 @@ class TestFailureStatuses:
             # the residual of X_0 = 0 is C itself
             assert rep.final_relative_residual == 1.0
 
+    @pytest.mark.parametrize("solve", [solve_fixed_point, solve_newton])
+    def test_non_integer_max_iter(self, monkeypatch, solve):
+        # refused before any factorization is formed
+        monkeypatch.setattr(tr.riccati_dense, "TSylvSolver", None)
+        prob = generate_admissible_dense(4, seed=0)
+        with pytest.raises(ValueError,
+                           match=r"max_iter must be an integer, got 2.5$"):
+            solve(prob, max_iter=2.5)
+
     def test_singular_newton_pencil(self):
         # D = -A^T = I makes S_T(X) = X - X^T... wait: D X + X^T A with
         # D = I, A = -I gives X - X^T, singular on symmetric inputs.

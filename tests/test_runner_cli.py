@@ -149,6 +149,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"key\(s\): trunc_tol \("):
             run_experiment(spec, "inexact-newton", {"trunc_tol": 1e-12})
 
+    def test_non_integer_count(self):
+        spec = ProblemSpec(family="Ex2LowRank", n=50, seed=0)
+        with pytest.raises(ValueError, match=r"m_max must be an integer"):
+            run_experiment(spec, "inexact-newton", {"m_max": 2.5})
+
     def test_unknown_solver(self):
         spec = ProblemSpec(family="Ex2Dense", n=10)
         with pytest.raises(ValueError):

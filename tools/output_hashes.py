@@ -8,15 +8,18 @@ and prints one line per cell: status, trace length, solution rank, and
 SHA-256 prefixes of the problem's data (see ``problem_data``), of the
 solution (X, or the factors P1 and P2) and of the JSON trace rows.  A dense
 cell adds its forward error ||X - X_exact||_F / ||X_exact||_F and the
-back-substitutions of each trace row (its=1,1,1,2), so a change that moves
-its bits shows what that did to its accuracy and whether its discrete
-choices held.  The forward error measures accuracy only where Newton from
-X_0 = 0 reaches X_exact, which the generator does not promise (see
-``generators.generate_ex2_dense``); on these cells it does.  Two
-trees whose set-ups and outputs are the same bytes print the same lines,
-so diffing the output of a parent checkout against that of a change
-shows whether the change moved any number, the generated problems'
-included:
+back-substitutions of each trace row (its=1,1,1,2); a factored cell adds
+its final relative residual and, per trace row, the inner passes, the
+order of the last projected equation, the dropped Krylov columns and the
+iterate rank (inner=1,2,4 basis=20,48,96 dropped=4,0,0 ranks=13,21,36).
+So a change that moves a cell's bits shows what that did to its accuracy
+and whether its discrete choices held.  The forward error measures
+accuracy only where Newton from X_0 = 0 reaches X_exact, which the
+generator does not promise (see ``generators.generate_ex2_dense``); on
+these cells it does.  Two trees whose set-ups and outputs are the same
+bytes print the same lines, so diffing the output of a parent checkout
+against that of a change shows whether the change moved any number, the
+generated problems' included:
 
     python tools/output_hashes.py ../parent > parent.txt
     python tools/output_hashes.py > change.txt
@@ -93,16 +96,22 @@ def main():
         X, report = solve(prob)
         factors = [X] if isinstance(X, np.ndarray) else [X.P1, X.P2]
         rows = json.dumps(report.trace_rows(), sort_keys=True)
-        err = ""
+        per_row = lambda name: ",".join(
+            str(getattr(r, name)) for r in report.iterations)
         if "X_exact" in meta:
             Xe = meta["X_exact"]
-            err = " err=%.1e its=%s" % (
+            extra = " err=%.1e its=%s" % (
                 np.linalg.norm(X - Xe) / np.linalg.norm(Xe),
-                ",".join(str(r.inner_iterations) for r in report.iterations))
+                per_row("inner_iterations"))
+        else:
+            extra = " rel=%.1e inner=%s basis=%s dropped=%s ranks=%s" % (
+                report.final_relative_residual, per_row("inner_iterations"),
+                per_row("basis_dim"), per_row("dropped_cols"),
+                per_row("iterate_rank"))
         print("%-24s %-16s trace=%-3d rank=%-4d setup=%s X=%s trace=%s%s" % (
             label, report.status.value, len(report.iterations),
-            report.solution_rank, setup, digest(*factors), digest(rows), err),
-            flush=True)
+            report.solution_rank, setup, digest(*factors), digest(rows),
+            extra), flush=True)
 
 
 if __name__ == "__main__":

@@ -337,35 +337,22 @@ def lr_step_and_Lresidual(prob, X, X_tilde):
 
         L = (D - X^T B) X_tilde + X_tilde^T (A - B X) + X^T B X + C,
 
-    both in factored form.  L's six terms are grouped by their shared
-    factors, D X~ + X~^T (A - B X) + X^T B (X - X~) + C:
-
-        L1 = [D T1, T2, P2, C1^T]
-        L2 = [T2, A^T T1 - P2 (beta alpha_t^T),
-              (P2 beta - T2 beta_t) alpha^T, C2^T]
-
-    for X = P1 P2^T, X~ = T1 T2^T, alpha = P1^T B1, beta = P1^T B2 and
-    alpha_t, beta_t the same with T1; width 2 t~ + t + q.  Neither output
-    is recompressed; a caller that wants a cut calls ``lr_truncate``.
+    both in factored form, L as R(X~) + S^T B S: the expansion
+    R(X + lam S) = (1 - lam) R(X) + lam L - lam^2 S^T B S, on which the
+    line search rests, at lam = 1.  For X of rank t, X~ of rank t~, L has
+    width 2 t~ + 2 p + q.  Neither output is recompressed; a caller that
+    wants a cut calls ``lr_truncate``.
 
     This is the explicit-form reference for L.  The solver does not call
     it: ``solve_tsylv_krylov`` returns L already in the form Lambda W^T
     with orthonormal W (``ExtendedKrylovTSylv.extract``), from which the
     line search reads its products.
     """
-    P1, P2 = X.P1, X.P2
-    T1, T2 = X_tilde.P1, X_tilde.P2
-    alpha = P1.T @ prob.B1
-    beta = P1.T @ prob.B2
-    alpha_t = T1.T @ prob.B1
-    beta_t = T1.T @ prob.B2
-    S = LowRankPair(np.hstack([T1, -P1]), np.hstack([T2, P2]))
-    L1 = hstack_f([prob.D.matvec(T1), T2, P2, prob.C1.T])
-    L2 = hstack_f([T2,
-                   prob.A.rmatvec(T1) - P2 @ (beta @ alpha_t.T),
-                   (P2 @ beta - T2 @ beta_t) @ alpha.T,
-                   prob.C2.T])
-    return S, LowRankPair(L1, L2)
+    S = LowRankPair(np.hstack([X_tilde.P1, -X.P1]),
+                    np.hstack([X_tilde.P2, X.P2]))
+    R = lr_riccati_residual(prob, X_tilde)
+    SBS = lr_quadratic_term(S, prob.B1, prob.B2)
+    return S, LowRankPair(hstack_f([R.P1, SBS.P1]), hstack_f([R.P2, SBS.P2]))
 
 
 def lr_quadratic_term(S, B1, B2):

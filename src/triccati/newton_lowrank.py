@@ -21,7 +21,7 @@ square of the residual norm already taken.  ||L||^2, <R_k, L> and
 solve returns L, with W the orthonormal basis it built
 (``ExtendedKrylovTSylv.extract``): ||L||^2 = ||Lambda||^2 and
 <M1 M2^T, L> = <M1^T Lambda, M2^T W>, with no QR and without L's
-explicit factors (``lr_step_and_Lresidual``) of width 2 t~ + t + q.
+explicit factors (``lr_step_and_Lresidual``) of width 2 t~ + 2 p + q.
 Lambda carries an absolute error of about eps ||D|| ||Xt||, as the QR
 core of those factors did, so late in the iteration, where L is small
 next to its blocks, the products keep their accuracy where a Gram trace
@@ -208,7 +208,16 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
 
     Stops when ||R(X_k)||_F <= eps * ||C1^T C2||_F.  The report's fields
     are those of ``reports.iterate``; its memory_metric is the largest
-    inner basis dimension of any sweep.
+    inner basis dimension of any sweep.  A row's extras, written to the
+    trace row under their own names, are the sweep's: inner_residuals, the
+    per-expansion history of the inner projected solver; basis_dim, the
+    order of its last projected equation (0 at k = 0); dropped_cols, the
+    candidate columns it dropped; capacitance_rcond, the smaller rcond of
+    its two SMW capacitance matrices; inner_message, why it failed (on a
+    failure row only); rank_before_cut, the width of an accepted iterate
+    before its truncation to iterate_rank; and nonnegative and
+    min_entry_ratio, the sign observations of the iterate (``_signs``), on
+    rows up to n = _SIGN_MAX_N only.
     """
     if cfg is None:
         cfg = InexactNewtonConfig()

@@ -2,7 +2,7 @@
 
 import operator
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -27,14 +27,9 @@ class IterationRecord:
     k = 0 and on a failure row, 1 for an iteration without step sizes);
     inner_iterations counts the inner solves (projected solves of a
     factored sweep, T-Sylvester back-substitutions of a dense step);
-    rank_before_cut is the width of a factored iterate before its
-    truncation to iterate_rank; inner_residuals keeps the per-expansion
-    history of the inner projected solver when one was used, basis_dim the
-    order of its last projected equation, dropped_cols the candidate
-    columns it dropped, capacitance_rcond the smaller rcond of its two SMW
-    capacitance matrices, and inner_message why it failed (on a failure
-    row only); nonnegative and min_entry_ratio observe the sign of factored
-    iterates, on rows up to n = 200 only.
+    iterate_rank is the rank of the iterate.  extras holds every other
+    field the step reported, written to the row under its own name unless
+    it is None (the factored sweep's are listed in ``newton_lowrank``).
     """
 
     k: int
@@ -43,14 +38,7 @@ class IterationRecord:
     step_size: float = 0.0
     inner_iterations: int = 0
     iterate_rank: int = 0
-    rank_before_cut: int | None = None
-    inner_residuals: list | None = None
-    nonnegative: bool | None = None
-    min_entry_ratio: float | None = None
-    basis_dim: int | None = None
-    dropped_cols: int | None = None
-    capacitance_rcond: float | None = None
-    inner_message: str | None = None
+    extras: dict = field(default_factory=dict)
 
     def to_row(self):
         row = {
@@ -61,10 +49,8 @@ class IterationRecord:
             "inner_its": int(self.inner_iterations),
             "rank": int(self.iterate_rank),
         }
-        for f in fields(self)[6:]:  # the optional ones, under their own names
-            value = getattr(self, f.name)
-            if value is not None:
-                row[f.name] = value
+        row.update((name, value) for name, value in self.extras.items()
+                   if value is not None)
         return row
 
 
@@ -141,19 +127,22 @@ def iterate(X, res, c_norm, tol, max_iter, step, rank, keep_iterates,
     A step that raises StepFailed ends the run with its status and warning
     and a row of step 0 at the residual and rank of the X_k kept, unless
     its row_fields override them; a non-finite residual ends it Diverged.
+    Fields that are not IterationRecord's own go to the row's extras.
     The report's min_step_size is the smallest lam_k, memory_metric the
-    largest basis_dim of any row, final_relative_residual that of X.  X
-    holds X_k until step k returns, so X_k stays alive for the whole step
-    and is released only then (never, with keep_iterates).
+    largest basis_dim in the rows' extras, final_relative_residual that of
+    X.  X holds X_k until step k returns, so X_k stays alive for the whole
+    step and is released only then (never, with keep_iterates).
     """
     t0 = time.perf_counter()
     rel = lambda res: res / c_norm if c_norm > 0 else res
     records, warnings, lams = [], [], []
     iterates = [X] if keep_iterates else None
 
-    def record(k, residual_norm, **row_fields):
+    def record(k, residual_norm, step_size=0.0, inner_iterations=0,
+               iterate_rank=0, **extras):
         records.append(IterationRecord(k, residual_norm, rel(residual_norm),
-                                       **row_fields))
+                                       step_size, inner_iterations,
+                                       iterate_rank, extras))
 
     if res <= tol * c_norm:
         status = Status.CONVERGED
@@ -185,7 +174,8 @@ def iterate(X, res, c_norm, tol, max_iter, step, rank, keep_iterates,
     report = SolveReport(
         status=status, iterations=records, wall_time=time.perf_counter() - t0,
         final_relative_residual=rel(res), rhs_norm=c_norm,
-        memory_metric=max((r.basis_dim or 0 for r in records), default=0),
+        memory_metric=max((r.extras.get("basis_dim") or 0 for r in records),
+                          default=0),
         solution_rank=rank(X), min_step_size=min(lams, default=None),
         warnings=warnings, iterates=iterates)
     return X, report

@@ -158,9 +158,10 @@ def run_experiment(spec, solver, config=None):
     Z-sign test passes (0.25-0.31 s at n = 300).
 
     config holds keyword arguments of the dense solver, or the fields of
-    InexactNewtonConfig; a key that is neither raises ValueError, and so
-    does a problem whose class the solver does not take.  The report's
-    config is every setting the solver ran with, defaults included.
+    InexactNewtonConfig, checked before the problem is built; a key that
+    is neither raises ValueError, and so does a problem whose class the
+    solver does not take.  The report's config is every setting the
+    solver ran with, defaults included.
     """
     config = dict(config or {})
     defaults = solver_defaults(solver)
@@ -170,15 +171,13 @@ def run_experiment(spec, solver, config=None):
                          % (solver, ", ".join(unknown), ", ".join(defaults)))
     config = {**defaults, **config}
     solve, takes, kind = _SOLVERS[solver]
+    args = config if takes is solve else {"cfg": takes(**config)}
     prob, meta = build_problem(spec)
     if not isinstance(prob, kind):
         raise ValueError("solver %r takes a %s, got a %s"
                          % (solver, kind.__name__, type(prob).__name__))
     x_exact = meta.pop("X_exact", None)
-    if takes is solve:
-        X, rep = solve(prob, **config)
-    else:
-        X, rep = solve(prob, takes(**config))
+    X, rep = solve(prob, **args)
     audit = _audit_problem(prob)
     if kind is LowRankTRiccatiProblem:
         meta["min_entry_ratio"] = min_entry_ratio(X)

@@ -313,7 +313,7 @@ class TestBreakdown:
         assert rep.status is Status.INNER_SOLVE_FAILED
         last = rep.iterations[-1]
         assert last.step_size == 0
-        assert last.inner_iterations == len(last.inner_residuals)
+        assert last.inner_iterations == len(last.extras["inner_residuals"])
         assert any("BasisBreakdownError" in w for w in rep.warnings)
 
     def test_vanishing_seed_reports_breakdown(self):

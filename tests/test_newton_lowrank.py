@@ -176,7 +176,8 @@ class TestMinEntryRatio:
                                       InexactNewtonConfig(eps=1e-10))
         assert rep.status is tr.Status.CONVERGED
         assert all("min_entry_ratio" in row for row in rep.trace_rows())
-        assert rep.iterations[-1].min_entry_ratio == min_entry_ratio(X)
+        last = rep.iterations[-1]
+        assert last.extras["min_entry_ratio"] == min_entry_ratio(X)
 
     def test_above_n200_only_in_the_run_metadata(self):
         spec = ProblemSpec(family="Ex2LowRank", n=400, q=5)
@@ -252,8 +253,9 @@ class TestSolver:
             assert 0.0 < row.step_size <= 1.0
             assert row.inner_iterations >= 1
             # inner solve honored its forcing tolerance
-            assert row.inner_residuals[-1] <= cfg.eta(i) * res_prev * (1 + 1e-12)
-            assert row.nonnegative
+            inner = row.extras["inner_residuals"]
+            assert inner[-1] <= cfg.eta(i) * res_prev * (1 + 1e-12)
+            assert row.extras["nonnegative"]
             res_prev = row.residual_norm
         assert rep.memory_metric > 0
         assert rep.solution_rank == X.rank
@@ -271,8 +273,8 @@ class TestSolver:
         # X_0's fields are formed before the first sweep
         assert len(calls) == len(rep.iterates) == len(rep.iterations) + 1
         for row, Xk in zip(rep.iterations, rep.iterates[1:]):
-            assert row.nonnegative == nonnegativity_monitor(Xk)
-            assert row.min_entry_ratio == min_entry_ratio(Xk)
+            assert row.extras["nonnegative"] == nonnegativity_monitor(Xk)
+            assert row.extras["min_entry_ratio"] == min_entry_ratio(Xk)
 
     def test_monotone_decrease_enforced(self):
         prob = make_problem(n=40, seed=2)
@@ -310,7 +312,7 @@ class TestSolver:
                                       C2=prob.C2, **coeffs)
         X, rep = solve_inexact_newton(prob)
         assert rep.status is tr.Status.INNER_SOLVE_FAILED
-        assert rep.iterations[-1].inner_message.startswith(
+        assert rep.iterations[-1].extras["inner_message"].startswith(
             "SingularOperatorError: sparse LU:")
         assert X.rank == 0 and rep.final_relative_residual == pytest.approx(1.0)
 
@@ -372,7 +374,7 @@ class TestSolver:
         assert last.relative_residual == rep.final_relative_residual
         assert rep.final_relative_residual == pytest.approx(
             res / prob.c_norm(), rel=1e-10)
-        assert last.nonnegative == nonnegativity_monitor(X)
+        assert last.extras["nonnegative"] == nonnegativity_monitor(X)
 
     def test_rank_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(newton_lowrank, "_CAP_PER_PASS", 0)
@@ -541,8 +543,8 @@ class TestSweepTruncation:
         X, rep = solve_inexact_newton(prob, InexactNewtonConfig(eps=1e-6))
         assert rep.status is tr.Status.CONVERGED
         for rec, row in zip(rep.iterations, rep.trace_rows()):
-            assert rec.rank_before_cut >= rec.iterate_rank
-            assert row["rank_before_cut"] == rec.rank_before_cut
+            assert rec.extras["rank_before_cut"] >= rec.iterate_rank
+            assert row["rank_before_cut"] == rec.extras["rank_before_cut"]
 
     def test_ranks_stable_under_last_bit_changes(self):
         # a fixed relative floor let a 2e-15 change of D move sweep ranks

@@ -22,7 +22,8 @@ def test_converged_at_entry_row_carries_start_fields():
     X, rep = run(never, X0=0.0, basis_dim=0, nonnegative=True)
     assert rep.status is Status.CONVERGED and X == 0.0
     [row] = rep.iterations
-    assert (row.k, row.step_size, row.basis_dim, row.nonnegative) == (0, 0.0, 0, True)
+    assert (row.k, row.step_size, row.extras["basis_dim"],
+            row.extras["nonnegative"]) == (0, 0.0, 0, True)
     assert rep.iterates == [0.0] and rep.min_step_size is None
     assert rep.memory_metric == 0 and rep.final_relative_residual == 0.0
 
@@ -39,6 +40,16 @@ def test_steps_until_the_test_is_met():
     assert rep.min_step_size == 0.5
     # memory_metric is the largest basis_dim of any row
     assert rep.memory_metric == 3
+
+
+def test_step_reports_a_field_the_loop_does_not_name():
+    def timed(k, X, res):
+        X, res, lam, _ = halve(k, X, res)
+        return X, res, lam, {"timings": {"inner_s": 0.1}}
+
+    X, rep = run(timed)
+    timings = [row["timings"] for row in rep.trace_rows()]
+    assert timings == [{"inner_s": 0.1}] * 3
 
 
 def test_max_iterations_reports_the_last_iterate():
@@ -75,7 +86,8 @@ def test_failed_step_row_describes_the_kept_iterate():
     row = rep.iterations[-1]
     assert (row.k, row.step_size, row.residual_norm, row.relative_residual,
             row.iterate_rank) == (2, 0.0, 0.5, 0.25, 50)
-    assert (row.basis_dim, row.inner_message) == (7, "why")
+    assert (row.extras["basis_dim"],
+            row.extras["inner_message"]) == (7, "why")
     assert rep.memory_metric == 7 and rep.min_step_size == 0.5
     assert rep.iterates == [1.0, 0.5]
 

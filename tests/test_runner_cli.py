@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from triccati import cli, newton_lowrank
+from triccati import cli, newton_lowrank, runner
 from triccati.cli import _spec_from_args, build_parser, main
 from triccati.newton_lowrank import InexactNewtonConfig
 from triccati.reports import Status
@@ -153,6 +153,17 @@ class TestRunExperiment:
         spec = ProblemSpec(family="Ex2LowRank", n=50, seed=0)
         with pytest.raises(ValueError, match=r"m_max must be an integer"):
             run_experiment(spec, "inexact-newton", {"m_max": 2.5})
+
+    def test_factored_settings_checked_before_build(self, monkeypatch):
+        def no_build(spec):
+            raise AssertionError("the problem is built before the check")
+
+        monkeypatch.setattr(runner, "build_problem", no_build)
+        spec = ProblemSpec(family="Ex2LowRank", n=50, seed=0)
+        with pytest.raises(ValueError, match=r"m_max must be an integer"):
+            run_experiment(spec, "inexact-newton", {"m_max": 2.5})
+        with pytest.raises(ValueError, match=r"eta_bar must lie"):
+            run_experiment(spec, "inexact-newton", {"eta_bar": 1.5})
 
     def test_unknown_solver(self):
         spec = ProblemSpec(family="Ex2Dense", n=10)

@@ -11,9 +11,10 @@ cell adds its forward error ||X - X_exact||_F / ||X_exact||_F and the
 back-substitutions of each trace row (its=1,1,1,2); a factored cell adds
 its final relative residual and, per trace row, the inner passes, the
 order of the last projected equation, the dropped Krylov columns and the
-iterate rank (inner=1,2,4 basis=20,48,96 dropped=4,0,0 ranks=13,21,36).
-So a change that moves a cell's bits shows what that did to its accuracy
-and whether its discrete choices held.  The forward error measures
+iterate rank (inner=1,2,4 basis=20,48,96 dropped=4,0,0 ranks=13,21,36),
+each read from the trace rows, whose keys hold across trees.  So a
+change that moves a cell's bits shows what that did to its accuracy and
+whether its discrete choices held.  The forward error measures
 accuracy only where Newton from X_0 = 0 reaches X_exact, which the
 generator does not promise (see ``generators.generate_ex2_dense``); on
 these cells it does.  Two trees whose set-ups and outputs are the same
@@ -95,22 +96,22 @@ def main():
         setup = digest(*problem_data(prob))
         X, report = solve(prob)
         factors = [X] if isinstance(X, np.ndarray) else [X.P1, X.P2]
-        rows = json.dumps(report.trace_rows(), sort_keys=True)
-        per_row = lambda name: ",".join(
-            str(getattr(r, name)) for r in report.iterations)
+        rows = report.trace_rows()
+        per_row = lambda name: ",".join(str(r.get(name)) for r in rows)
         if "X_exact" in meta:
             Xe = meta["X_exact"]
             extra = " err=%.1e its=%s" % (
                 np.linalg.norm(X - Xe) / np.linalg.norm(Xe),
-                per_row("inner_iterations"))
+                per_row("inner_its"))
         else:
             extra = " rel=%.1e inner=%s basis=%s dropped=%s ranks=%s" % (
-                report.final_relative_residual, per_row("inner_iterations"),
+                report.final_relative_residual, per_row("inner_its"),
                 per_row("basis_dim"), per_row("dropped_cols"),
-                per_row("iterate_rank"))
+                per_row("rank"))
         print("%-24s %-16s trace=%-3d rank=%-4d setup=%s X=%s trace=%s%s" % (
             label, report.status.value, len(report.iterations),
-            report.solution_rank, setup, digest(*factors), digest(rows),
+            report.solution_rank, setup, digest(*factors),
+            digest(json.dumps(rows, sort_keys=True)),
             extra), flush=True)
 
 

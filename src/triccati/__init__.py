@@ -10,11 +10,7 @@ persistence, and a command line that generates and solves problems round
 out the package.
 """
 
-from .errors import (
-    BasisBreakdownError,
-    SingularOperatorError,
-    TRiccatiError,
-)
+from .errors import SingularOperatorError, TRiccatiError
 from .dense_core import (
     commutation_matrix,
     elementwise_leq,

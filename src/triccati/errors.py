@@ -10,8 +10,3 @@ class SingularOperatorError(TRiccatiError):
     T-Sylvester operator (dense QZ solver or Kronecker oracle), a sparse
     matrix whose LU fails, or a low-rank-shifted coefficient whose
     Sherman-Morrison-Woodbury capacitance is singular."""
-
-
-class BasisBreakdownError(TRiccatiError):
-    """The Krylov seed gave no direction: every candidate column was
-    dropped, or their W image collapsed."""

@@ -26,21 +26,21 @@ factorizing anything wider.
 Both bases are orthonormalized by ``_orth``, with one rule for what is
 new: block classical Gram-Schmidt with one re-orthogonalization pass, then
 the SVD of the remainder's Householder triangle.  The engine starts from
-the empty space, and the seed is its first growth: every growth appends
-the new directions of both chains' candidates with their W image, which
-must be new in full.  A growth that finds nothing genuinely new (no new
+the empty space, and the seed is its first stage: every stage appends the
+new directions of both chains' candidates with their W image, which must
+be new in full.  A stage that finds nothing genuinely new (no new
 direction, or a W image of lower rank under an effectively singular
-coefficient) leaves the space as it was.  After a stage the lifted
-residual is then evaluated honestly, and the caller decides whether that
-is convergence or stagnation; a seed that leaves the space empty is the
-one BasisBreakdownError, raised and reported by ``solve_tsylv_krylov``.
+coefficient) leaves the space as it was, and ``solve_tsylv_krylov``
+reports the space exhausted, at dimension 0 when it was the seed's.
+After a stage that grew, the lifted residual is evaluated honestly, and
+the caller decides whether that is convergence or stagnation.
 """
 
 import numpy as np
 
 from dataclasses import dataclass, field
 
-from .errors import BasisBreakdownError, TRiccatiError
+from .errors import TRiccatiError
 from .lowrank import (HouseholderQR, LowRankPair, hstack_f, svd_cut,
                       lr_frobenius_norm, lr_quadratic_term, zero_pair)
 from .tsylv_dense import TSylvSolver
@@ -65,8 +65,8 @@ class InnerReport:
     the returned (cut) solution as a LowRankPair (Lambda, W) with
     orthonormal W (see ``ExtendedKrylovTSylv.extract``).  dropped_cols
     counts the candidate columns that fell into the space already built
-    and were dropped, over the seed (the first growth, from the empty
-    space) and every stage, also when the seed left the space empty.
+    and were dropped, over every stage, the seed (the first, from the
+    empty space) included, also when the seed left the space empty.
     capacitance_rcond is the smaller of the two SMW capacitance rconds of
     the shifted coefficients (1.0 at X = 0; see ``ShiftedOperator``), None
     when they were not built.
@@ -107,10 +107,10 @@ def _orth(Q, C):
 class ExtendedKrylovTSylv:
     """Joint (V, W) extended Krylov bases for one shifted equation.
 
-    Starts from the empty space and grows it by the seed
-    [Ahat^{-T} H, Dhat^{-1} H] through ``_grow``, as ``stage`` grows it
-    later; the space stays empty (ell = 0) when no seed column survives
-    or the seed's W image collapses.
+    Starts from the empty space; the first ``stage`` grows it by the seed
+    [Ahat^{-T} H, Dhat^{-1} H], and each later one continues both chains.
+    The space stays empty (ell = 0) when no seed column survives or the
+    seed's W image collapses.
     """
 
     def __init__(self, dhat, ahat, H, rhs1, rhs2):
@@ -119,14 +119,13 @@ class ExtendedKrylovTSylv:
         self._rhs1 = rhs1
         self._rhs2 = rhs2
         self.dropped_cols = 0
-        # the empty space; the seed is its first growth
+        # the empty space; the first stage grows the seed
         self.V = self.DV = self.W = np.zeros((H.shape[0], 0))
         self.T = self.U = np.zeros((0, 0))
         self.G1, self.G2 = rhs1[:0], rhs2[:0]
         # each chain's last block times the coefficient its next candidates
-        # solve with: (Dhat V_f, Ahat^T V_i), kept by _grow
-        self._heads = (self.V, self.V)
-        self._grow(ahat.solve_t(H), dhat.solve(H))
+        # solve with: (Dhat V_f, Ahat^T V_i), kept by _grow; H for the seed
+        self._heads = (H, H)
 
     ell = property(lambda self: self.V.shape[1])  # order of the space built
     built_dim = ell
@@ -162,14 +161,14 @@ class ExtendedKrylovTSylv:
     def stage(self):
         """Grow the space by the next block pair of V and W.
 
-        The candidates continue each chain from its last block; columns
-        that have (numerically) fallen into the current space are dropped
-        chain by chain, and a chain with no surviving columns stops
-        advancing.  Returns True when the space grew; False, leaving it
-        unchanged, when no genuinely new direction exists -- invariant
-        space, the whole of R^n spanned, or the W image of the surviving
-        candidates collapsing into span(W), which marks the pair
-        construction as saturated.
+        The candidates continue each chain from its last block, and the
+        first stage's, the seed, from H; columns that have (numerically)
+        fallen into the current space are dropped chain by chain, and a
+        chain with no surviving columns stops advancing.  Returns True when
+        the space grew; False, leaving it unchanged, when no genuinely new
+        direction exists -- invariant space, the whole of R^n spanned, or
+        the W image of the surviving candidates collapsing into span(W),
+        which marks the pair construction as saturated.
         """
         if self.ell >= self.V.shape[0]:
             return False
@@ -250,16 +249,18 @@ class ExtendedKrylovTSylv:
 def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
     """Solve the Newton-step equation at iterate X by extended Krylov projection.
 
-    Each of at most m_max passes solves the projected equation, tests its
-    lifted-residual norm against tol_abs (absolute), and only then grows
-    the space.  Returns (solution_pair_or_None, InnerReport), whose
+    Each of at most m_max passes grows the space (the first by the seed),
+    solves the projected equation and tests its lifted-residual norm
+    against tol_abs (absolute), so no block is built that no projected
+    solve uses.  Returns (solution_pair_or_None, InnerReport), whose
     basis_dim is the order of the last projected equation and whose
     residual is the solution's lifted residual (see ``InnerReport``).  The
-    pair is None when the tolerance was not met within m_max passes or
-    before saturation, or when a numerical failure (singular shifted
-    coefficient, degenerate seed, singular reduced equation) stopped the
-    solve; the message then names the error class and the residuals are
-    those collected before the failure.
+    pair is None when the tolerance was not met within m_max passes, when
+    a stage found nothing new (the space is exhausted, at dimension 0 when
+    the seed gave nothing), or when a numerical failure (singular shifted
+    coefficient, singular reduced equation) stopped the solve; the message
+    then names the error class and the residuals are those collected
+    before the failure.
     """
     XBX = lr_quadratic_term(X, prob.B1, prob.B2)
     rhs1 = np.hstack([prob.C1.T, XBX.P1])
@@ -282,11 +283,11 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
         rcond = min(dhat.rcond, ahat.rcond)
         H = np.hstack([prob.C1.T, prob.C2.T, XBX.P1, XBX.P2])
         eng = ExtendedKrylovTSylv(dhat, ahat, H, rhs1, rhs2)
-        if eng.ell == 0:
-            raise BasisBreakdownError(
-                "the seed gave no direction (%d of %d candidate columns "
-                "dropped)" % (eng.dropped_cols, 2 * H.shape[1]))
         for m in range(1, m_max + 1):
+            if not eng.stage():
+                return None, report(
+                    False, "space exhausted at dimension %d before "
+                    "tolerance" % eng.ell)
             Y = eng.solve_reduced()
             res = eng.residual_norm(Y)
             residuals.append(res)
@@ -295,10 +296,6 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
             if res <= tol_abs:
                 pair, L = eng.extract(Y)
                 return pair, report(True, residual=L)
-            if m < m_max and not eng.stage():
-                return None, report(
-                    False, "space exhausted at dimension %d before "
-                    "tolerance" % eng.ell)
     except TRiccatiError as e:
         return None, report(False, "%s: %s" % (type(e).__qualname__, e))
     return None, report(False, "m_max reached before tolerance")

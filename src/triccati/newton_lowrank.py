@@ -32,7 +32,7 @@ accepted step must shrink the residual norm by the factor
 (1 - lam*alpha).  A step that fails the decrease test after truncation
 is retried with halved lam a few times, then the run is
 reported as Diverged, and so is an accepted iterate wider than the rank
-cap.  Inner-solver failures (stagnation, basis breakdown, singular
+cap.  Inner-solver failures (stagnation, an exhausted space, singular
 projected equations) surface as InnerSolveFailed reports carrying the
 full inner residual history.  No failure raises.
 

@@ -73,6 +73,26 @@ class TestElementwiseLeq:
         assert default_order_tol(big) > 1e-12
 
 
+class TestInputChecks:
+    def test_order_test_arguments(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            elementwise_leq(np.zeros((2, 2)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            elementwise_leq(np.zeros((2, 2)), np.ones((2, 2)), tol=-1.0)
+
+    def test_negative_order(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            commutation_matrix(-1)
+
+    def test_operator_shapes(self):
+        with pytest.raises(ValueError, match="matching shapes"):
+            tsylv_kron_sparse(np.eye(2), np.eye(3))
+        with pytest.raises(ValueError, match=r"D must be square, got shape \(2, 3\)"):
+            tsylv_oracle_solve(np.ones((2, 3)), np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="share one square shape"):
+            tsylv_oracle_solve(np.eye(3), np.eye(3), np.eye(2))
+
+
 class TestOracle:
     def test_solves_small_systems(self):
         rng = np.random.default_rng(4)
@@ -104,6 +124,16 @@ class TestOracle:
         A = np.zeros((2, 2))
         with pytest.raises(tr.SingularOperatorError):
             tsylv_oracle_solve(D, A, np.ones((2, 2)))
+
+    def test_near_singular_operator_raises(self):
+        # A = -(1 - 1e-12) D^T maps X to M - (1 - 1e-12) M^T, M = D X: the
+        # symmetric part of M shrinks by 1e-12, so the LU's backward error
+        # leaves a residual far above the oracle's 1e-8 acceptance
+        rng = np.random.default_rng(0)
+        D = np.eye(6) + 0.3 * rng.standard_normal((6, 6))
+        with pytest.raises(tr.SingularOperatorError, match="inaccurate"):
+            tsylv_oracle_solve(D, -(1.0 - 1e-12) * D.T,
+                               rng.standard_normal((6, 6)))
 
 
 class TestSpectralRadius:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from triccati.generators import generate_ex1_lowrank
+from triccati.generators import generate_ex1_lowrank, generate_ex2_lowrank
 from triccati.krylov import ExtendedKrylovTSylv, _orth, solve_tsylv_krylov
 from triccati.lowrank import (LowRankPair, LowRankTRiccatiProblem,
                               ShiftedOperator, lr_quadratic_term, zero_pair)
@@ -236,8 +236,9 @@ class TestSmallSpaceBehaviour:
 
 
 class TestGrowthOrder:
-    """Each pass tests the residual first and grows the space only after
-    a failed test, so no block is built that no projected solve uses."""
+    """Each pass grows the space by one stage, the first by the seed,
+    then solves and tests the residual; a pass follows only a failed
+    test, so no block is built that no projected solve uses."""
 
     def count_stages(self, monkeypatch):
         calls = []
@@ -258,20 +259,37 @@ class TestGrowthOrder:
             prob, zero_pair(prob.n), 1e-10 * prob.c_norm(),
             monitor=lambda eng, m, Y, res: dims.append(eng.V.shape[1]))
         assert rep.converged and rep.iterations > 1
-        assert len(calls) == rep.iterations - 1
+        assert len(calls) == rep.iterations
         assert rep.basis_dim == dims[-1]
 
-    def test_no_growth_with_one_pass(self, monkeypatch):
+    def test_one_pass_grows_only_the_seed(self, monkeypatch):
         calls = self.count_stages(monkeypatch)
         prob = make_problem(n=64, p=1, q=2, seed=4)
         Xt, rep = solve_tsylv_krylov(prob, zero_pair(64),
                                      1e-14 * prob.c_norm(), m_max=1)
         assert Xt is None and "m_max" in rep.message
-        assert calls == []
+        assert calls == [0]
+
+    def test_no_pass_builds_nothing(self, monkeypatch):
+        grows = []
+        grow = ExtendedKrylovTSylv._grow
+
+        def counted(eng, cand_f, cand_i):
+            grows.append(cand_f.shape[1])
+            return grow(eng, cand_f, cand_i)
+
+        monkeypatch.setattr(ExtendedKrylovTSylv, "_grow", counted)
+        prob, _ = generate_ex2_lowrank(150, p=1, q=5, seed=1)
+        Xt, rep = solve_tsylv_krylov(prob, zero_pair(prob.n),
+                                     1e-8 * prob.c_norm(), m_max=0)
+        assert Xt is None and rep.message == "m_max reached before tolerance"
+        assert grows == []
+        assert rep.basis_dim == 0 and rep.dropped_cols == 0
 
     def test_one_ahat_t_product_per_growth(self, monkeypatch):
-        # the seed and every stage apply Ahat^T once, to the new block for
-        # its W image; the inverse chain continues from that same product
+        # every stage, the seed included, applies Ahat^T once, to the new
+        # block for its W image; the inverse chain continues from that same
+        # product
         stages = self.count_stages(monkeypatch)
         products = []
         rmatvec = ShiftedOperator.rmatvec
@@ -285,7 +303,7 @@ class TestGrowthOrder:
         Xt, rep = solve_tsylv_krylov(prob, zero_pair(prob.n),
                                      1e-10 * prob.c_norm())
         assert rep.converged and len(stages) >= 5
-        assert len(products) == 1 + len(stages)
+        assert len(products) == len(stages)
 
 
 class TestBreakdown:
@@ -306,7 +324,7 @@ class TestBreakdown:
                                      1e-10 * prob.c_norm())
         assert Xt is None
         assert not rep.converged
-        assert rep.message.startswith("BasisBreakdownError")
+        assert rep.message == "space exhausted at dimension 0 before tolerance"
 
     def test_outer_solver_reports_breakdown(self):
         X, rep = solve_inexact_newton(self.degenerate_problem())
@@ -314,7 +332,7 @@ class TestBreakdown:
         last = rep.iterations[-1]
         assert last.step_size == 0
         assert last.inner_iterations == len(last.extras["inner_residuals"])
-        assert any("BasisBreakdownError" in w for w in rep.warnings)
+        assert any("space exhausted at dimension 0" in w for w in rep.warnings)
 
     def test_vanishing_seed_reports_breakdown(self):
         # seed blocks of size ~1e-16 fall under the absolute drop threshold,
@@ -326,11 +344,11 @@ class TestBreakdown:
             C1=rng.random((2, n)), C2=rng.random((2, n)))
         Xt, rep = solve_tsylv_krylov(prob, zero_pair(n), 1e-10 * prob.c_norm())
         assert Xt is None and not rep.converged
-        assert rep.message.startswith("BasisBreakdownError")
+        assert rep.message == "space exhausted at dimension 0 before tolerance"
         assert rep.dropped_cols == 12
         _, outer = solve_inexact_newton(prob)
         assert outer.status is Status.INNER_SOLVE_FAILED
-        assert any("BasisBreakdownError" in w for w in outer.warnings)
+        assert any("space exhausted at dimension 0" in w for w in outer.warnings)
 
     def test_singular_capacitance_reports_singular_operator(self):
         # X^T B1 = 2 e1, so Dhat = 2I - 2 e1 e1^T: K = e1^T (2I)^-1 2 e1 = 1

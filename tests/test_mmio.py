@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
 from triccati.generators import generate_admissible_dense, generate_ex1_lowrank
@@ -46,6 +47,16 @@ class TestLowRankRoundTrip:
         for role in ("B1", "B2", "C1", "C2"):
             assert np.allclose(getattr(back, role), getattr(prob, role),
                                atol=1e-14)
+
+    def test_coordinate_factor_read_dense(self, tmp_path):
+        # a thin factor saved as a coordinate file still loads as an array
+        prob, _ = generate_ex1_lowrank(16, p=1, q=2, gamma=1e4, seed=3)
+        mpath = save_problem(tmp_path, prob, name="lr")
+        scipy.io.mmwrite(str(tmp_path / "lr_B1.mtx"), sp.coo_matrix(prob.B1))
+        assert sp.issparse(scipy.io.mmread(str(tmp_path / "lr_B1.mtx")))
+        back = load_problem(mpath)
+        assert isinstance(back.B1, np.ndarray)
+        assert np.allclose(back.B1, prob.B1, rtol=0.0, atol=1e-14)
 
     def test_relocatable(self, tmp_path):
         # moving the directory keeps the manifest usable (relative paths)

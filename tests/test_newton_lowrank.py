@@ -398,7 +398,7 @@ class TestSolver:
                                       InexactNewtonConfig(eps=1e-10, m_max=0))
         assert rep.status is tr.Status.INNER_SOLVE_FAILED
         row = rep.trace_rows()[-1]
-        assert row["basis_dim"] > 0
+        assert row["basis_dim"] == 0
         assert row["inner_message"] == "m_max reached before tolerance"
         assert rep.warnings[-1].endswith(row["inner_message"])
 
@@ -586,3 +586,40 @@ class TestSweepTruncation:
         assert rep.status is tr.Status.CONVERGED
         assert len(ratios) == len(rep.iterations) >= 3
         assert max(ratios) <= 1.0
+
+
+class TestConvergedCut:
+    """The converged iterate's cut to eps stands only if its recomputed
+    residual still meets the stopping test."""
+
+    def solve(self, monkeypatch, tail):
+        if tail is not None:
+            monkeypatch.setattr(newton_lowrank, "_FINAL_TAIL", tail)
+        ranks = []
+
+        def spy(prob, X):
+            ranks.append(X.rank)
+            return lr_riccati_residual(prob, X)
+
+        monkeypatch.setattr(newton_lowrank, "lr_riccati_residual", spy)
+        prob, _ = generate_ex2_lowrank(150, p=1, q=5, seed=0)
+        X, rep = solve_inexact_newton(prob, InexactNewtonConfig(eps=1e-8))
+        assert rep.status is tr.Status.CONVERGED
+        return X, rep.trace_rows(), ranks
+
+    def test_cut_breaking_the_stopping_test_is_rejected(self, monkeypatch):
+        # a tail of 1/eps drops every column: the cut's residual is ||C||
+        X, rows, ranks = self.solve(monkeypatch, 1e8)
+        Xk, rows_k, ranks_k = self.solve(monkeypatch, 0.0)
+        assert ranks == ranks_k + [0]
+        assert X.rank == Xk.rank == rows[-1]["rank"] == 31
+        assert np.array_equal(X.P1, Xk.P1) and np.array_equal(X.P2, Xk.P2)
+        assert rows == rows_k
+        assert rows[-1]["rel_res"] == pytest.approx(3.24e-11, rel=1e-2)
+
+    def test_default_cut_accepted(self, monkeypatch):
+        X, rows, ranks = self.solve(monkeypatch, None)
+        # the sweep's iterate has rank 31, the cut's residual is taken at 30
+        assert ranks[-2:] == [31, 30]
+        assert X.rank == rows[-1]["rank"] == 30
+        assert rows[-1]["rel_res"] == pytest.approx(2.26e-10, rel=1e-2)

@@ -144,6 +144,29 @@ class TestAssumptionAudit:
                                       C=np.zeros((n, n)), D=np.eye(n))
             assert prob.check_assumption1()["operator_m_matrix"] is False
 
+    def test_singular_operator_after_sign_test(self, monkeypatch):
+        # K is a Z-matrix with diag(K) = 1 > 0, but D X + X^T A = D X is
+        # singular: the one solve raises, and the audit says no
+        raised = []
+        solve = TSylvSolver.solve
+
+        def spy(self, E):
+            try:
+                return solve(self, E)
+            except tr.SingularOperatorError as e:
+                raised.append(e)
+                raise
+
+        monkeypatch.setattr(TSylvSolver, "solve", spy)
+        zero = np.zeros((2, 2))
+        prob = tr.TRiccatiProblem(A=zero, B=zero, C=-np.ones((2, 2)),
+                                  D=[[1.0, -1.0], [-1.0, 1.0]])
+        audit = prob.check_assumption1()
+        assert len(raised) == 1
+        assert audit["b_nonnegative"] and audit["c_nonpositive"]
+        assert audit["operator_m_matrix"] is False
+        assert audit["holds"] is False
+
     def test_positive_offdiagonal_entry_is_not_z(self):
         prob = generate_admissible_dense(6, seed=0)
         assert prob.check_assumption1()["operator_m_matrix"] is True
@@ -158,6 +181,22 @@ class TestAssumptionAudit:
                            (1.0, -2.0, False), (-3.0, 1.0, False)):
             prob = tr.TRiccatiProblem(A=[[a]], B=[[0.0]], C=[[0.0]], D=[[d]])
             assert prob.check_assumption1()["operator_m_matrix"] is want
+
+
+class TestInputChecks:
+    def test_coefficient_shapes(self):
+        with pytest.raises(ValueError, match="B must be 2-by-2"):
+            tr.TRiccatiProblem(A=np.eye(2), B=np.eye(3), C=np.eye(2),
+                               D=np.eye(2))
+
+    def test_interval_end_positive(self):
+        poly = LineSearchPoly(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="interval_end must be positive"):
+            minimize_quartic(poly, 0.0)
+
+    def test_unknown_line_search(self):
+        with pytest.raises(ValueError, match="line_search must be"):
+            solve_newton(scalar_problem(), line_search="none")
 
 
 class TestLineSearchPoly:
@@ -381,6 +420,15 @@ class TestMinimality:
             prob = generate_admissible_dense(7, seed=600 + seed)
             X, rep = solve_newton(prob, tol=1e-13)
             assert verify_minimality(prob, X)
+
+    def test_false_when_fixed_point_fails(self):
+        # the fixed point diverges on this instance, so no reference limit
+        prob, _ = generate_ex2_dense(60, seed=1)
+        X, rep = solve_newton(prob, tol=1e-12)
+        assert rep.status is tr.Status.CONVERGED
+        assert solve_fixed_point(prob, tol=1e-12, max_iter=10000)[1].status \
+            is not tr.Status.CONVERGED
+        assert verify_minimality(prob, X) is False
 
     def test_larger_solution_rejected(self):
         prob = generate_admissible_dense(6, seed=8)

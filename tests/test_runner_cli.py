@@ -165,6 +165,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"eta_bar must lie"):
             run_experiment(spec, "inexact-newton", {"eta_bar": 1.5})
 
+    def test_numpy_settings_emit_plain_json(self):
+        # numpy scalars and a 0-d array in the spec and config
+        spec = ProblemSpec(family="Ex2Dense", n=np.int64(10))
+        run = run_experiment(spec, "newton", {"keep_iterates": np.True_,
+                                              "tol": np.array(1e-12)})
+        assert run.status is Status.CONVERGED
+        d = run.to_dict()
+        assert type(d["spec"]["n"]) is int and d["spec"]["n"] == 10
+        assert d["config"]["keep_iterates"] is True
+        assert type(d["config"]["tol"]) is float and d["config"]["tol"] == 1e-12
+        assert json.loads(emit_report(run)) == d
+
     def test_unknown_solver(self):
         spec = ProblemSpec(family="Ex2Dense", n=10)
         with pytest.raises(ValueError):

@@ -251,6 +251,22 @@ class TestScalarAndSmall:
         assert np.allclose(X, X_true, atol=1e-12)
 
 
+class TestInputChecks:
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError, match="D must be square"):
+            TSylvSolver(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="A must match the shape of D"):
+            TSylvSolver(np.eye(3), np.eye(2))
+        solver = TSylvSolver(2.0 * np.eye(3), np.eye(3))
+        with pytest.raises(ValueError, match="must be 3-by-3"):
+            solver.solve(np.ones((2, 2)))
+
+    def test_empty_operator(self):
+        X = TSylvSolver(np.zeros((0, 0)), np.zeros((0, 0))).solve(
+            np.zeros((0, 0)))
+        assert X.shape == (0, 0)
+
+
 class TestSingularity:
     def test_singular_pencil_raises(self):
         # d = 1, a = -1: operator x -> x - x = 0

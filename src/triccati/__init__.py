@@ -15,7 +15,6 @@ from .dense_core import (
     commutation_matrix,
     elementwise_leq,
     spectral_radius,
-    tsylv_oracle_solve,
 )
 from .tsylv_dense import TSylvSolver
 from .reports import IterationRecord, SolveReport, Status
@@ -42,7 +41,7 @@ from .lowrank import (
     lr_truncate,
     zero_pair,
 )
-from .krylov import ExtendedKrylovTSylv, InnerReport, solve_tsylv_krylov
+from .krylov import ExtendedKrylovTSylv, solve_tsylv_krylov
 from .newton_lowrank import (
     InexactNewtonConfig,
     compute_theta,

@@ -7,6 +7,6 @@ class TRiccatiError(Exception):
 
 class SingularOperatorError(TRiccatiError):
     """An operator the solvers must invert is singular or nearly so: a
-    T-Sylvester operator (dense QZ solver or Kronecker oracle), a sparse
-    matrix whose LU fails, or a low-rank-shifted coefficient whose
-    Sherman-Morrison-Woodbury capacitance is singular."""
+    T-Sylvester operator (the dense QZ solver), a sparse matrix whose LU
+    fails, or a low-rank-shifted coefficient whose Sherman-Morrison-Woodbury
+    capacitance is singular."""

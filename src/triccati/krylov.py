@@ -38,49 +38,15 @@ the caller decides whether that is convergence or stagnation.
 
 import numpy as np
 
-from dataclasses import dataclass, field
-
 from .errors import TRiccatiError
 from .lowrank import (HouseholderQR, LowRankPair, hstack_f, svd_cut,
                       lr_frobenius_norm, lr_quadratic_term, zero_pair)
 from .tsylv_dense import TSylvSolver
 
-__all__ = [
-    "InnerReport",
-    "ExtendedKrylovTSylv",
-    "solve_tsylv_krylov",
-]
+__all__ = ["ExtendedKrylovTSylv", "solve_tsylv_krylov"]
 
 # a new block whose sigma_min/sigma_max falls to this is numerically dependent
 _BREAKDOWN_TOL = 1e-12
-
-
-@dataclass
-class InnerReport:
-    """How one inner solve went.
-
-    residuals is the lifted-residual norm after each projected solve
-    (iterations counts them) and basis_dim the order of the last one.
-    residual, set only when the solve converged, is the lifted residual of
-    the returned (cut) solution as a LowRankPair (Lambda, W) with
-    orthonormal W (see ``ExtendedKrylovTSylv.extract``).  dropped_cols
-    counts the candidate columns that fell into the space already built
-    and were dropped, over every stage, the seed (the first, from the
-    empty space) included, also when the seed left the space empty.
-    capacitance_rcond is the smaller of the two SMW capacitance rconds of
-    the shifted coefficients (1.0 at X = 0; see ``ShiftedOperator``), None
-    when they were not built.
-    """
-
-    converged: bool
-    residuals: list = field(default_factory=list)
-    basis_dim: int = 0
-    message: str = ""
-    residual: LowRankPair | None = None
-    dropped_cols: int = 0
-    capacitance_rcond: float | None = None
-
-    iterations = property(lambda self: len(self.residuals))  # projected solves
 
 
 def _orth(Q, C):
@@ -252,50 +218,57 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
     Each of at most m_max passes grows the space (the first by the seed),
     solves the projected equation and tests its lifted-residual norm
     against tol_abs (absolute), so no block is built that no projected
-    solve uses.  Returns (solution_pair_or_None, InnerReport), whose
-    basis_dim is the order of the last projected equation and whose
-    residual is the solution's lifted residual (see ``InnerReport``).  The
-    pair is None when the tolerance was not met within m_max passes, when
-    a stage found nothing new (the space is exhausted, at dimension 0 when
-    the seed gave nothing), or when a numerical failure (singular shifted
-    coefficient, singular reduced equation) stopped the solve; the message
-    then names the error class and the residuals are those collected
-    before the failure.
+    solve uses.  Returns (Xt, L, row).  Xt is the solution pair and L its
+    lifted residual as LowRankPair(Lambda, W) with orthonormal W (see
+    ``ExtendedKrylovTSylv.extract``); both are None when the tolerance was
+    not met within m_max passes, when a stage found nothing new (the space
+    is exhausted, at dimension 0 when the seed gave nothing), or when a
+    numerical failure (singular shifted coefficient, singular reduced
+    equation) stopped the solve.  row holds the trace-row fields of the
+    solve: inner_iterations, the number of projected solves;
+    inner_residuals, the lifted-residual norm after each; basis_dim, the
+    order of the last one; dropped_cols, the candidate columns that fell
+    into the space already built and were dropped, over every stage, the
+    seed included, also when the seed left the space empty;
+    capacitance_rcond, the smaller of the two SMW capacitance rconds of
+    the shifted coefficients (1.0 at X = 0; see ``ShiftedOperator``), None
+    when they were not built; and inner_message, None when the solve
+    converged, else why it stopped, led by the error class name after a
+    numerical failure.
     """
     XBX = lr_quadratic_term(X, prob.B1, prob.B2)
     rhs1 = np.hstack([prob.C1.T, XBX.P1])
     rhs2 = np.hstack([prob.C2.T, XBX.P2])
-    rhs_norm = lr_frobenius_norm(LowRankPair(rhs1, rhs2))
-    if rhs_norm == 0.0:
-        return zero_pair(prob.n), InnerReport(
-            True, message="zero right-hand side", residual=zero_pair(prob.n))
     residuals = []
+    row = {"inner_iterations": 0, "inner_residuals": residuals,
+           "basis_dim": 0, "dropped_cols": 0, "capacitance_rcond": None,
+           "inner_message": None}
+    if lr_frobenius_norm(LowRankPair(rhs1, rhs2)) == 0.0:
+        return zero_pair(prob.n), zero_pair(prob.n), row
     eng = None
-    rcond = None
 
-    def report(converged, message="", residual=None):
-        return InnerReport(converged, residuals, eng.ell if eng else 0,
-                           message, residual,
-                           eng.dropped_cols if eng else 0, rcond)
+    def done(message=None, Xt=None, L=None):
+        row.update(inner_iterations=len(residuals), inner_message=message)
+        if eng is not None:
+            row.update(basis_dim=eng.ell, dropped_cols=eng.dropped_cols)
+        return Xt, L, row
 
     try:
         dhat, ahat = prob.shifted_coefficients(XBX)
-        rcond = min(dhat.rcond, ahat.rcond)
+        row["capacitance_rcond"] = min(dhat.rcond, ahat.rcond)
         H = np.hstack([prob.C1.T, prob.C2.T, XBX.P1, XBX.P2])
         eng = ExtendedKrylovTSylv(dhat, ahat, H, rhs1, rhs2)
         for m in range(1, m_max + 1):
             if not eng.stage():
-                return None, report(
-                    False, "space exhausted at dimension %d before "
-                    "tolerance" % eng.ell)
+                return done("space exhausted at dimension %d before "
+                            "tolerance" % eng.ell)
             Y = eng.solve_reduced()
             res = eng.residual_norm(Y)
             residuals.append(res)
             if monitor is not None:
                 monitor(eng, m, Y, res)
             if res <= tol_abs:
-                pair, L = eng.extract(Y)
-                return pair, report(True, residual=L)
+                return done(None, *eng.extract(Y))
     except TRiccatiError as e:
-        return None, report(False, "%s: %s" % (type(e).__qualname__, e))
-    return None, report(False, "m_max reached before tolerance")
+        return done("%s: %s" % (type(e).__qualname__, e))
+    return done("m_max reached before tolerance")

@@ -208,16 +208,13 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
 
     Stops when ||R(X_k)||_F <= eps * ||C1^T C2||_F.  The report's fields
     are those of ``reports.iterate``; its memory_metric is the largest
-    inner basis dimension of any sweep.  A row's extras, written to the
-    trace row under their own names, are the sweep's: inner_residuals, the
-    per-expansion history of the inner projected solver; basis_dim, the
-    order of its last projected equation (0 at k = 0); dropped_cols, the
-    candidate columns it dropped; capacitance_rcond, the smaller rcond of
-    its two SMW capacitance matrices; inner_message, why it failed (on a
-    failure row only); rank_before_cut, the width of an accepted iterate
-    before its truncation to iterate_rank; and nonnegative and
-    min_entry_ratio, the sign observations of the iterate (``_signs``), on
-    rows up to n = _SIGN_MAX_N only.
+    inner basis dimension of any sweep.  A sweep's row holds the fields of
+    its inner solve as ``solve_tsylv_krylov`` returns them, and an accepted
+    sweep's also rank_before_cut, the width of its iterate before the
+    truncation to iterate_rank; a start row that already converges (k = 0)
+    has basis_dim 0.  Up to n = _SIGN_MAX_N, accepted and start rows carry
+    nonnegative and min_entry_ratio, the sign observations of the iterate
+    (``_signs``).
     """
     if cfg is None:
         cfg = InexactNewtonConfig()
@@ -230,20 +227,15 @@ def solve_inexact_newton(prob, cfg=None, keep_iterates=False):
     def sweep(k, X, res):
         nonlocal R
         eta_k = cfg.eta(k)
-        Xt, inner = solve_tsylv_krylov(prob, X, eta_k * res, m_max=cfg.m_max)
-        fields = {"inner_iterations": inner.iterations,
-                  "inner_residuals": list(inner.residuals),
-                  "basis_dim": inner.basis_dim,
-                  "dropped_cols": inner.dropped_cols,
-                  "capacitance_rcond": inner.capacitance_rcond,
-                  "inner_message": None if inner.converged else inner.message}
+        Xt, L, fields = solve_tsylv_krylov(prob, X, eta_k * res,
+                                           m_max=cfg.m_max)
         if Xt is None:
             raise StepFailed(Status.INNER_SOLVE_FAILED,
                              "inner solve failed at sweep %d: %s"
-                             % (k + 1, inner.message), **fields)
-        lam = _step_length(prob, X, Xt, R, res, inner.residual, cfg)
+                             % (k + 1, fields["inner_message"]), **fields)
+        lam = _step_length(prob, X, Xt, R, res, L, cfg)
         # only the quartic reads R(X_k) and L
-        R = inner.residual = None
+        R = L = None
 
         tail = _SWEEP_TAIL * eta_k * (res / c_norm)
         for _ in range(_MAX_HALVINGS + 1):

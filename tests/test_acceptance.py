@@ -45,7 +45,7 @@ from triccati.riccati_dense import (
     solve_newton,
 )
 from triccati.tsylv_dense import TSylvSolver
-from triccati.dense_core import tsylv_oracle_solve
+from oracles import tsylv_oracle_solve
 
 GOLD = (3.0 - np.sqrt(5.0)) / 2.0
 

@@ -10,9 +10,8 @@ from triccati.dense_core import (
     commutation_matrix,
     default_order_tol,
     elementwise_leq,
-    tsylv_kron_sparse,
-    tsylv_oracle_solve,
 )
+from oracles import tsylv_kron_sparse, tsylv_oracle_solve
 
 
 def vec(X):

@@ -47,8 +47,8 @@ class TestAgainstDense:
             Dd, Ad, rhs = dense_inner_data(prob, zero_pair(prob.n))
             want = TSylvSolver(Dd, Ad).solve(-rhs)
             tol = 1e-10 * np.linalg.norm(rhs)
-            Xt, rep = solve_tsylv_krylov(prob, zero_pair(prob.n), tol)
-            assert rep.converged, rep.message
+            Xt, _, row = solve_tsylv_krylov(prob, zero_pair(prob.n), tol)
+            assert Xt is not None, row["inner_message"]
             err = np.linalg.norm(Xt.to_dense() - want) / np.linalg.norm(want)
             assert err <= 1e-8
 
@@ -59,19 +59,19 @@ class TestAgainstDense:
         Dd, Ad, rhs = dense_inner_data(prob, X)
         want = TSylvSolver(Dd, Ad).solve(-rhs)
         tol = 1e-10 * np.linalg.norm(rhs)
-        Xt, rep = solve_tsylv_krylov(prob, X, tol)
-        assert rep.converged, rep.message
+        Xt, _, row = solve_tsylv_krylov(prob, X, tol)
+        assert Xt is not None, row["inner_message"]
         err = np.linalg.norm(Xt.to_dense() - want) / np.linalg.norm(want)
         assert err <= 1e-8
 
     def test_report_fields(self):
         prob = make_problem(n=40, p=1, q=1, seed=2)
         tol = 1e-8 * prob.c_norm()
-        Xt, rep = solve_tsylv_krylov(prob, zero_pair(prob.n), tol)
-        assert rep.converged
-        assert rep.iterations == len(rep.residuals) >= 1
-        assert rep.basis_dim >= Xt.rank
-        assert rep.residuals[-1] <= tol
+        Xt, _, row = solve_tsylv_krylov(prob, zero_pair(prob.n), tol)
+        assert Xt is not None and row["inner_message"] is None
+        assert row["inner_iterations"] == len(row["inner_residuals"]) >= 1
+        assert row["basis_dim"] >= Xt.rank
+        assert row["inner_residuals"][-1] <= tol
 
 
 class TestInnerResidual:
@@ -82,10 +82,10 @@ class TestInnerResidual:
         prob = make_problem(n=36, p=2, q=1, seed=5)
         X = LowRankPair(0.05 * rng.random((36, 2)), 0.05 * rng.random((36, 2)))
         Dd, Ad, rhs = dense_inner_data(prob, X)
-        Xt, rep = solve_tsylv_krylov(prob, X, 1e-3 * np.linalg.norm(rhs))
-        assert rep.converged
-        Lam, W = rep.residual.P1, rep.residual.P2
-        assert W.shape[1] == rep.basis_dim
+        Xt, L, row = solve_tsylv_krylov(prob, X, 1e-3 * np.linalg.norm(rhs))
+        assert Xt is not None
+        Lam, W = L.P1, L.P2
+        assert W.shape[1] == row["basis_dim"]
         assert np.allclose(W.T @ W, np.eye(W.shape[1]), rtol=0.0, atol=1e-13)
         Xtd = Xt.to_dense()
         want = Dd @ Xtd + Xtd.T @ Ad + rhs
@@ -97,10 +97,10 @@ class TestInnerResidual:
     @pytest.mark.parametrize("m_max", [0, 1])
     def test_none_after_failure(self, m_max):
         prob = make_problem(n=64, p=1, q=2, seed=4)
-        Xt, rep = solve_tsylv_krylov(prob, zero_pair(64),
-                                     1e-14 * prob.c_norm(), m_max=m_max)
-        assert Xt is None and not rep.converged
-        assert rep.residual is None
+        Xt, L, row = solve_tsylv_krylov(prob, zero_pair(64),
+                                        1e-14 * prob.c_norm(), m_max=m_max)
+        assert Xt is None and row["inner_message"] is not None
+        assert L is None
 
 
 class TestDiagnostics:
@@ -108,16 +108,16 @@ class TestDiagnostics:
         # at X = 0 the X^T B X columns of the seed are zero and dropped, and
         # the capacitance matrices are identities
         prob = make_problem(n=40, p=2, q=1, seed=3)
-        Xt, rep = solve_tsylv_krylov(prob, zero_pair(40),
-                                     1e-10 * prob.c_norm())
-        assert rep.converged
-        assert rep.dropped_cols >= 2 * 2 and rep.capacitance_rcond == 1.0
+        Xt, _, row = solve_tsylv_krylov(prob, zero_pair(40),
+                                        1e-10 * prob.c_norm())
+        assert Xt is not None
+        assert row["dropped_cols"] >= 2 * 2 and row["capacitance_rcond"] == 1.0
         X = LowRankPair(0.5 * rng.random((40, 2)), 0.5 * rng.random((40, 2)))
         XBX = lr_quadratic_term(X, prob.B1, prob.B2)
         dhat, ahat = prob.shifted_coefficients(XBX)
-        _, rep = solve_tsylv_krylov(prob, X, 1e-10 * prob.c_norm())
-        assert isinstance(rep.dropped_cols, int) and rep.dropped_cols >= 0
-        assert rep.capacitance_rcond == min(dhat.rcond, ahat.rcond) < 1.0
+        _, _, row = solve_tsylv_krylov(prob, X, 1e-10 * prob.c_norm())
+        assert isinstance(row["dropped_cols"], int) and row["dropped_cols"] >= 0
+        assert row["capacitance_rcond"] == min(dhat.rcond, ahat.rcond) < 1.0
 
     def test_rcond_of_shifted_operator(self):
         n = 20
@@ -130,6 +130,19 @@ class TestDiagnostics:
             smin / (1.0 + np.linalg.norm(K, 2)), rel=1e-12)
         assert ShiftedOperator(base, np.zeros((n, 0)),
                                np.zeros((n, 0))).rcond == 1.0
+
+    def test_singular_capacitance_reports_singular_operator(self):
+        # X^T B1 = 2 e1, so Dhat = 2I - 2 e1 e1^T: K = e1^T (2I)^-1 2 e1 = 1
+        # and the capacitance 1 - K is exactly 0
+        n = 4
+        e1 = np.zeros((n, 1)); e1[0, 0] = 1.0
+        ones = np.ones((1, n))
+        prob = LowRankTRiccatiProblem(A=-np.eye(n), D=2.0 * np.eye(n),
+                                      B1=e1, B2=e1, C1=ones, C2=-ones)
+        Xt, _, row = solve_tsylv_krylov(prob, LowRankPair(2.0 * e1, e1), 1e-10)
+        assert Xt is None
+        assert row["inner_message"].startswith("SingularOperatorError")
+        assert "capacitance" in row["inner_message"]
 
 
 class TestResidualFormula:
@@ -199,29 +212,28 @@ class TestSmallSpaceBehaviour:
         prob = make_problem(n=8, p=1, q=1, seed=1, sparse=False)
         Dd, Ad, rhs = dense_inner_data(prob, zero_pair(8))
         want = TSylvSolver(Dd, Ad).solve(-rhs)
-        Xt, rep = solve_tsylv_krylov(prob, zero_pair(8),
-                                     1e-11 * np.linalg.norm(rhs))
-        assert rep.converged
-        assert rep.iterations <= 2
+        Xt, _, row = solve_tsylv_krylov(prob, zero_pair(8),
+                                        1e-11 * np.linalg.norm(rhs))
+        assert Xt is not None
+        assert row["inner_iterations"] <= 2
         assert np.allclose(Xt.to_dense(), want, atol=1e-8)
 
     def test_space_exhaustion_reported(self):
         # unreachable tolerance: the engine saturates R^n and gives up cleanly
         prob = make_problem(n=10, p=1, q=1, seed=3, sparse=False)
-        Xt, rep = solve_tsylv_krylov(prob, zero_pair(10), 0.0)
+        Xt, _, row = solve_tsylv_krylov(prob, zero_pair(10), 0.0)
         assert Xt is None
-        assert not rep.converged
-        assert "exhausted" in rep.message
-        assert rep.residuals[-1] <= 1e-10 * prob.c_norm()  # full space: tiny
+        assert "exhausted" in row["inner_message"]
+        # full space: tiny
+        assert row["inner_residuals"][-1] <= 1e-10 * prob.c_norm()
 
     def test_m_max_reached(self):
         prob = make_problem(n=64, p=1, q=2, seed=4)
-        Xt, rep = solve_tsylv_krylov(prob, zero_pair(64),
-                                     1e-14 * prob.c_norm(), m_max=1)
+        Xt, _, row = solve_tsylv_krylov(prob, zero_pair(64),
+                                        1e-14 * prob.c_norm(), m_max=1)
         assert Xt is None
-        assert not rep.converged
-        assert "m_max" in rep.message
-        assert len(rep.residuals) == 1
+        assert "m_max" in row["inner_message"]
+        assert len(row["inner_residuals"]) == 1
 
     def test_zero_rhs_short_circuits(self):
         n = 12
@@ -229,9 +241,9 @@ class TestSmallSpaceBehaviour:
             A=-np.eye(n), D=2.0 * np.eye(n),
             B1=np.ones((n, 1)), B2=np.ones((n, 1)),
             C1=np.zeros((1, n)), C2=np.zeros((1, n)))
-        Xt, rep = solve_tsylv_krylov(prob, zero_pair(n), 1e-10)
-        assert rep.converged and rep.iterations == 0
-        assert rep.residuals == []
+        Xt, _, row = solve_tsylv_krylov(prob, zero_pair(n), 1e-10)
+        assert Xt is not None and row["inner_iterations"] == 0
+        assert row["inner_residuals"] == []
         assert Xt.rank == 0
 
 
@@ -255,19 +267,19 @@ class TestGrowthOrder:
         calls = self.count_stages(monkeypatch)
         dims = []
         prob = make_problem(n=60, p=1, q=2, seed=0)
-        Xt, rep = solve_tsylv_krylov(
+        Xt, _, row = solve_tsylv_krylov(
             prob, zero_pair(prob.n), 1e-10 * prob.c_norm(),
             monitor=lambda eng, m, Y, res: dims.append(eng.V.shape[1]))
-        assert rep.converged and rep.iterations > 1
-        assert len(calls) == rep.iterations
-        assert rep.basis_dim == dims[-1]
+        assert Xt is not None and row["inner_iterations"] > 1
+        assert len(calls) == row["inner_iterations"]
+        assert row["basis_dim"] == dims[-1]
 
     def test_one_pass_grows_only_the_seed(self, monkeypatch):
         calls = self.count_stages(monkeypatch)
         prob = make_problem(n=64, p=1, q=2, seed=4)
-        Xt, rep = solve_tsylv_krylov(prob, zero_pair(64),
-                                     1e-14 * prob.c_norm(), m_max=1)
-        assert Xt is None and "m_max" in rep.message
+        Xt, _, row = solve_tsylv_krylov(prob, zero_pair(64),
+                                        1e-14 * prob.c_norm(), m_max=1)
+        assert Xt is None and "m_max" in row["inner_message"]
         assert calls == [0]
 
     def test_no_pass_builds_nothing(self, monkeypatch):
@@ -280,11 +292,12 @@ class TestGrowthOrder:
 
         monkeypatch.setattr(ExtendedKrylovTSylv, "_grow", counted)
         prob, _ = generate_ex2_lowrank(150, p=1, q=5, seed=1)
-        Xt, rep = solve_tsylv_krylov(prob, zero_pair(prob.n),
-                                     1e-8 * prob.c_norm(), m_max=0)
-        assert Xt is None and rep.message == "m_max reached before tolerance"
+        Xt, _, row = solve_tsylv_krylov(prob, zero_pair(prob.n),
+                                        1e-8 * prob.c_norm(), m_max=0)
+        assert Xt is None
+        assert row["inner_message"] == "m_max reached before tolerance"
         assert grows == []
-        assert rep.basis_dim == 0 and rep.dropped_cols == 0
+        assert row["basis_dim"] == 0 and row["dropped_cols"] == 0
 
     def test_one_ahat_t_product_per_growth(self, monkeypatch):
         # every stage, the seed included, applies Ahat^T once, to the new
@@ -300,13 +313,13 @@ class TestGrowthOrder:
 
         monkeypatch.setattr(ShiftedOperator, "rmatvec", counted)
         prob, _ = generate_ex1_lowrank(400, p=1, q=2, gamma=100.0, seed=0)
-        Xt, rep = solve_tsylv_krylov(prob, zero_pair(prob.n),
-                                     1e-10 * prob.c_norm())
-        assert rep.converged and len(stages) >= 5
+        Xt, _, _ = solve_tsylv_krylov(prob, zero_pair(prob.n),
+                                      1e-10 * prob.c_norm())
+        assert Xt is not None and len(stages) >= 5
         assert len(products) == len(stages)
 
 
-class TestBreakdown:
+class TestSpaceExhaustedAtDimensionZero:
     n = 12
 
     def degenerate_problem(self):
@@ -318,15 +331,15 @@ class TestBreakdown:
             B1=np.zeros((n, 1)), B2=np.zeros((n, 1)),
             C1=rng.random((2, n)), C2=rng.random((2, n)))
 
-    def test_degenerate_w_image_raises(self):
+    def test_degenerate_w_image_exhausts_space_at_dimension_0(self):
         prob = self.degenerate_problem()
-        Xt, rep = solve_tsylv_krylov(prob, zero_pair(self.n),
-                                     1e-10 * prob.c_norm())
+        Xt, _, row = solve_tsylv_krylov(prob, zero_pair(self.n),
+                                        1e-10 * prob.c_norm())
         assert Xt is None
-        assert not rep.converged
-        assert rep.message == "space exhausted at dimension 0 before tolerance"
+        assert row["inner_message"] == \
+            "space exhausted at dimension 0 before tolerance"
 
-    def test_outer_solver_reports_breakdown(self):
+    def test_outer_solver_reports_space_exhausted_at_dimension_0(self):
         X, rep = solve_inexact_newton(self.degenerate_problem())
         assert rep.status is Status.INNER_SOLVE_FAILED
         last = rep.iterations[-1]
@@ -334,7 +347,7 @@ class TestBreakdown:
         assert last.inner_iterations == len(last.extras["inner_residuals"])
         assert any("space exhausted at dimension 0" in w for w in rep.warnings)
 
-    def test_vanishing_seed_reports_breakdown(self):
+    def test_vanishing_seed_reports_space_exhausted_at_dimension_0(self):
         # seed blocks of size ~1e-16 fall under the absolute drop threshold,
         # so no seed column survives
         n = self.n
@@ -342,26 +355,15 @@ class TestBreakdown:
             A=-1e16 * np.eye(n), D=3e16 * np.eye(n),
             B1=rng.random((n, 1)), B2=rng.random((n, 1)),
             C1=rng.random((2, n)), C2=rng.random((2, n)))
-        Xt, rep = solve_tsylv_krylov(prob, zero_pair(n), 1e-10 * prob.c_norm())
-        assert Xt is None and not rep.converged
-        assert rep.message == "space exhausted at dimension 0 before tolerance"
-        assert rep.dropped_cols == 12
+        Xt, _, row = solve_tsylv_krylov(prob, zero_pair(n),
+                                        1e-10 * prob.c_norm())
+        assert Xt is None
+        assert row["inner_message"] == \
+            "space exhausted at dimension 0 before tolerance"
+        assert row["dropped_cols"] == 12
         _, outer = solve_inexact_newton(prob)
         assert outer.status is Status.INNER_SOLVE_FAILED
         assert any("space exhausted at dimension 0" in w for w in outer.warnings)
-
-    def test_singular_capacitance_reports_singular_operator(self):
-        # X^T B1 = 2 e1, so Dhat = 2I - 2 e1 e1^T: K = e1^T (2I)^-1 2 e1 = 1
-        # and the capacitance 1 - K is exactly 0
-        n = 4
-        e1 = np.zeros((n, 1)); e1[0, 0] = 1.0
-        ones = np.ones((1, n))
-        prob = LowRankTRiccatiProblem(A=-np.eye(n), D=2.0 * np.eye(n),
-                                      B1=e1, B2=e1, C1=ones, C2=-ones)
-        Xt, rep = solve_tsylv_krylov(prob, LowRankPair(2.0 * e1, e1), 1e-10)
-        assert Xt is None and not rep.converged
-        assert rep.message.startswith("SingularOperatorError")
-        assert "capacitance" in rep.message
 
 
 class TestOrth:

@@ -465,7 +465,16 @@ def _dense_products(prob, X, Xt):
 class TestLineSearchFromInnerResidual:
     """The quartic's three products of the inner residual L are read from
     the (Lambda, W) form the inner solve returns; checked at every sweep
-    against L formed densely from D, A, B, C, X and Xt."""
+    against L formed densely from D, A, B, C, X and Xt.  Each sweep's trace
+    row holds the inner solve's row as it was returned, on a failed sweep
+    too."""
+
+    @staticmethod
+    def assert_rows_as_returned(rep, sweeps):
+        assert len(sweeps) == len(rep.iterations)
+        for rec, sw in zip(rep.iterations, sweeps):
+            held = dict(rec.extras, inner_iterations=rec.inner_iterations)
+            assert {key: held[key] for key in sw["row"]} == sw["row"]
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("make", [
@@ -479,9 +488,9 @@ class TestLineSearchFromInnerResidual:
         quartic = newton_lowrank.minimize_quartic
 
         def spy_inner(prob, X, *args, **kwargs):
-            Xt, rep = inner(prob, X, *args, **kwargs)
-            sweeps.append({"X": X, "Xt": Xt})
-            return Xt, rep
+            Xt, L, row = inner(prob, X, *args, **kwargs)
+            sweeps.append({"X": X, "Xt": Xt, "row": row})
+            return Xt, L, row
 
         def spy_quartic(poly, theta):
             lam = quartic(poly, theta)
@@ -493,6 +502,7 @@ class TestLineSearchFromInnerResidual:
         _, rep = solve_inexact_newton(prob, InexactNewtonConfig(eps=1e-8))
         assert rep.status is tr.Status.CONVERGED
         assert len(sweeps) == len(rep.iterations) >= 3
+        self.assert_rows_as_returned(rep, sweeps)
         ratios = []
         for sw in sweeps:
             poly = sw["poly"]
@@ -509,6 +519,14 @@ class TestLineSearchFromInnerResidual:
         # the late sweeps reach an L small next to R, where the products
         # of L's explicit factors would cancel
         assert min(ratios) <= 1e-2
+        # two passes do not reach the fourth sweep's forcing tolerance
+        sweeps.clear()
+        _, rep = solve_inexact_newton(prob, InexactNewtonConfig(eps=1e-8,
+                                                                m_max=2))
+        assert rep.status is tr.Status.INNER_SOLVE_FAILED
+        assert sweeps[-1]["Xt"] is None
+        assert sweeps[-1]["row"]["inner_message"] is not None
+        self.assert_rows_as_returned(rep, sweeps)
 
 
 class TestThreadRobustness:

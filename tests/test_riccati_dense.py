@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import triccati as tr
-from triccati import dense_core
 from triccati.generators import generate_admissible_dense, generate_ex2_dense
 from triccati.riccati_dense import (
     LineSearchPoly,
@@ -17,6 +16,7 @@ from triccati.riccati_dense import (
     verify_minimality,
 )
 from triccati.tsylv_dense import TSylvSolver
+from oracles import tsylv_kron_sparse
 
 GOLD = (3.0 - np.sqrt(5.0)) / 2.0  # root of 3x - x^2 - 1 in (0, 1)
 
@@ -132,7 +132,7 @@ class TestAssumptionAudit:
                     prob = tr.TRiccatiProblem(A=base.A, B=base.B, C=base.C, D=D)
                     got = prob.check_assumption1()["operator_m_matrix"]
                     ref = bool(np.all(np.linalg.eigvals(
-                        dense_core.tsylv_kron_sparse(D, base.A).toarray()).real > 0))
+                        tsylv_kron_sparse(D, base.A).toarray()).real > 0))
                     assert got is ref, (n, seed, scale)
                     found.append(ref)
         assert 0 < sum(found) < len(found)

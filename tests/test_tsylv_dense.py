@@ -9,7 +9,7 @@ import scipy.linalg
 
 import triccati as tr
 from triccati import tsylv_dense
-from triccati.dense_core import tsylv_oracle_solve
+from oracles import tsylv_oracle_solve
 from triccati.generators import generate_ex2_dense
 from triccati.reports import Status
 from triccati.riccati_dense import TRiccatiProblem, solve_fixed_point, solve_newton

@@ -212,14 +212,15 @@ class ExtendedKrylovTSylv:
                 LowRankPair(lam, self.W))
 
 
-def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
+def solve_tsylv_krylov(prob, X, tol_abs, m_max=50):
     """Solve the Newton-step equation at iterate X by extended Krylov projection.
 
     Each of at most m_max passes grows the space (the first by the seed),
-    solves the projected equation and tests its lifted-residual norm
-    against tol_abs (absolute), so no block is built that no projected
-    solve uses.  Returns (Xt, L, row).  Xt is the solution pair and L its
-    lifted residual as LowRankPair(Lambda, W) with orthonormal W (see
+    solves the projected equation, evaluates its lifted-residual norm once
+    (``ExtendedKrylovTSylv.residual_norm``) and tests it against tol_abs
+    (absolute), so no block is built that no projected solve uses.  Returns
+    (Xt, L, row).  Xt is the solution pair and L its lifted residual as
+    LowRankPair(Lambda, W) with orthonormal W (see
     ``ExtendedKrylovTSylv.extract``); both are None when the tolerance was
     not met within m_max passes, when a stage found nothing new (the space
     is exhausted, at dimension 0 when the seed gave nothing), or when a
@@ -258,15 +259,13 @@ def solve_tsylv_krylov(prob, X, tol_abs, m_max=50, monitor=None):
         row["capacitance_rcond"] = min(dhat.rcond, ahat.rcond)
         H = np.hstack([prob.C1.T, prob.C2.T, XBX.P1, XBX.P2])
         eng = ExtendedKrylovTSylv(dhat, ahat, H, rhs1, rhs2)
-        for m in range(1, m_max + 1):
+        for _ in range(m_max):
             if not eng.stage():
                 return done("space exhausted at dimension %d before "
                             "tolerance" % eng.ell)
             Y = eng.solve_reduced()
             res = eng.residual_norm(Y)
             residuals.append(res)
-            if monitor is not None:
-                monitor(eng, m, Y, res)
             if res <= tol_abs:
                 return done(None, *eng.extract(Y))
     except TRiccatiError as e:

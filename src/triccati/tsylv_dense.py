@@ -37,8 +37,7 @@ by block sizes in chunks, where one batched Cholesky of each Gram matrix,
 shifted by the limit and a rounding margin, certifies nearly all of them,
 and only those it cannot certify (rcond below about 1e-7) go through an
 SVD.  ``solve`` raises :class:`SingularOperatorError` on that verdict, or
-when ``dtgsyl`` reports a singular system.  The exact minimum
-(``_min_pair_rcond``, an SVD of every system) is only the tests' reference.
+when ``dtgsyl`` reports a singular system.
 """
 
 import numpy as np
@@ -154,17 +153,10 @@ def _pair_batches(R, L, blocks):
                 yield _pair_systems(rd[a][pc], ld[a][pc], rd[b][qc], ld[b][qc])
 
 
-def _min_pair_rcond(R, L, blocks):
-    """Smallest reciprocal condition number over the diagonal blocks and all
-    pairs of them (closed forms for scalar blocks, SVDs otherwise); the
-    tests' reference for :func:`_any_pair_below`, which no solve calls."""
-    return float(min(np.min(f if f.ndim == 1 else _svd_rcond(f), initial=1.0)
-                     for f in _pair_batches(R, L, blocks)))
-
-
 def _any_pair_below(R, L, blocks, limit):
-    """Whether ``_min_pair_rcond(R, L, blocks) < limit``, with SVDs only for
-    the systems that :func:`_certified` leaves open."""
+    """Whether the rcond of some system of ``_pair_batches`` lies below
+    limit, with SVDs only for the systems that :func:`_certified` leaves
+    open."""
     for f in _pair_batches(R, L, blocks):
         if f.ndim == 3:
             f = _svd_rcond(f[~_certified(f, limit)])

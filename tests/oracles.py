@@ -1,8 +1,10 @@
-"""Brute-force Kronecker references for the T-Sylvester operator
-X -> D X + X^T A, against which the tests check the structured solvers.
+"""Brute-force references for the T-Sylvester operator X -> D X + X^T A,
+against which the tests check the structured solvers.
 
 Under the column-major vec of ``triccati.dense_core``, the operator's matrix
 is kron(I, D) + kron(A.T, I) @ commutation_matrix(n), n^2-by-n^2.
+``min_pair_rcond`` is the exact minimum that ``tsylv_dense`` screens its
+small back-substitution systems against.
 """
 
 import warnings
@@ -13,6 +15,7 @@ import scipy.sparse.linalg as spla
 
 from triccati.dense_core import _commutation_index
 from triccati.errors import SingularOperatorError
+from triccati.tsylv_dense import _pair_batches, _svd_rcond
 
 # largest order tsylv_oracle_solve accepts: its n^2-by-n^2 system holds up
 # to 2 n^3 nonzeros (16e6 at n = 200) before the fill-in of its sparse LU
@@ -74,3 +77,11 @@ def tsylv_oracle_solve(D, A, rhs):
             "oracle solve inaccurate (relative residual %.2e); operator is "
             "near singular" % (resid / bn))
     return x.reshape((n, n), order="F")
+
+
+def min_pair_rcond(R, L, blocks):
+    """Smallest reciprocal condition number over the diagonal blocks and all
+    pairs of them (closed forms for scalar blocks, SVDs otherwise); the
+    reference for ``tsylv_dense._any_pair_below``."""
+    return float(min(np.min(f if f.ndim == 1 else _svd_rcond(f), initial=1.0)
+                     for f in _pair_batches(R, L, blocks)))

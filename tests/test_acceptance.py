@@ -21,7 +21,7 @@ from triccati.generators import (
     generate_ex2_dense,
     generate_ex2_lowrank,
 )
-from triccati.krylov import solve_tsylv_krylov
+from triccati.krylov import ExtendedKrylovTSylv, solve_tsylv_krylov
 from triccati.lowrank import (
     LowRankPair,
     LowRankTRiccatiProblem,
@@ -231,7 +231,7 @@ def _tridiag_lowrank(n, p, q, seed):
                                   C2=rng.random((q, n)))
 
 
-def test_08_inner_residual_formula():
+def test_08_inner_residual_formula(monkeypatch):
     # the projected solver's reported residual equals the explicitly formed
     # dense residual of the lifted iterate, at every expansion
     cases = [
@@ -242,6 +242,18 @@ def test_08_inner_residual_formula():
         (generate_ex1_lowrank(100, p=1, q=2, gamma=100.0, seed=0)[0], 1e-6),
         (generate_ex1_lowrank(196, p=1, q=2, gamma=100.0, seed=1)[0], 1e-6),
     ]
+    residual_norm = ExtendedKrylovTSylv.residual_norm
+
+    def spied(eng, Y):
+        # the solve evaluates its residual once per pass; lift now, before
+        # the next stage grows V and W
+        res = residual_norm(eng, Y)
+        Xm = eng.V @ Y @ eng.W.T
+        true = np.linalg.norm(Dd @ Xm + Xm.T @ Ad + rhs)
+        seen.append(abs(res - true) / true)
+        return res
+
+    monkeypatch.setattr(ExtendedKrylovTSylv, "residual_norm", spied)
     worst, depths = 0.0, []
     for prob, tol_rel in cases:
         X = zero_pair(prob.n)
@@ -249,14 +261,8 @@ def test_08_inner_residual_formula():
         Ad = prob.A.to_dense()
         rhs = prob.C1.T @ prob.C2
         seen = []
-
-        def monitor(eng, m, Y, res):
-            Xm = eng.V @ Y @ eng.W.T
-            true = np.linalg.norm(Dd @ Xm + Xm.T @ Ad + rhs)
-            seen.append(abs(res - true) / true)
-
-        solve_tsylv_krylov(prob, X, tol_rel * np.linalg.norm(rhs),
-                           monitor=monitor)
+        _, _, row = solve_tsylv_krylov(prob, X, tol_rel * np.linalg.norm(rhs))
+        assert len(seen) == row["inner_iterations"]
         worst = max(worst, max(seen))
         depths.append(len(seen))
     ok = worst <= 1e-9 and min(depths) >= 3

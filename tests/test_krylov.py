@@ -39,6 +39,22 @@ def dense_inner_data(prob, X):
     return D - Xd.T @ B, A - B @ Xd, C + Xd.T @ B @ Xd
 
 
+def observe_passes(monkeypatch, observe):
+    """Run observe(eng, Y, res) inside ``ExtendedKrylovTSylv.residual_norm``,
+    which the solve calls once per pass, before the next stage changes eng;
+    returns the list of what observe returned, one entry per call."""
+    residual_norm = ExtendedKrylovTSylv.residual_norm
+    seen = []
+
+    def spied(eng, Y):
+        res = residual_norm(eng, Y)
+        seen.append(observe(eng, Y, res))
+        return res
+
+    monkeypatch.setattr(ExtendedKrylovTSylv, "residual_norm", spied)
+    return seen
+
+
 class TestAgainstDense:
     def test_first_step_matches_dense(self):
         # X = 0: the step equation is D Z + Z^T A = -C
@@ -146,61 +162,57 @@ class TestDiagnostics:
 
 
 class TestResidualFormula:
-    def test_matches_dense_residual_each_iteration(self):
+    def test_matches_dense_residual_each_iteration(self, monkeypatch):
         # the coupling-block shortcut must equal the fully formed residual
+        def observe(eng, Y, res):
+            Xm = eng.V @ Y @ eng.W.T
+            return len(seen) + 1, res, np.linalg.norm(Dd @ Xm + Xm.T @ Ad + rhs)
+
+        seen = observe_passes(monkeypatch, observe)
         for seed in (0, 3):
             prob = make_problem(n=60, p=1, q=2, seed=seed)
             X = zero_pair(prob.n)
             Dd, Ad, rhs = dense_inner_data(prob, X)
             rhs_norm = np.linalg.norm(rhs)
-            seen = []
-
-            def monitor(eng, m, Y, res):
-                Xm = eng.V @ Y @ eng.W.T
-                true = np.linalg.norm(Dd @ Xm + Xm.T @ Ad + rhs)
-                seen.append((m, res, true))
-
-            solve_tsylv_krylov(prob, X, 1e-9 * rhs_norm, monitor=monitor)
-            assert len(seen) >= 2
+            seen.clear()
+            _, _, row = solve_tsylv_krylov(prob, X, 1e-9 * rhs_norm)
+            assert len(seen) == row["inner_iterations"] >= 2
             for m, res, true in seen:
                 # 1e-9 relative plus the float noise of forming the dense
                 # residual (intermediates live at the scale of rhs)
                 assert abs(res - true) <= 1e-9 * true + 1e-12 * rhs_norm, \
                     (m, res, true)
 
-    def test_basis_invariants(self):
+    def test_basis_invariants(self, monkeypatch):
         prob = make_problem(n=50, p=1, q=1, seed=7)
         X = zero_pair(prob.n)
         dhat, ahat = prob.shifted_coefficients(
             lr_quadratic_term(X, prob.B1, prob.B2))
-        checks = []
 
-        def monitor(eng, m, Y, res):
+        def observe(eng, Y, res):
             V, W = eng.V, eng.W
-            checks.append((
+            return (
                 np.linalg.norm(V.T @ V - np.eye(V.shape[1])),
                 np.linalg.norm(W.T @ W - np.eye(W.shape[1])),
                 np.linalg.norm(ahat.rmatvec(V) - W @ eng.U),
                 np.linalg.norm(eng.T - W.T @ dhat.matvec(V)),
-            ))
+            )
 
-        solve_tsylv_krylov(prob, X, 1e-9 * prob.c_norm(), monitor=monitor)
-        assert len(checks) >= 2
+        checks = observe_passes(monkeypatch, observe)
+        _, _, row = solve_tsylv_krylov(prob, X, 1e-9 * prob.c_norm())
+        assert len(checks) == row["inner_iterations"] >= 2
         for orthoV, orthoW, factor_defect, t_defect in checks:
             assert orthoV <= 1e-12
             assert orthoW <= 1e-12
             assert factor_defect <= 1e-9
             assert t_defect <= 1e-9
 
-    def test_nested_bases(self):
+    def test_nested_bases(self, monkeypatch):
         prob = make_problem(n=50, p=1, q=1, seed=9)
-        snaps = []
-
-        def monitor(eng, m, Y, res):
-            snaps.append(eng.V.copy())
-
-        solve_tsylv_krylov(prob, zero_pair(prob.n), 1e-9 * prob.c_norm(),
-                           monitor=monitor)
+        snaps = observe_passes(monkeypatch, lambda eng, Y, res: eng.V.copy())
+        _, _, row = solve_tsylv_krylov(prob, zero_pair(prob.n),
+                                       1e-9 * prob.c_norm())
+        assert len(snaps) == row["inner_iterations"]
         for a, b in zip(snaps, snaps[1:]):
             assert b.shape[1] >= a.shape[1]
             assert np.array_equal(b[:, :a.shape[1]], a)
@@ -265,13 +277,12 @@ class TestGrowthOrder:
 
     def test_grows_only_after_failed_test(self, monkeypatch):
         calls = self.count_stages(monkeypatch)
-        dims = []
+        dims = observe_passes(monkeypatch, lambda eng, Y, res: eng.ell)
         prob = make_problem(n=60, p=1, q=2, seed=0)
-        Xt, _, row = solve_tsylv_krylov(
-            prob, zero_pair(prob.n), 1e-10 * prob.c_norm(),
-            monitor=lambda eng, m, Y, res: dims.append(eng.V.shape[1]))
+        Xt, _, row = solve_tsylv_krylov(prob, zero_pair(prob.n),
+                                        1e-10 * prob.c_norm())
         assert Xt is not None and row["inner_iterations"] > 1
-        assert len(calls) == row["inner_iterations"]
+        assert len(calls) == len(dims) == row["inner_iterations"]
         assert row["basis_dim"] == dims[-1]
 
     def test_one_pass_grows_only_the_seed(self, monkeypatch):

@@ -2,25 +2,36 @@
 
     python tools/output_hashes.py [TREE]
 
-Solves the twelve cells that perfbench solves, with its settings, using
-the package sources of TREE (default: the checkout holding this script),
-and prints one line per cell: status, trace length, solution rank, and
-SHA-256 prefixes of the problem's data (see ``problem_data``), of the
-solution (X, or the factors P1 and P2) and of the JSON trace rows.  A dense
-cell adds its forward error ||X - X_exact||_F / ||X_exact||_F and the
-back-substitutions of each trace row (its=1,1,1,2); a factored cell adds
-its final relative residual and, per trace row, the inner passes, the
-order of the last projected equation, the dropped Krylov columns and the
-iterate rank (inner=1,2,4 basis=20,48,96 dropped=4,0,0 ranks=13,21,36),
-each read from the trace rows, whose keys hold across trees.  So a
-change that moves a cell's bits shows what that did to its accuracy and
-whether its discrete choices held.  The forward error measures
-accuracy only where Newton from X_0 = 0 reaches X_exact, which the
-generator does not promise (see ``generators.generate_ex2_dense``); on
-these cells it does.  Two trees whose set-ups and outputs are the same
-bytes print the same lines, so diffing the output of a parent checkout
-against that of a change shows whether the change moved any number, the
-generated problems' included:
+Solves the twelve cells that perfbench solves, with its settings, and a
+thirteenth, the run of the acceptance check ``test_09`` (Ex1LowRank n=900
+with its command line's settings), using the package sources of TREE
+(default: the checkout holding this script), and prints one line per cell:
+status, trace length, solution rank, and SHA-256 prefixes of the problem's
+data (see ``problem_data``), of the solution (X, or the factors P1 and P2)
+and of the JSON trace rows.  A dense cell adds its forward error
+||X - X_exact||_F / ||X_exact||_F and the back-substitutions of each trace
+row (its=1,1,1,2); a factored cell adds its final relative residual and,
+per trace row, the inner passes, the order of the last projected equation,
+the dropped Krylov columns and the iterate rank (inner=1,2,4
+basis=20,48,96 dropped=4,0,0 ranks=13,21,36), each read from the trace
+rows, whose keys hold across trees.  So a change that moves a cell's bits
+shows what that did to its accuracy and whether its discrete choices held.
+The forward error measures accuracy only where Newton from X_0 = 0 reaches
+X_exact, which the generator does not promise (see
+``generators.generate_ex2_dense``); on these cells it does.
+
+A factored run whose last inner solve stopped short of its tolerance, as
+``test_09``'s does, also prints that solve's residual history as
+``test_09`` reads it: the entry of its minimum out of its length, and how
+far it fell to that minimum and rose after it (history=25/30 fell=8.8e+10
+rose=2.17).  That reading moves with the last bits of the run, so the
+line shows whether a change keeps ``test_09`` passing under the thread
+count set below.  The thirteenth cell adds about 30-50 s to the run.
+
+Two trees whose set-ups and outputs are the same bytes print the same
+lines, so diffing the output of a parent checkout against that of a change
+shows whether the change moved any number, the generated problems'
+included:
 
     python tools/output_hashes.py ../parent > parent.txt
     python tools/output_hashes.py > change.txt
@@ -70,6 +81,12 @@ def cells():
             yield ("Ex2LowRank q=%d seed=%d" % (q, seed),
                    lambda q=q, s=seed: generators.generate_ex2_lowrank(
                        N, p=1, q=q, seed=s), factored)
+    test_09 = newton_lowrank.InexactNewtonConfig(eps=1e-12, max_outer=25,
+                                                 m_max=30)
+    yield ("Ex1LowRank n=900 q=5",
+           lambda: generators.generate_ex1_lowrank(
+               900, p=1, q=5, gamma=1e4, seed=0),
+           lambda prob: newton_lowrank.solve_inexact_newton(prob, test_09))
 
 
 def problem_data(prob):
@@ -108,6 +125,11 @@ def main():
                 report.final_relative_residual, per_row("inner_its"),
                 per_row("basis_dim"), per_row("dropped_cols"),
                 per_row("rank"))
+            if "inner_message" in rows[-1]:
+                h = np.asarray(rows[-1]["inner_residuals"])
+                j = int(np.argmin(h))
+                extra += " history=%d/%d fell=%.1e rose=%.2f" % (
+                    j + 1, h.size, h[0] / h[j], h[-1] / h[j])
         print("%-24s %-16s trace=%-3d rank=%-4d setup=%s X=%s trace=%s%s" % (
             label, report.status.value, len(report.iterations),
             report.solution_rank, setup, digest(*factors),

@@ -26,14 +26,9 @@ factorizing anything wider.
 Both bases are orthonormalized by ``_orth``, with one rule for what is
 new: block classical Gram-Schmidt with one re-orthogonalization pass, then
 the SVD of the remainder's Householder triangle.  The engine starts from
-the empty space, and the seed is its first stage: every stage appends the
-new directions of both chains' candidates with their W image, which must
-be new in full.  A stage that finds nothing genuinely new (no new
-direction, or a W image of lower rank under an effectively singular
-coefficient) leaves the space as it was, and ``solve_tsylv_krylov``
-reports the space exhausted, at dimension 0 when it was the seed's.
-After a stage that grew, the lifted residual is evaluated honestly, and
-the caller decides whether that is convergence or stagnation.
+the empty space and grows only in ``ExtendedKrylovTSylv.stage``, the seed
+being its first stage; that method states when a stage grows and when it
+finds nothing new.
 """
 
 import numpy as np
@@ -75,8 +70,6 @@ class ExtendedKrylovTSylv:
 
     Starts from the empty space; the first ``stage`` grows it by the seed
     [Ahat^{-T} H, Dhat^{-1} H], and each later one continues both chains.
-    The space stays empty (ell = 0) when no seed column survives or the
-    seed's W image collapses.
     """
 
     def __init__(self, dhat, ahat, H, rhs1, rhs2):
@@ -90,7 +83,7 @@ class ExtendedKrylovTSylv:
         self.T = self.U = np.zeros((0, 0))
         self.G1, self.G2 = rhs1[:0], rhs2[:0]
         # each chain's last block times the coefficient its next candidates
-        # solve with: (Dhat V_f, Ahat^T V_i), kept by _grow; H for the seed
+        # solve with: (Dhat V_f, Ahat^T V_i), kept by stage; H for the seed
         self._heads = (H, H)
 
     ell = property(lambda self: self.V.shape[1])  # order of the space built
@@ -103,13 +96,26 @@ class ExtendedKrylovTSylv:
         self.dropped_cols += C.shape[1] - k
         return qr.apply(U[:, :k])
 
-    def _grow(self, cand_f, cand_i):
-        """Orthogonalize the forward- and inverse-chain candidates against
-        the space and each other, and absorb what survives with its W
-        image.  Returns False, leaving the space unchanged, when no
-        candidate column survives or their W image collapses."""
-        Qf = self._basis(cand_f, self.V)
-        Qi = self._basis(cand_i, hstack_f([self.V, Qf]))
+    def stage(self):
+        """Grow the space by the next block pair of V and W.
+
+        The forward chain's candidates are Ahat^{-T} Dhat times its last
+        block and the inverse chain's Dhat^{-1} Ahat^T times its; the first
+        stage, the seed, takes Ahat^{-T} H and Dhat^{-1} H.  Each chain keeps
+        what ``_orth`` finds new against the space (the inverse chain's
+        also against the forward chain's new columns) and counts the rest
+        in dropped_cols; a chain with no surviving columns stops advancing.
+        The surviving block's W image must be new in full.  Returns True
+        when the space grew; False, leaving it unchanged, when no genuinely
+        new direction exists -- invariant space, the whole of R^n spanned,
+        or a W image of lower rank under an effectively singular
+        coefficient, which marks the pair construction as saturated.
+        """
+        if self.ell >= self.V.shape[0]:
+            return False
+        fwd, inv = self._heads
+        Qf = self._basis(self.ahat.solve_t(fwd), self.V)
+        Qi = self._basis(self.dhat.solve(inv), hstack_f([self.V, Qf]))
         Qn = np.hstack([Qf, Qi])
         if Qn.shape[1] == 0:
             return False
@@ -123,23 +129,6 @@ class ExtendedKrylovTSylv:
         self.absorb(Qn, DQ, Wn, coeffs, R)
         self._heads = DQ[:, :Qf.shape[1]], AQ[:, Qf.shape[1]:]
         return True
-
-    def stage(self):
-        """Grow the space by the next block pair of V and W.
-
-        The candidates continue each chain from its last block, and the
-        first stage's, the seed, from H; columns that have (numerically)
-        fallen into the current space are dropped chain by chain, and a
-        chain with no surviving columns stops advancing.  Returns True when
-        the space grew; False, leaving it unchanged, when no genuinely new
-        direction exists -- invariant space, the whole of R^n spanned, or
-        the W image of the surviving candidates collapsing into span(W),
-        which marks the pair construction as saturated.
-        """
-        if self.ell >= self.V.shape[0]:
-            return False
-        fwd, inv = self._heads
-        return self._grow(self.ahat.solve_t(fwd), self.dhat.solve(inv))
 
     def solve_reduced(self):
         """Solve T Y + Y^T K = -G1 G2^T on the active space."""

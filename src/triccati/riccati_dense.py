@@ -202,8 +202,9 @@ def minimize_quartic(poly, interval_end):
 
 def _iterate(prob, step, tol, max_iter, keep_iterates, label):
     """``reports.iterate`` from X_0 = 0 (R(X_0) = C) with X_{k+1}, lam_k,
-    row_fields = step(X_k, R(X_k)); a SingularOperatorError ends the run
-    InnerSolveFailed with the warning "<label> k: ..."."""
+    row_fields = step(X_k, R(X_k), ||R(X_k)||_F), the norm being the one
+    the loop holds; a SingularOperatorError ends the run InnerSolveFailed
+    with the warning "<label> k: ..."."""
     n = prob.n
     R_k = prob.C
 
@@ -211,7 +212,7 @@ def _iterate(prob, step, tol, max_iter, keep_iterates, label):
         nonlocal R_k
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                X_next, lam, row_fields = step(X, R_k)
+                X_next, lam, row_fields = step(X, R_k, res)
                 R_k = residual(prob, X_next)
                 return X_next, float(np.linalg.norm(R_k)), lam, row_fields
         except SingularOperatorError as e:
@@ -235,17 +236,19 @@ def solve_fixed_point(prob, tol=1e-12, max_iter=10000, keep_iterates=False):
     _check_setting("tol", tol)
     _check_setting("max_iter", max_iter, count=True)
     solver = TSylvSolver(prob.D, prob.A)
-    step = lambda X, R_k: (X - solver.solve(R_k), None, {"inner_iterations": 1})
+    step = lambda X, R_k, res: (X - solver.solve(R_k), None,
+                                {"inner_iterations": 1})
     return _iterate(prob, step, tol, max_iter, keep_iterates, "iteration")
 
 
-def _closing_correction(solver, D_k, A_k, R_k, target):
+def _closing_correction(solver, D_k, A_k, R_k, res, target):
     """Richardson iteration S <- S - F^{-1}(D_k S + S^T A_k + R_k) from S = 0,
-    F the kept factorization ``solver``.  Returns (S, back-substitutions):
-    S once the inner residual is at most target, None once a back-substitution
-    fails to cut it by _CLOSE_CUT or _CLOSE_SOLVES have not reached target."""
+    F the kept factorization ``solver`` and res = ||R_k||_F.  Returns (S,
+    back-substitutions): S once the inner residual is at most target, None
+    once a back-substitution fails to cut it by _CLOSE_CUT or _CLOSE_SOLVES
+    have not reached target."""
     S = np.zeros_like(R_k)
-    L, res = R_k, np.linalg.norm(R_k)
+    L = R_k
     for j in range(1, _CLOSE_SOLVES + 1):
         S -= solver.solve(L)
         L = D_k @ S + S.T @ A_k + R_k
@@ -287,13 +290,12 @@ def solve_newton(prob, tol=1e-12, max_iter=50, line_search="off",
     res_tol = tol * np.linalg.norm(prob.C)
     solver, last = None, None  # last factorization, last step's ||R_{k-1}||_F
 
-    def step(X, R_k):
+    def step(X, R_k, res):
         nonlocal solver, last
         D_k, A_k = prob.D - X.T @ prob.B, prob.A - prob.B @ X
-        res = np.linalg.norm(R_k)
         S, solves = None, 0
         if solver is not None and res ** 3 <= res_tol * last ** 2:
-            S, solves = _closing_correction(solver, D_k, A_k, R_k,
+            S, solves = _closing_correction(solver, D_k, A_k, R_k, res,
                                             _CLOSE_SHARE * res_tol)
         if S is None:
             solver = None  # released before the next factorization is formed

@@ -185,8 +185,7 @@ def run_experiment(spec, solver, config=None):
         meta["err_rel"] = float(np.linalg.norm(X - x_exact)
                                 / np.linalg.norm(x_exact))
     return RunReport(spec=spec, solver=solver, config=config, report=rep,
-                     audit=_jsonable(audit) if audit else None,
-                     metadata=_jsonable(meta))
+                     audit=audit, metadata=meta)
 
 
 def emit_report(run_report, fmt="json", path=None):

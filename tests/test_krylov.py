@@ -294,20 +294,13 @@ class TestGrowthOrder:
         assert calls == [0]
 
     def test_no_pass_builds_nothing(self, monkeypatch):
-        grows = []
-        grow = ExtendedKrylovTSylv._grow
-
-        def counted(eng, cand_f, cand_i):
-            grows.append(cand_f.shape[1])
-            return grow(eng, cand_f, cand_i)
-
-        monkeypatch.setattr(ExtendedKrylovTSylv, "_grow", counted)
+        calls = self.count_stages(monkeypatch)
         prob, _ = generate_ex2_lowrank(150, p=1, q=5, seed=1)
         Xt, _, row = solve_tsylv_krylov(prob, zero_pair(prob.n),
                                         1e-8 * prob.c_norm(), m_max=0)
         assert Xt is None
         assert row["inner_message"] == "m_max reached before tolerance"
-        assert grows == []
+        assert calls == []
         assert row["basis_dim"] == 0 and row["dropped_cols"] == 0
 
     def test_one_ahat_t_product_per_growth(self, monkeypatch):

@@ -42,6 +42,7 @@ __all__ = ["ExtendedKrylovTSylv", "solve_tsylv_krylov"]
 
 # a new block whose sigma_min/sigma_max falls to this is numerically dependent
 _BREAKDOWN_TOL = 1e-12
+_EXTRACT_TOL = 1e-12  # extract drops sigma_i(Y) <= this * sigma_max(Y)
 
 
 def _orth(Q, C):
@@ -183,8 +184,8 @@ class ExtendedKrylovTSylv:
         """Lift and recompress Y, and the lifted residual of the result.
 
         Returns (pair, L).  pair is X = V Yc W^T as a LowRankPair, where
-        Yc = G1 G2^T is Y with its singular values below the truncation
-        floor dropped.  L is the lifted residual of that pair,
+        Yc = G1 G2^T is Y less its singular values at or below
+        _EXTRACT_TOL * sigma_max(Y).  L is the lifted residual of that pair,
         Dhat X + X^T Ahat + rhs1 rhs2^T, as LowRankPair(Lambda, W): by the
         split of ``residual_norm``,
 
@@ -194,7 +195,7 @@ class ExtendedKrylovTSylv:
         orthonormal columns, so ||L|| = ||Lambda|| and
         <M1 M2^T, L> = <M1^T Lambda, M2^T W> for any pair.
         """
-        G1, G2 = svd_cut(Y)
+        G1, G2 = svd_cut(Y, _EXTRACT_TOL)
         red, lam = self._split(G1 @ G2.T)
         lam += self.W @ red  # in place: one n-by-l array fewer at the peak
         return (LowRankPair(self.V @ G1, self.W @ G2),

@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 _RCOND_LIMIT = 1e-14  # smallest capacitance rcond a ShiftedOperator accepts
-# truncation floor relative to sigma_max: what svd_cut drops when given no tol
-_TRUNC_TOL = 1e-12
 _QR_BLOCK = 32  # panel width of HouseholderQR's dgeqrt
 
 
@@ -140,40 +138,36 @@ def lr_frobenius_norm(M):
     return float(np.linalg.norm(core))
 
 
-def lr_truncate(M, tol=None, rel_tail=None):
+def lr_truncate(M, rel_tail=0.0):
     """Recompress a pair: thin QRs P1 = Q1 R1, P2 = Q2 R2, then
-    ``svd_cut`` of the small core R1 R2^T (see there for tol, by default
-    the floor ``_TRUNC_TOL``, and rel_tail); the reflectors of Q1 and Q2
-    are applied only to the kept columns, so neither Q is formed.
+    ``svd_cut`` of the small core R1 R2^T with tail budget rel_tail (see
+    there); the reflectors of Q1 and Q2 are applied only to the kept
+    columns, so neither Q is formed.
 
     Returns a pair with orthogonal-times-sqrt-singular-value balanced factors.
     """
     qr1, qr2 = HouseholderQR(M.P1), HouseholderQR(M.P2)
-    G1, G2 = svd_cut(qr1.R @ qr2.R.T, tol, rel_tail)
+    G1, G2 = svd_cut(qr1.R @ qr2.R.T, rel_tail=rel_tail)
     return LowRankPair(qr1.apply(G1), qr2.apply(G2))
 
 
-def svd_cut(core, tol=None, rel_tail=None):
+def svd_cut(core, tol=0.0, rel_tail=0.0):
     """The balanced cut (G1, G2) of a small core, core ~= G1 @ G2.T: SVD
-    of the core, singular values at or below tol * sigma_max dropped (tol
-    None means the floor ``_TRUNC_TOL``, read at each call), and
+    of the core, singular values at or below tol * sigma_max dropped, and
     G1 = U_k sqrt(s_k), G2 = V_k sqrt(s_k) for the kept k (possibly 0).
     A caller with core = Q1^T M Q2 lifts the cut with Q1 @ G1 and Q2 @ G2.
 
-    rel_tail, when given, also drops the longest run of trailing singular
-    values whose combined Frobenius norm sqrt(sum s_i^2) is at most
-    rel_tail * ||core||_F; that is exactly the Frobenius error of the cut.
+    rel_tail also drops the longest run of trailing singular values whose
+    combined Frobenius norm, the Frobenius error of the cut, is at most
+    rel_tail * ||core||_F.  At both zero only s_i with (s_i/s_0)^2 = 0 go.
     """
-    if tol is None:
-        tol = _TRUNC_TOL
     U, s, Vt = np.linalg.svd(core)
     keep = 0
     if s.size and s[0] > 0.0:
-        keep = int(np.sum(s > tol * s[0]))
-        if rel_tail is not None:
-            # tail2[k] = sum_{i >= k} (s_i / s_0)^2, nonincreasing in k
-            tail2 = np.cumsum(((s / s[0]) ** 2)[::-1])[::-1]
-            keep = min(keep, int(np.sum(tail2 > (rel_tail ** 2) * tail2[0])))
+        # tail2[k] = sum_{i >= k} (s_i / s_0)^2, nonincreasing in k
+        tail2 = np.cumsum(((s / s[0]) ** 2)[::-1])[::-1]
+        keep = min(int(np.sum(s > tol * s[0])),
+                   int(np.sum(tail2 > (rel_tail ** 2) * tail2[0])))
     root = np.sqrt(s[:keep])
     return U[:, :keep] * root, Vt[:keep].T * root
 

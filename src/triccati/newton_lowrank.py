@@ -40,8 +40,8 @@ Rank control has two stages, both set by the accuracy asked for rather
 than by where rounding noise crosses a fixed cutoff.  Every accepted
 iterate of sweep k is cut with a tail budget tied to the forcing term:
 the trailing singular values whose combined Frobenius norm is at most
-0.01 * eta_k * (||R_k|| / ||C||) * ||X||_F are dropped, with the fixed
-truncation floor 1e-12 * sigma_max (``lowrank._TRUNC_TOL``) below that.
+0.01 * eta_k * (||R_k|| / ||C||) * ||X||_F are dropped; the one fixed
+cut, 1e-12 * sigma_max, is the inner solve's (``krylov._EXTRACT_TOL``).
 That error is a small share of what the inexact inner solve already
 leaves, so the iterates stay as narrow as the sweep's accuracy allows,
 and the sufficient-decrease test still guards every cut step
@@ -97,8 +97,8 @@ class InexactNewtonConfig:
     """Settings of the outer iteration, one per solve-lowrank flag.
 
     Sweep k (0-based) solves to the forcing term eta_k = min(1/(1+k^3),
-    eta_bar).  Each sweep cuts its iterate to a share of its forcing term,
-    above a fixed floor, and the converged iterate to eps (see the module
+    eta_bar).  Each sweep cuts its iterate to a share of its forcing term
+    and the converged iterate to eps, both as tail budgets (see the module
     docstring).  An iterate wider than 4*(p+q)*m_max, the widest the inner
     spaces could produce, ends the run as Diverged.
     """
@@ -194,7 +194,7 @@ def _recompress_converged(prob, X, res, stop, eps):
     """Cut a converged X to eps: drop the trailing singular values of
     combined Frobenius norm at most _FINAL_TAIL * eps * ||X||_F if the cut
     still meets the stopping test; returns the (X, res) kept."""
-    Xc = lr_truncate(X, tol=0.0, rel_tail=_FINAL_TAIL * eps)
+    Xc = lr_truncate(X, rel_tail=_FINAL_TAIL * eps)
     if Xc.rank >= X.rank:
         return X, res
     res_c = lr_frobenius_norm(lr_riccati_residual(prob, Xc))

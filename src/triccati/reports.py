@@ -94,10 +94,10 @@ class SolveReport:
 
 def _check_setting(name, value, count=False):
     """Raise ValueError naming the setting unless value >= 0 and, for an
-    iteration count, a Python or numpy integer (``operator.index``)."""
+    iteration count, a non-bool Python or numpy integer (operator.index)."""
     if count:
         try:
-            operator.index(value)
+            operator.index(None if isinstance(value, bool) else value)
         except TypeError:
             raise ValueError("%s must be an integer, got %r"
                              % (name, value)) from None

@@ -67,14 +67,13 @@ class TRiccatiProblem:
     D: np.ndarray
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        self.C = np.asarray(self.C, dtype=float)
-        self.D = np.asarray(self.D, dtype=float)
-        n = self.A.shape[0]
+        if np.ndim(self.A) != 2:
+            raise ValueError("A must be 2-d, got %d-d" % np.ndim(self.A))
+        n = len(self.A)
         for name in "ABCD":
-            M = getattr(self, name)
-            if M.ndim != 2 or M.shape != (n, n):
+            M = np.asarray(getattr(self, name), dtype=float)
+            setattr(self, name, M)
+            if M.shape != (n, n):
                 raise ValueError("%s must be %d-by-%d" % (name, n, n))
 
     @property

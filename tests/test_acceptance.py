@@ -317,10 +317,10 @@ def test_10_memory_discipline():
     ip = lr_inner_product(X, Y)
     nrm = lr_frobenius_norm(X)
     R = lr_riccati_residual(prob, X)
-    Rt = lr_truncate(R, tol=1e-10)
+    Rt = lr_truncate(R, rel_tail=1e-10)
     S, L = lr_step_and_Lresidual(prob, X, Y)
-    S = lr_truncate(S, tol=1e-12)
-    L = lr_truncate(L, tol=1e-12)
+    S = lr_truncate(S, rel_tail=1e-12)
+    L = lr_truncate(L, rel_tail=1e-12)
     Q = lr_quadratic_term(S, prob.B1, prob.B2)
     op = MatrixOperator(D)
     Z = ShiftedOperator(op, X.P1, X.P2).solve(rng.random((n, 3)))

@@ -19,6 +19,7 @@ from triccati.lowrank import (
     lr_riccati_residual,
     lr_step_and_Lresidual,
     lr_truncate,
+    svd_cut,
     zero_pair,
 )
 
@@ -118,14 +119,14 @@ class TestNormsAndInnerProducts:
 class TestTruncate:
     def test_exact_when_tol_tiny(self):
         M = rand_pair(20, 16, 5)
-        T = lr_truncate(M, tol=1e-15)
+        T = lr_truncate(M, rel_tail=1e-15)
         assert np.allclose(T.to_dense(), M.to_dense(), atol=1e-10)
 
     def test_removes_duplicated_columns(self):
         P1 = rng.standard_normal((12, 2))
         P2 = rng.standard_normal((10, 2))
         M = LowRankPair(np.hstack([P1, P1]), np.hstack([P2, P2]))
-        T = lr_truncate(M, tol=1e-12)
+        T = lr_truncate(M, rel_tail=1e-12)
         assert T.rank == 2
         assert np.allclose(T.to_dense(), M.to_dense(), atol=1e-10)
 
@@ -135,7 +136,7 @@ class TestTruncate:
 
     def test_balanced_factors(self):
         M = rand_pair(9, 9, 4, scale=100.0)
-        T = lr_truncate(M, tol=1e-14)
+        T = lr_truncate(M, rel_tail=1e-14)
         c1 = np.linalg.norm(T.P1, axis=0)
         c2 = np.linalg.norm(T.P2, axis=0)
         assert np.allclose(c1, c2, rtol=1e-8)
@@ -213,7 +214,7 @@ class TestTruncateTailBudget:
         (1e-10, 4), (1e-8, 3), (1e-5, 2), (1e-2, 1), (1.0, 0)])
     def test_keeps_values_above_budget(self, rel_tail, keep):
         M = spectrum_pair(SPECTRUM)
-        T = lr_truncate(M, tol=0.0, rel_tail=rel_tail)
+        T = lr_truncate(M, rel_tail=rel_tail)
         assert T.rank == keep
         got = np.linalg.svd(T.to_dense(), compute_uv=False)[:keep]
         assert np.allclose(got, SPECTRUM[:keep], rtol=1e-6)
@@ -221,25 +222,33 @@ class TestTruncateTailBudget:
     @pytest.mark.parametrize("rel_tail", [1e-8, 1e-5, 1e-2])
     def test_dropped_mass_is_the_tail(self, rel_tail):
         M = spectrum_pair(SPECTRUM)
-        T = lr_truncate(M, tol=0.0, rel_tail=rel_tail)
+        T = lr_truncate(M, rel_tail=rel_tail)
         dropped = np.linalg.norm(M.to_dense() - T.to_dense())
         tail = np.sqrt(np.sum(SPECTRUM[T.rank:] ** 2))
         assert dropped == pytest.approx(tail, rel=1e-6)
         assert dropped <= rel_tail * np.linalg.norm(M.to_dense())
 
+    def test_zero_budget_keeps_every_nonzero_value(self):
+        # no floor below the budget: a value far under 1e-12 stays
+        T = lr_truncate(spectrum_pair(np.array([1.0, 1e-13])))
+        assert T.rank == 2
+        got = np.linalg.svd(T.to_dense(), compute_uv=False)[:2]
+        assert np.allclose(got, [1.0, 1e-13], rtol=1e-2, atol=0.0)
+
     def test_no_budget_keeps_floor_and_cap_rules(self):
-        M = spectrum_pair(SPECTRUM)
-        for kw, keep in [({"tol": 1e-12}, 4), ({"tol": 1e-4}, 2)]:
-            T = lr_truncate(M, **kw)
-            T0 = lr_truncate(M, rel_tail=None, **kw)
-            assert T.rank == keep
-            assert np.array_equal(T.P1, T0.P1) and np.array_equal(T.P2, T0.P2)
+        core = np.diag(SPECTRUM)
+        for tol, keep in [(1e-12, 4), (1e-4, 2)]:
+            G1, G2 = svd_cut(core, tol)
+            assert G1.shape[1] == G2.shape[1] == keep
+            want = np.diag(np.where(np.arange(SPECTRUM.size) < keep,
+                                    SPECTRUM, 0.0))
+            assert np.allclose(G1 @ G2.T, want, rtol=0.0, atol=1e-15)
 
     def test_budget_combines_with_floor_and_cap(self):
-        M = spectrum_pair(SPECTRUM)
+        core = np.diag(SPECTRUM)
         # the stricter of the two rules decides
-        assert lr_truncate(M, tol=1e-4, rel_tail=1e-10).rank == 2
-        assert lr_truncate(M, tol=1e-12, rel_tail=1e-5).rank == 2
+        assert svd_cut(core, 1e-4, 1e-10)[0].shape[1] == 2
+        assert svd_cut(core, 1e-12, 1e-5)[0].shape[1] == 2
 
 
 class TestTruncateAccuracy:
@@ -249,7 +258,7 @@ class TestTruncateAccuracy:
             M = spectrum_pair(s, n=n, m=m)
             # two copies of each column make the factors rank deficient
             M = LowRankPair(np.hstack([M.P1, M.P1]), 0.5 * np.hstack([M.P2, M.P2]))
-            T = lr_truncate(M, tol=1e-12)
+            T = lr_truncate(M, rel_tail=1e-12)
             assert T.rank == s.size
             # the reference: np.linalg.qr of both factors, SVD of the core
             R1, R2 = np.linalg.qr(M.P1)[1], np.linalg.qr(M.P2)[1]
@@ -266,7 +275,7 @@ class TestTruncateAccuracy:
         F1 = residual_shaped()
         F2 = residual_shaped()
         M = LowRankPair(F1, F2)
-        T = lr_truncate(M, tol=1e-14)
+        T = lr_truncate(M, rel_tail=1e-14)
         R1, R2 = np.linalg.qr(F1)[1], np.linalg.qr(F2)[1]
         want = np.linalg.svd(R1 @ R2.T, compute_uv=False)
         got = np.linalg.norm(T.P1, axis=0) * np.linalg.norm(T.P2, axis=0)
@@ -458,7 +467,7 @@ class TestResidualAndStep:
         X = rand_pair(10, 10, 2, scale=0.1)
         Xt = rand_pair(10, 10, 2, scale=0.1)
         S0, L0 = lr_step_and_Lresidual(prob, X, Xt)
-        S1, L1 = (lr_truncate(M, tol=1e-13) for M in (S0, L0))
+        S1, L1 = (lr_truncate(M, rel_tail=1e-13) for M in (S0, L0))
         assert S1.rank <= S0.rank and L1.rank <= L0.rank
         assert np.allclose(S1.to_dense(), S0.to_dense(), atol=1e-9)
         assert np.allclose(L1.to_dense(), L0.to_dense(), atol=1e-9)

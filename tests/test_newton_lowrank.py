@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 import triccati as tr
-from triccati import lowrank, newton_lowrank
+from triccati import krylov, newton_lowrank
 from triccati.generators import generate_ex1_lowrank, generate_ex2_lowrank
 from triccati.lowrank import (
     LowRankPair,
@@ -326,13 +326,13 @@ class TestSolver:
         assert rep.iterations[-1].step_size == 0.0
 
     def test_final_rank_independent_of_truncation_floor(self, monkeypatch):
-        # the per-sweep floor sits at rounding level; the converged iterate
-        # is recompressed to eps, so halving or doubling the floor must not
-        # move the reported rank
+        # the inner solve's extraction floor sits at rounding level; the
+        # converged iterate is recompressed to eps, so halving or doubling
+        # the floor must not move the reported rank
         prob, _ = generate_ex2_lowrank(200, p=1, q=5, seed=0)
         ranks = []
         for floor in (5e-13, 1e-12, 2e-12):
-            monkeypatch.setattr(lowrank, "_TRUNC_TOL", floor)
+            monkeypatch.setattr(krylov, "_EXTRACT_TOL", floor)
             cfg = InexactNewtonConfig(eps=1e-6)
             X, rep = solve_inexact_newton(prob, cfg)
             assert rep.status is tr.Status.CONVERGED

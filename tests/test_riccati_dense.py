@@ -188,6 +188,8 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="B must be 2-by-2"):
             tr.TRiccatiProblem(A=np.eye(2), B=np.eye(3), C=np.eye(2),
                                D=np.eye(2))
+        with pytest.raises(ValueError, match="A must be 2-d, got 0-d"):
+            tr.TRiccatiProblem(A=1.0, B=1.0, C=1.0, D=1.0)
 
     def test_interval_end_positive(self):
         poly = LineSearchPoly(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)

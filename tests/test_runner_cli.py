@@ -151,8 +151,9 @@ class TestRunExperiment:
 
     def test_non_integer_count(self):
         spec = ProblemSpec(family="Ex2LowRank", n=50, seed=0)
-        with pytest.raises(ValueError, match=r"m_max must be an integer"):
-            run_experiment(spec, "inexact-newton", {"m_max": 2.5})
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=r"m_max must be an integer"):
+                run_experiment(spec, "inexact-newton", {"m_max": bad})
 
     def test_factored_settings_checked_before_build(self, monkeypatch):
         def no_build(spec):

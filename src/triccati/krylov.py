@@ -133,7 +133,8 @@ class ExtendedKrylovTSylv:
 
     def solve_reduced(self):
         """Solve T Y + Y^T K = -G1 G2^T on the active space."""
-        return TSylvSolver(self.T, self.U.T).solve(-self.G1 @ self.G2.T)
+        # one chunk per diagonal block: see TSylvSolver on rows
+        return TSylvSolver(self.T, self.U.T, rows=1).solve(-self.G1 @ self.G2.T)
 
     def residual_norm(self, Y):
         """Frobenius norm of the lifted residual of X = V Y W^T, from

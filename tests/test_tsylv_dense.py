@@ -8,6 +8,9 @@ import scipy.linalg
 import triccati as tr
 from triccati import tsylv_dense
 from oracles import min_pair_rcond, tsylv_oracle_solve
+from test_krylov import make_problem
+from triccati.krylov import solve_tsylv_krylov
+from triccati.lowrank import zero_pair
 from triccati.reports import Status
 from triccati.riccati_dense import TRiccatiProblem, solve_fixed_point, solve_newton
 from triccati.tsylv_dense import TSylvSolver
@@ -313,10 +316,11 @@ class TestOffDiagonalSingularPair:
         assert "dtgsyl" not in str(exc.value)  # caught by the rcond check
 
     def test_lapack_reports_singular_system(self, monkeypatch):
-        # with the rcond check switched off the dtgsyl step meets the pair
+        # with the rcond check switched off the dtgsyl step meets the pair;
+        # one chunk per block keeps the pair's blocks in different chunks
         monkeypatch.setattr(tsylv_dense, "_RCOND_LIMIT", 0.0)
         D, A = singular_pair_pencil()
-        solver = TSylvSolver(D, A)
+        solver = TSylvSolver(D, A, rows=1)
         with pytest.raises(tr.SingularOperatorError, match="dtgsyl info"):
             solver.solve(np.ones((10, 10)))
 
@@ -412,15 +416,111 @@ class TestSingularityDecision:
 
 class TestLazyRcond:
     # the exact pair-rcond minimum lives in tests/oracles.py, out of reach
-    # of src/; these cases keep the messages of solve's two raise sites
-    @pytest.mark.parametrize("limit, message", [
-        (tsylv_dense._RCOND_LIMIT, "precision$"), (0.0, "dtgsyl info")],
-        ids=["screen", "dtgsyl"])
+    # of src/; these cases keep the messages of solve's raise sites
+    @pytest.mark.parametrize("limit, message, rows", [
+        (tsylv_dense._RCOND_LIMIT, "precision$", tsylv_dense._ROWS),
+        (0.0, "dtgsyl info", 1),
+        (0.0, r"diagonal system of rows 0:8, dgetrf info \d+\)$", tsylv_dense._ROWS)],
+        ids=["screen", "dtgsyl", "diagonal"])
     def test_failed_solve_never_computes_the_exact_minimum(self, monkeypatch,
-                                                          limit, message):
-        # both raise sites of solve: the screen's verdict, and dtgsyl's info
-        # once the screen is switched off
+                                                          limit, message, rows):
+        # the raise sites of solve: the screen's verdict, and once the
+        # screen is switched off dtgsyl's info (one chunk per block) or the
+        # info of a chunk's diagonal LU (default chunks, where both blocks
+        # of the pair, rows 1 and 7, lie in the first chunk)
         monkeypatch.setattr(tsylv_dense, "_RCOND_LIMIT", limit)
-        solver = TSylvSolver(*singular_pair_pencil())
+        solver = TSylvSolver(*singular_pair_pencil(), rows=rows)
         with pytest.raises(tr.SingularOperatorError, match=message):
             solver.solve(np.ones((10, 10)))
+
+
+def schur_pencil(sizes, rng):
+    """D and A whose pencil (D, A^T) has one diagonal block per entry of
+    sizes: a real eigenvalue for 1, a complex pair for 2, every one of
+    modulus in [2, 4], so no two multiply to 1 and none is -1."""
+    n = sum(sizes)
+    T1 = np.triu(0.5 * rng.standard_normal((n, n)), 1)
+    T2 = np.eye(n) + np.triu(0.5 * rng.standard_normal((n, n)), 1)
+    s = 0
+    for a in sizes:
+        r = rng.uniform(2.0, 4.0)
+        if a == 1:
+            T1[s, s] = r * rng.choice([-1.0, 1.0])
+        else:
+            th = rng.uniform(0.3, 2.8)
+            T1[s:s + 2, s:s + 2] = r * np.array([[np.cos(th), -np.sin(th)],
+                                                 [np.sin(th), np.cos(th)]])
+            T2[s, s + 1] = 0.0
+        s += a
+    Qm = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    Zm = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Qm @ T1 @ Zm.T, (Qm @ T2 @ Zm.T).T
+
+
+def chunk_cases():
+    # (kind, n, D, A): mixed, all-1x1 and all-2x2 pencils (one 1x1 block
+    # where n is odd)
+    rng = np.random.default_rng(41)
+    for n in (1, 5, 8, 9, 40):
+        mixed = []
+        while sum(mixed) < n:
+            mixed.append(1 if sum(mixed) == n - 1 else int(rng.integers(1, 3)))
+        for kind, sizes in (("mixed", mixed), ("1x1", [1] * n),
+                            ("2x2", [2] * (n // 2) + [1] * (n % 2))):
+            yield kind, sizes, schur_pencil(sizes, rng)
+
+
+class TestChunkedSweep:
+    @pytest.mark.parametrize("make", PAIR_LOOP_MAKERS, ids=["general", "rotation"])
+    def test_partition(self, make):
+        for _, n, D, A, _ in pair_loop_cases(make):
+            for rows in (1, 2, 3, tsylv_dense._ROWS, 16):
+                solver = TSylvSolver(D, A, rows=rows)
+                chunks, blocks = solver.chunks, solver.blocks
+                if rows == 1:
+                    assert chunks == blocks
+                # consecutive, covering 0..n, each end a block end: no 2x2
+                # block is split
+                assert [s for s, _ in chunks] == [0] + [e for _, e in chunks[:-1]]
+                assert chunks[-1][1] == n
+                assert {e for _, e in chunks} <= {e for _, e in blocks}
+                # every chunk but the last has at least rows rows, and
+                # stops at the first block that reaches them
+                for s, e in chunks[:-1]:
+                    assert e - s >= rows
+                    assert all(b - s < rows for _, b in blocks if s < b < e)
+                assert len(solver._steps) == len(chunks)
+
+    def test_matches_oracle_and_block_sweep(self):
+        rng = np.random.default_rng(42)
+        for kind, sizes, (D, A) in chunk_cases():
+            n = len(D)
+            solver = TSylvSolver(D, A)
+            assert sorted(e - s for s, e in solver.blocks) == sorted(sizes), kind
+            E = rng.standard_normal((n, n))
+            X = solver.solve(E)
+            Y = tsylv_oracle_solve(D, A, E)
+            assert np.linalg.norm(X - Y) <= 1e-10 * np.linalg.norm(Y), f"{kind} n={n}"
+            X1 = TSylvSolver(D, A, rows=1).solve(E)
+            assert np.linalg.norm(X - X1) <= 1e-12 * np.linalg.norm(X1), f"{kind} n={n}"
+
+    def test_singular_verdict_sets_up_no_chunk(self):
+        solver = TSylvSolver(*singular_pair_pencil())
+        assert solver.chunks and solver._steps == []
+
+    def test_projected_equations_take_one_step_per_block(self, monkeypatch):
+        init = TSylvSolver.__init__
+        built = []
+
+        def spied(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(TSylvSolver, "__init__", spied)
+        prob = make_problem(n=40, p=1, q=2, seed=0)
+        Xt, _, row = solve_tsylv_krylov(prob, zero_pair(prob.n), 1e-10)
+        assert Xt is not None, row["inner_message"]
+        assert len(built) == row["inner_iterations"]
+        assert max(s.n for s in built) >= 2 * tsylv_dense._ROWS
+        for s in built:
+            assert s.chunks == s.blocks and len(s._steps) == len(s.blocks)

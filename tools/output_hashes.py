@@ -8,9 +8,9 @@ with its command line's settings), using the package sources of TREE
 (default: the checkout holding this script), and prints one line per cell:
 status, trace length, solution rank, and SHA-256 prefixes of the problem's
 data (see ``problem_data``), of the solution (X, or the factors P1 and P2)
-and of the JSON trace rows.  A dense cell adds its forward error
-||X - X_exact||_F / ||X_exact||_F and the back-substitutions of each trace
-row (its=1,1,1,2); a factored cell adds its final relative residual and,
+and of the JSON trace rows.  Every cell adds its final relative residual.
+A dense cell adds its forward error ||X - X_exact||_F / ||X_exact||_F and
+the back-substitutions of each trace row (its=1,1,1,2); a factored cell adds,
 per trace row, the inner passes, the order of the last projected equation,
 the dropped Krylov columns and the iterate rank (inner=1,2,4
 basis=20,48,96 dropped=4,0,0 ranks=13,21,36), each read from the trace
@@ -18,7 +18,8 @@ rows, whose keys hold across trees.  So a change that moves a cell's bits
 shows what that did to its accuracy and whether its discrete choices held.
 The forward error measures accuracy only where Newton from X_0 = 0 reaches
 X_exact, which the generator does not promise (see
-``generators.generate_ex2_dense``); on these cells it does.
+``generators.generate_ex2_dense``); on these cells it does.  The residual
+holds wherever the run ends.
 
 A factored run whose last inner solve stopped short of its tolerance, as
 ``test_09``'s does, also prints that solve's residual history as
@@ -115,16 +116,16 @@ def main():
         factors = [X] if isinstance(X, np.ndarray) else [X.P1, X.P2]
         rows = report.trace_rows()
         per_row = lambda name: ",".join(str(r.get(name)) for r in rows)
+        extra = " rel=%.1e" % report.final_relative_residual
         if "X_exact" in meta:
             Xe = meta["X_exact"]
-            extra = " err=%.1e its=%s" % (
+            extra += " err=%.1e its=%s" % (
                 np.linalg.norm(X - Xe) / np.linalg.norm(Xe),
                 per_row("inner_its"))
         else:
-            extra = " rel=%.1e inner=%s basis=%s dropped=%s ranks=%s" % (
-                report.final_relative_residual, per_row("inner_its"),
-                per_row("basis_dim"), per_row("dropped_cols"),
-                per_row("rank"))
+            extra += " inner=%s basis=%s dropped=%s ranks=%s" % (
+                per_row("inner_its"), per_row("basis_dim"),
+                per_row("dropped_cols"), per_row("rank"))
             if "inner_message" in rows[-1]:
                 h = np.asarray(rows[-1]["inner_residuals"])
                 j = int(np.argmin(h))

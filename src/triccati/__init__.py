@@ -26,7 +26,6 @@ from .riccati_dense import (
     residual,
     solve_fixed_point,
     solve_newton,
-    verify_minimality,
 )
 from .lowrank import (
     LowRankPair,

@@ -53,7 +53,6 @@ __all__ = [
     "solve_newton",
     "line_search_poly",
     "minimize_quartic",
-    "verify_minimality",
 ]
 
 
@@ -307,19 +306,3 @@ def solve_newton(prob, tol=1e-12, max_iter=50, line_search="off",
         return X + lam * S, lam, {"inner_iterations": solves}
 
     return _iterate(prob, step, tol, max_iter, keep_iterates, "Newton step")
-
-
-def verify_minimality(prob, X):
-    """Check X against the minimal nonnegative solution.
-
-    Recomputes the fixed-point limit Y independently (at most 10000
-    iterations) and tests X >= 0 and X <= Y entrywise within
-    1e-8 * max(1, ||Y||_F).
-    """
-    X = np.asarray(X, dtype=float)
-    Y, rep = solve_fixed_point(prob, tol=1e-12, max_iter=10000)
-    if rep.status is not Status.CONVERGED:
-        return False
-    tol = 1e-8 * max(1.0, float(np.linalg.norm(Y)))
-    return (dense_core.elementwise_leq(np.zeros_like(X), X, tol)
-            and dense_core.elementwise_leq(X, Y, tol))

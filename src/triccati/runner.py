@@ -18,7 +18,7 @@ import pathlib
 
 import numpy as np
 
-from . import generators, mmio
+from . import generators, mmio, tsylv_dense
 from .lowrank import LowRankTRiccatiProblem
 from .newton_lowrank import (InexactNewtonConfig, min_entry_ratio,
                              solve_inexact_newton)
@@ -149,7 +149,9 @@ def solver_defaults(solver):
 
 def run_experiment(spec, solver, config=None):
     """One (problem, solver) cell; returns a RunReport whose status says
-    whether the solve converged.  A factored solve's metadata holds the
+    whether the solve converged.  A dense solve's metadata names the LAPACK
+    routine that factored its pencils (qz: "dgges3" or "dgges", see
+    ``tsylv_dense``).  A factored solve's metadata holds the
     min_entry_ratio of the returned solution, which reads every entry
     (0.30-0.35 s at n = 10000, where an Ex2LowRank q = 5 solve takes
     0.55-0.60 s).  err_rel, the forward error against a generator's X_exact,
@@ -181,6 +183,8 @@ def run_experiment(spec, solver, config=None):
     audit = _audit_problem(prob)
     if kind is LowRankTRiccatiProblem:
         meta["min_entry_ratio"] = min_entry_ratio(X)
+    else:
+        meta["qz"] = tsylv_dense.QZ_ROUTINE
     if x_exact is not None and rep.status == Status.CONVERGED:
         meta["err_rel"] = float(np.linalg.norm(X - x_exact)
                                 / np.linalg.norm(x_exact))

@@ -32,6 +32,21 @@ rows, or a division for a lone 1x1 block.  The small QZ and the LU factors
 factorization, so a solve is one ``dtgsyl`` call and one LU solve per
 chunk.
 
+The pencil and each chunk's small pencil are factored by LAPACK's
+``dgges3``, whose Hessenberg-triangular reduction is the blocked one of
+Kagstrom, Kressner, Quintana-Orti & Quintana-Orti (BIT 48, 2008); at
+n = 300 it takes about 0.12 s where the unblocked ``dgges`` behind
+``scipy.linalg.qz`` takes 0.20-0.29 s (one BLAS thread).  scipy wraps only
+``dgges``, so ``dgges3`` is called through ``ctypes`` as ``scipy_dgges3_``
+in the OpenBLAS that the scipy wheel ships in ``scipy.libs``, whose
+integers are 32-bit; numpy's copy in ``numpy.libs`` has 64-bit integers
+and suffixed names, and is not used.  The symbol is looked up once, at
+import; where that library or symbol is absent, every QZ falls back to
+``scipy.linalg.qz``, and ``QZ_ROUTINE`` names the routine that runs.
+Projected equations (``rows=1``, see :class:`TSylvSolver`) keep
+``scipy.linalg.qz`` for every QZ, so their solutions stay the bits they
+were: the last bits of ``dgges3``'s factors changed ``test_09``'s reading.
+
 The operator is singular when two eigenvalues of the pencil multiply to 1
 (or one equals -1).  Every diagonal block, and every pair of them, has a
 small system that couples it in a block-by-block back-substitution; the
@@ -47,14 +62,20 @@ singular system, or when a chunk's diagonal system has an exactly zero LU
 pivot (``dgetrf`` info > 0).
 """
 
+import ctypes
+import functools
+import glob
+import os
+
 import numpy as np
+import scipy
 import scipy.linalg
 from scipy.linalg.lapack import dgetrf, dgetrs, dtgsyl
 
 from .dense_core import commutation_matrix
 from .errors import SingularOperatorError
 
-__all__ = ["TSylvSolver"]
+__all__ = ["TSylvSolver", "QZ_ROUTINE"]
 
 # pair systems per screen or SVD chunk; bounds the decision's scratch memory
 _CHUNK = 1024
@@ -63,6 +84,65 @@ _RCOND_LIMIT = 1e-14
 # least rows per chunk of the sweep: at n = 300, 4 solved in 0.034 s against
 # 0.028 s, and 24 added about 0.25 s of diagonal LUs to each factorization
 _ROWS = 8
+
+
+def _load_dgges3(libs):
+    """LAPACK's dgges3 from the OpenBLAS with 32-bit integers that scipy
+    ships in the directory libs, or None where no such library exports it."""
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas-*.so"))):
+        try:
+            f = ctypes.CDLL(path).scipy_dgges3_
+        except (OSError, AttributeError):
+            continue
+        c, i = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
+        mat = np.ctypeslib.ndpointer(np.float64, 2, flags="F_CONTIGUOUS,WRITEABLE")
+        vec = np.ctypeslib.ndpointer(np.float64, 1, flags="C_CONTIGUOUS,WRITEABLE")
+        # JOBVSL, JOBVSR, SORT, SELCTG, N, A, LDA, B, LDB, SDIM, ALPHAR,
+        # ALPHAI, BETA, VSL, LDVSL, VSR, LDVSR, WORK, LWORK, BWORK, INFO, and
+        # the lengths of the three character arguments
+        f.argtypes = [c, c, c, ctypes.c_void_p, i, mat, i, mat, i, i, vec, vec,
+                      vec, mat, i, mat, i, vec, i, ctypes.c_void_p, i,
+                      ctypes.c_size_t, ctypes.c_size_t, ctypes.c_size_t]
+        f.restype = None
+        return f
+    return None
+
+
+_DGGES3 = _load_dgges3(
+    os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs"))
+# the routine that factors the pencils of the dense solvers (rows > 1)
+QZ_ROUTINE = "dgges" if _DGGES3 is None else "dgges3"
+
+
+def _qz(A, B):
+    """Real generalized Schur form of (A, B): (R, L, Q, Z) with A = Q R Z^T
+    and B = Q L Z^T, as ``scipy.linalg.qz(A, B, output="real")`` returns, by
+    the blocked dgges3 where it resolves."""
+    if _DGGES3 is None:
+        return scipy.linalg.qz(A, B, output="real")
+    R = np.array(A, dtype=float, order="F")
+    L = np.array(B, dtype=float, order="F")
+    n = R.shape[0]
+    if R.shape != (n, n) or L.shape != (n, n):
+        raise ValueError("QZ needs two square matrices of one shape")
+    if not (np.isfinite(R).all() and np.isfinite(L).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    Q, Z = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+    alphar, alphai, beta = np.empty(n), np.empty(n), np.empty(n)
+    size, sdim, info = ctypes.c_int(n), ctypes.c_int(), ctypes.c_int()
+
+    def call(work, lwork):
+        _DGGES3(b"V", b"V", b"N", None, size, R, size, L, size, sdim, alphar,
+                alphai, beta, Q, size, Z, size, work, ctypes.c_int(lwork),
+                None, info, 1, 1, 1)
+        if info.value != 0:
+            raise scipy.linalg.LinAlgError("dgges3 failed (info %d)" % info.value)
+
+    work = np.empty(1)
+    call(work, -1)  # workspace query
+    work = np.empty(int(work[0]))
+    call(work, work.size)
+    return R, L, Q, Z
 
 
 def _quasi_blocks(R):
@@ -193,12 +273,15 @@ class TSylvSolver:
     singular (see the module docstring), then solve many right-hand sides.
 
     ``rows`` is the least number of rows per chunk of the sweep; ``rows=1``
-    makes every diagonal block its own chunk.  Projected equations
+    makes every diagonal block its own chunk and factors every pencil with
+    ``scipy.linalg.qz`` (``dgges``), where ``rows > 1`` uses ``dgges3``
+    (see the module docstring).  Projected equations
     (``krylov.ExtendedKrylovTSylv.solve_reduced``) pass ``rows=1``: chunking
     them too (rows 8 or 16) changed the last bits of their solutions enough
     that the residual history of the acceptance check ``test_09`` fell to its
-    last entry at one BLAS thread, which that check reads as a failure.  The
-    keyword goes once what ``test_09`` asserts is settled.
+    last entry at one BLAS thread, which that check reads as a failure, and
+    ``dgges3`` on them failed that check as well.  The keyword, and with it
+    the choice of QZ routine, goes once what ``test_09`` asserts is settled.
     """
 
     def __init__(self, D, A, rows=_ROWS):
@@ -214,7 +297,8 @@ class TSylvSolver:
         self._steps = []
         if not self.n:
             return
-        R, L, Q, Z = scipy.linalg.qz(D, A.T, output="real")
+        qz = _qz if rows > 1 else functools.partial(scipy.linalg.qz, output="real")
+        R, L, Q, Z = qz(D, A.T)
         self.R, self.L, self.Q, self.Z = R, L, Q, Z
         self.blocks = _quasi_blocks(R)
         self.chunks = _chunks(self.blocks, rows)
@@ -230,7 +314,7 @@ class TSylvSolver:
                 one = np.ones((1, 1))
                 self._steps.append((Lii, Rii, one, one, None))
             else:
-                B, E, Qb, Zb = scipy.linalg.qz(Lii.T, Rii.T, output="real")
+                B, E, Qb, Zb = qz(Lii.T, Rii.T)
                 self._steps.append((B, E, Qb, Zb, dgetrf(_diag_systems(Rii, Lii))))
 
     def solve(self, E):

@@ -1,5 +1,6 @@
 """Brute-force references for the T-Sylvester operator X -> D X + X^T A,
-against which the tests check the structured solvers.
+against which the tests check the structured solvers, and a check of a
+dense T-Riccati solution against the minimal nonnegative one.
 
 Under the column-major vec of ``triccati.dense_core``, the operator's matrix
 is kron(I, D) + kron(A.T, I) @ commutation_matrix(n), n^2-by-n^2.
@@ -13,8 +14,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from triccati.dense_core import _commutation_index
+from triccati.dense_core import _commutation_index, elementwise_leq
 from triccati.errors import SingularOperatorError
+from triccati.reports import Status
+from triccati.riccati_dense import solve_fixed_point
 from triccati.tsylv_dense import _pair_batches, _svd_rcond
 
 # largest order tsylv_oracle_solve accepts: its n^2-by-n^2 system holds up
@@ -85,3 +88,19 @@ def min_pair_rcond(R, L, blocks):
     reference for ``tsylv_dense._any_pair_below``."""
     return float(min(np.min(f if f.ndim == 1 else _svd_rcond(f), initial=1.0)
                      for f in _pair_batches(R, L, blocks)))
+
+
+def verify_minimality(prob, X):
+    """Check X against the minimal nonnegative solution.
+
+    Recomputes the fixed-point limit Y independently (at most 10000
+    iterations) and tests X >= 0 and X <= Y entrywise within
+    1e-8 * max(1, ||Y||_F).
+    """
+    X = np.asarray(X, dtype=float)
+    Y, rep = solve_fixed_point(prob, tol=1e-12, max_iter=10000)
+    if rep.status is not Status.CONVERGED:
+        return False
+    tol = 1e-8 * max(1.0, float(np.linalg.norm(Y)))
+    return (elementwise_leq(np.zeros_like(X), X, tol)
+            and elementwise_leq(X, Y, tol))

@@ -13,10 +13,9 @@ from triccati.riccati_dense import (
     residual,
     solve_fixed_point,
     solve_newton,
-    verify_minimality,
 )
 from triccati.tsylv_dense import TSylvSolver
-from oracles import tsylv_kron_sparse
+from oracles import tsylv_kron_sparse, verify_minimality
 
 GOLD = (3.0 - np.sqrt(5.0)) / 2.0  # root of 3x - x^2 - 1 in (0, 1)
 

@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from triccati import cli, newton_lowrank, runner
+from triccati import cli, newton_lowrank, runner, tsylv_dense
 from triccati.cli import _spec_from_args, build_parser, main
 from triccati.newton_lowrank import InexactNewtonConfig
 from triccati.reports import Status
@@ -82,6 +82,7 @@ class TestRunExperiment:
         assert d["config"] == {"tol": 1e-12, "max_iter": 50,
                                "line_search": "off", "keep_iterates": False}
         assert d["metadata"]["err_rel"] <= 1e-8  # vs the manufactured solution
+        assert d["metadata"]["qz"] == tsylv_dense.QZ_ROUTINE
         assert d["audit"]["b_nonnegative"] is True
         assert d["trace"][0]["k"] >= 1
 

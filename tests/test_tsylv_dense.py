@@ -1,8 +1,12 @@
 """QZ-based solver for D X + X^T A = E against the brute-force oracle
 and against a block-pair back-substitution on the same QZ factors."""
 
+import glob
+import os
+
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg
 
 import triccati as tr
@@ -434,16 +438,19 @@ class TestLazyRcond:
             solver.solve(np.ones((10, 10)))
 
 
-def schur_pencil(sizes, rng):
+def schur_pencil(sizes, rng, spread=False):
     """D and A whose pencil (D, A^T) has one diagonal block per entry of
     sizes: a real eigenvalue for 1, a complex pair for 2, every one of
-    modulus in [2, 4], so no two multiply to 1 and none is -1."""
+    modulus in [2, 4], so no two multiply to 1 and none is -1.  With
+    spread, the blocks' moduli are evenly spaced over [2, 4], so no two
+    real eigenvalues lie close enough for rounding to pair them."""
     n = sum(sizes)
     T1 = np.triu(0.5 * rng.standard_normal((n, n)), 1)
     T2 = np.eye(n) + np.triu(0.5 * rng.standard_normal((n, n)), 1)
+    moduli = np.linspace(2.0, 4.0, len(sizes))
     s = 0
-    for a in sizes:
-        r = rng.uniform(2.0, 4.0)
+    for k, a in enumerate(sizes):
+        r = moduli[k] if spread else rng.uniform(2.0, 4.0)
         if a == 1:
             T1[s, s] = r * rng.choice([-1.0, 1.0])
         else:
@@ -457,17 +464,17 @@ def schur_pencil(sizes, rng):
     return Qm @ T1 @ Zm.T, (Qm @ T2 @ Zm.T).T
 
 
-def chunk_cases():
-    # (kind, n, D, A): mixed, all-1x1 and all-2x2 pencils (one 1x1 block
-    # where n is odd)
+def chunk_cases(orders=(1, 5, 8, 9, 40), spread=False):
+    # (kind, sizes, (D, A)): mixed, all-1x1 and all-2x2 pencils (one 1x1
+    # block where n is odd)
     rng = np.random.default_rng(41)
-    for n in (1, 5, 8, 9, 40):
+    for n in orders:
         mixed = []
         while sum(mixed) < n:
             mixed.append(1 if sum(mixed) == n - 1 else int(rng.integers(1, 3)))
         for kind, sizes in (("mixed", mixed), ("1x1", [1] * n),
                             ("2x2", [2] * (n // 2) + [1] * (n % 2))):
-            yield kind, sizes, schur_pencil(sizes, rng)
+            yield kind, sizes, schur_pencil(sizes, rng, spread)
 
 
 class TestChunkedSweep:
@@ -524,3 +531,107 @@ class TestChunkedSweep:
         assert max(s.n for s in built) >= 2 * tsylv_dense._ROWS
         for s in built:
             assert s.chunks == s.blocks and len(s._steps) == len(s.blocks)
+
+
+@pytest.fixture(params=["dgges3", "dgges"])
+def qz_path(request, monkeypatch):
+    # the QZ routine _qz runs: dgges3 where it resolves, or the fallback
+    if request.param == "dgges3" and tsylv_dense._DGGES3 is None:
+        pytest.skip("scipy's OpenBLAS exports no dgges3 here")
+    if request.param == "dgges":
+        monkeypatch.setattr(tsylv_dense, "_DGGES3", None)
+    return request.param
+
+
+def spy_calls(monkeypatch, owner, name):
+    # replaces owner.name with a wrapper that records each call's arguments
+    calls, f = [], getattr(owner, name)
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spied)
+    return calls
+
+
+class TestQZ:
+    def test_generalized_schur_form(self, qz_path):
+        for kind, sizes, (D, A) in chunk_cases((1, 2, 5, 40), spread=True):
+            n = len(D)
+            R, L, Q, Z = tsylv_dense._qz(D, A.T)
+            assert np.linalg.norm(Q @ R @ Z.T - D) <= 1e-13 * np.linalg.norm(D)
+            assert np.linalg.norm(Q @ L @ Z.T - A.T) <= 1e-13 * np.linalg.norm(A)
+            for M in (Q, Z):
+                assert np.linalg.norm(M.T @ M - np.eye(n)) <= 1e-13
+            assert np.array_equal(L, np.triu(L)), f"{kind} n={n}"
+            blocks = tsylv_dense._quasi_blocks(R)
+            assert sorted(e - s for s, e in blocks) == sorted(sizes), f"{kind} n={n}"
+            assert np.count_nonzero(np.tril(R, -1)) == sizes.count(2)
+
+    def test_solves_match_oracle(self, qz_path):
+        rng = np.random.default_rng(43)
+        for kind, sizes, (D, A) in chunk_cases((1, 2, 5, 40), spread=True):
+            n = len(D)
+            E = rng.standard_normal((n, n))
+            X = TSylvSolver(D, A).solve(E)
+            Y = tsylv_oracle_solve(D, A, E)
+            assert np.linalg.norm(X - Y) <= 1e-10 * np.linalg.norm(Y), f"{kind} n={n}"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_or_mismatched_input_raises(self, qz_path, bad):
+        D, A = schur_pencil([1, 2, 1], np.random.default_rng(44))
+        for M in (D, A):
+            M = M.copy()
+            M[0, 1] = bad
+            with pytest.raises(ValueError):
+                tsylv_dense._qz(M, np.eye(4))
+            with pytest.raises(ValueError):
+                tsylv_dense._qz(np.eye(4), M)
+        with pytest.raises(ValueError):
+            TSylvSolver(np.where(D > 0, bad, D), A)
+        with pytest.raises(ValueError):
+            tsylv_dense._qz(np.ones((4, 3)), np.ones((4, 3)))
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def failing(*args):
+            args[20].value = 5  # INFO
+
+        monkeypatch.setattr(tsylv_dense, "_DGGES3", failing)
+        with pytest.raises(scipy.linalg.LinAlgError, match="info 5"):
+            tsylv_dense._qz(np.eye(3), np.eye(3))
+
+    def test_fallback_runs_scipy_qz(self, monkeypatch):
+        monkeypatch.setattr(tsylv_dense, "_DGGES3", None)
+        calls = spy_calls(monkeypatch, scipy.linalg, "qz")
+        solver = TSylvSolver(*schur_pencil([1, 2] * 6, np.random.default_rng(45)))
+        assert solver.chunks != solver.blocks
+        assert len(calls) == 1 + sum(e - s > 1 for s, e in solver.chunks)
+
+    def test_projected_equations_never_call_dgges3(self, monkeypatch):
+        if tsylv_dense._DGGES3 is None:
+            pytest.skip("scipy's OpenBLAS exports no dgges3 here")
+        calls = spy_calls(monkeypatch, tsylv_dense, "_DGGES3")
+        D, A = schur_pencil([1, 2] * 6, np.random.default_rng(46))
+        TSylvSolver(D, A, rows=1)
+        prob = make_problem(n=40, p=1, q=2, seed=0)
+        Xt, _, row = solve_tsylv_krylov(prob, zero_pair(prob.n), 1e-10)
+        assert Xt is not None, row["inner_message"]
+        assert calls == []
+        # the spy sees the dense solvers' factorizations: a workspace query
+        # and a call per QZ
+        solver = TSylvSolver(D, A)
+        assert len(calls) == 2 * (1 + sum(e - s > 1 for s, e in solver.chunks))
+
+    def test_loader_resolves_only_scipys_openblas(self, tmp_path):
+        assert tsylv_dense._load_dgges3(str(tmp_path)) is None
+        # a file of that name that is no library, and a library without the
+        # symbol
+        (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a library")
+        assert tsylv_dense._load_dgges3(str(tmp_path)) is None
+        quadmath = glob.glob(os.path.join(os.path.dirname(scipy.__file__),
+                                          os.pardir, "scipy.libs", "libquadmath*"))
+        if quadmath:
+            (tmp_path / "libscipy_openblas-1.so").symlink_to(quadmath[0])
+            assert tsylv_dense._load_dgges3(str(tmp_path)) is None
+        assert (tsylv_dense.QZ_ROUTINE == "dgges3") == (tsylv_dense._DGGES3 is not None)

@@ -9,8 +9,10 @@ with its command line's settings), using the package sources of TREE
 status, trace length, solution rank, and SHA-256 prefixes of the problem's
 data (see ``problem_data``), of the solution (X, or the factors P1 and P2)
 and of the JSON trace rows.  Every cell adds its final relative residual.
-A dense cell adds its forward error ||X - X_exact||_F / ||X_exact||_F and
-the back-substitutions of each trace row (its=1,1,1,2); a factored cell adds,
+A dense cell adds its forward error ||X - X_exact||_F / ||X_exact||_F, the
+back-substitutions of each trace row (its=1,1,1,2) and the LAPACK routine
+that factored its pencils (qz=dgges3; qz=dgges for a tree that names none,
+whose ``tsylv_dense`` calls ``scipy.linalg.qz``); a factored cell adds,
 per trace row, the inner passes, the order of the last projected equation,
 the dropped Krylov columns and the iterate rank (inner=1,2,4
 basis=20,48,96 dropped=4,0,0 ranks=13,21,36), each read from the trace
@@ -55,7 +57,7 @@ sys.path.insert(0, os.path.join(TREE, "src"))
 
 import numpy as np  # noqa: E402  (after the thread setting and the path)
 
-from triccati import generators, newton_lowrank, riccati_dense  # noqa: E402
+from triccati import generators, newton_lowrank, riccati_dense, tsylv_dense  # noqa: E402
 
 N = 10000  # order of the factored cells
 SEEDS = range(3)
@@ -119,9 +121,10 @@ def main():
         extra = " rel=%.1e" % report.final_relative_residual
         if "X_exact" in meta:
             Xe = meta["X_exact"]
-            extra += " err=%.1e its=%s" % (
+            extra += " err=%.1e its=%s qz=%s" % (
                 np.linalg.norm(X - Xe) / np.linalg.norm(Xe),
-                per_row("inner_its"))
+                per_row("inner_its"),
+                getattr(tsylv_dense, "QZ_ROUTINE", "dgges"))
         else:
             extra += " inner=%s basis=%s dropped=%s ranks=%s" % (
                 per_row("inner_its"), per_row("basis_dim"),
